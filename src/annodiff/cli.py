@@ -244,8 +244,13 @@ def cmd_simulate(args) -> int:
     if scores_path.exists():
         embedded, by_institution = read_scores_csv(str(scores_path))
         if embedded is not None:
-            theirs = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in embedded.items()})
-            if theirs.scoring_fields() != config.scoring_fields():
+            try:
+                theirs = RunConfig(
+                    **{k: tuple(v) if isinstance(v, list) else v for k, v in embedded.items()}
+                ).scoring_fields()
+            except TypeError as exc:
+                raise AnnodiffError(f"{scores_path}: malformed embedded config: {exc}") from exc
+            if theirs != config.scoring_fields():
                 raise AnnodiffError(
                     f"{scores_path} was produced under a different scoring configuration; "
                     "rerun score or remove the file"

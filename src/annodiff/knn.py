@@ -10,8 +10,9 @@ structurally coherent afterwards.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Mapping, Sequence
 
 from annodiff.config import stable_seed
 from annodiff.labels import (
@@ -100,21 +101,21 @@ def rank_by_similarity(sims: Sequence[float], rng: random.Random) -> list[int]:
     return out
 
 
-def vote(labels: Sequence[str], rng: random.Random) -> str:
-    """Unit-weight plurality vote with a seeded draw among tied labels."""
-    if not labels:
+def vote(counts: Mapping[str, int], make_rng: Callable[[], random.Random]) -> str:
+    """Unit-weight plurality vote over per-label neighbor counts.
+
+    A tie for the top count is settled by a draw among the tied labels, taken
+    in LABEL_ORDER, from the rng that make_rng() returns. make_rng is called
+    only on a tie, so a vote with a unique winner derives no rng at all.
+    """
+    top = max(counts.values(), default=0)
+    if top < 1:
         raise ValueError("cannot vote over zero labels")
-    counts: dict[str, int] = {}
-    for lab in labels:
-        counts[lab] = counts.get(lab, 0) + 1
-    top = max(counts.values())
-    tied = sorted(
-        (lab for lab, c in counts.items() if c == top),
-        key=lambda lab: LABEL_ORDER.get(lab, len(LABEL_ORDER)),
-    )
+    tied = [lab for lab, c in counts.items() if c == top]
     if len(tied) == 1:
         return tied[0]
-    return rng.choice(tied)
+    tied.sort(key=lambda lab: LABEL_ORDER.get(lab, len(LABEL_ORDER)))
+    return make_rng().choice(tied)
 
 
 def coerce_structure(level1: str, level2: str, level3: str) -> PredictedPath:
@@ -143,9 +144,8 @@ def predict(
         sims = [_sim_safe(words, ex_words, predictor.metric) for ex_words, _ in predictor.examples]
         order_rng = random.Random(stable_seed(seed, "order", predictor.level))
         order = rank_by_similarity(sims, order_rng)
-        neighbor_labels = [predictor.examples[i][1] for i in order[: predictor.effective_k]]
-        vote_rng = random.Random(stable_seed(seed, "vote", predictor.level))
-        raw[predictor.level] = vote(neighbor_labels, vote_rng)
+        counts = Counter(predictor.examples[i][1] for i in order[: predictor.effective_k])
+        raw[predictor.level] = vote(counts, lambda: random.Random(stable_seed(seed, "vote", predictor.level)))
     return coerce_structure(raw[1], raw[2], raw[3])
 
 

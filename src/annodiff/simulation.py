@@ -150,9 +150,16 @@ def _arm_curve(
     k_grid: Sequence[int],
     seed: int,
 ) -> tuple[F1Curve | None, int]:
-    """Pool predictions for one arm across workers. Returns (curve, skipped)."""
+    """Pool predictions for one arm across workers. Returns (curve, skipped).
+
+    Each query's ranked neighbors are walked once: per-level label counts
+    grow with the prefix, and every distinct k in ascending order votes on
+    the counts of its first min(k, n) neighbors. A vote derives its seeded
+    rng only when its top count is tied.
+    """
     sims = ctx.sims(metric)
-    pairs_per_k: dict[int, list[tuple[LabelPath, object]]] = {k: [] for k in k_grid}
+    ks = sorted(set(k_grid))
+    pairs_per_k: dict[int, list[tuple[LabelPath, object]]] = {k: [] for k in ks}
     used = 0
     skipped = 0
     for wid in ctx.worker_ids:
@@ -175,21 +182,29 @@ def _arm_curve(
                 stable_seed(seed, ctx.institution, metric.value, phase, n, wid, arm, "order", tid)
             )
             order = rank_by_similarity(sim_values, order_rng)
-            for k in k_grid:
+            counts: dict[int, dict[str, int]] = {level: {} for level in LEVELS}
+            depth = 0
+            for k in ks:
                 k_eff = min(k, n)
-                neighbors = order[:k_eff]
+                for i in order[depth:k_eff]:
+                    for level in LEVELS:
+                        level_counts = counts[level]
+                        label = level_labels[level][i]
+                        level_counts[label] = level_counts.get(label, 0) + 1
+                depth = k_eff
                 raw = {}
                 for level in LEVELS:
-                    labels = [level_labels[level][i] for i in neighbors]
-                    vote_rng = random.Random(
-                        stable_seed(seed, ctx.institution, metric.value, phase, n, wid, arm, "vote", tid, k, level)
+                    raw[level] = vote(
+                        counts[level],
+                        lambda: random.Random(
+                            stable_seed(seed, ctx.institution, metric.value, phase, n, wid, arm, "vote", tid, k, level)
+                        ),
                     )
-                    raw[level] = vote(labels, vote_rng)
                 predicted = coerce_structure(raw[1], raw[2], raw[3])
                 pairs_per_k[k].append((truth, predicted))
     if used == 0:
         return None, skipped
-    points = {k: hierarchical_f1(pairs_per_k[k]) for k in k_grid}
+    points = {k: hierarchical_f1(pairs_per_k[k]) for k in ks}
     curve = F1Curve(
         institution=ctx.institution,
         metric=metric.value,
@@ -332,7 +347,13 @@ def aggregate(outcomes: Iterable[tuple[str, str]]) -> Aggregate:
 
 
 def test_proportions(table: ContingencyTable2x2) -> float:
-    """Two-tailed exact p-value for one pairwise outcome table."""
+    """Two-tailed exact p-value for one pairwise outcome table.
+
+    A table with no outcomes at all (neither code ever occurred) carries no
+    evidence and gets p = 1.0, as a table with a zero margin does.
+    """
     from annodiff.stats import fisher_exact_two_tailed
 
+    if not any(table.flat()):
+        return 1.0
     return fisher_exact_two_tailed(*table.flat())

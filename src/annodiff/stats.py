@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from annodiff.errors import DegenerateClusteringError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _MAX_VERIFY = 10_000  # population cap for the exhaustive-threshold check
 
@@ -31,6 +33,8 @@ def _threshold_wcss(sorted_vals: np.ndarray) -> tuple[float, int]:
     between distinct neighboring values are considered; an optimal split never
     needs to separate equal values.
     """
+    import numpy as np
+
     n = len(sorted_vals)
     csum = np.cumsum(sorted_vals)
     csq = np.cumsum(sorted_vals**2)
@@ -47,6 +51,8 @@ def _threshold_wcss(sorted_vals: np.ndarray) -> tuple[float, int]:
 
 
 def _wcss(values: np.ndarray, labels: np.ndarray) -> float:
+    import numpy as np
+
     total = 0.0
     for cluster in (0, 1):
         members = values[labels == cluster]
@@ -70,6 +76,9 @@ def kmeans_1d(values, seed=None) -> Clustering1D:
     Raises DegenerateClusteringError when fewer than two distinct values are
     given.
     """
+    # imported here so that commands which never cluster skip numpy's import
+    import numpy as np
+
     arr = np.asarray(list(values), dtype=float)
     if len(np.unique(arr)) < 2:
         raise DegenerateClusteringError("degenerate clustering: need at least two distinct values")

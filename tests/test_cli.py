@@ -1,6 +1,10 @@
 """End-to-end command line behaviour through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +154,48 @@ def test_simulate_rejects_mismatched_scores(dataset_dir, tmp_path, capsys):
     code = cli.main(_simulate_args(dataset_dir, out, extra=["--split", "0.5"]))
     assert code == 1
     assert "different scoring configuration" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("bogus", 1), ("institutions", 5)])
+def test_simulate_rejects_malformed_embedded_config(dataset_dir, tmp_path, capsys, key, value):
+    out = tmp_path / "out"
+    assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0
+    capsys.readouterr()
+    scores = out / "scores.csv"
+    header, rest = scores.read_text().split("\n", 1)
+    embedded = json.loads(header[len(CONFIG_PREFIX):])
+    embedded[key] = value
+    scores.write_text(CONFIG_PREFIX + json.dumps(embedded) + "\n" + rest)
+    code = cli.main(_simulate_args(dataset_dir, out))
+    assert code == 1
+    assert f"{scores}: malformed embedded config" in capsys.readouterr().err
+
+
+def test_simulate_writes_stats_when_every_code_is_d(tmp_path, capsys):
+    # equal durations leave only A and C to separate the classes; on this
+    # planted set every comparison then favors the difficult arm, so the E and
+    # T rows of E_vs_T are all zero
+    annotations, tweets = generate_records(
+        SynthConfig(n_workers=8, n_easy=40, n_difficult=20, difficult_label_noise=0.6, seed=11)
+    )
+    for record in annotations:
+        record["durations_s"] = {level: 1.0 for level in record["durations_s"]}
+    write_jsonl(annotations, str(tmp_path / "annotations.jsonl"))
+    write_jsonl(tweets, str(tmp_path / "tweets.jsonl"))
+    out = tmp_path / "out"
+    assert cli.main([*_simulate_args(tmp_path, out), "--seed", "11"]) == 0
+    capsys.readouterr()
+    stats = read_json(str(out / "stats.json"))
+    assert stats["outcome_counts"] == {phase: {"T": 0, "E": 0, "D": 9} for phase in ("early", "late")}
+    assert stats["tables"]["E_vs_T"]["counts"] == [[0, 0], [0, 0]]
+    assert stats["tables"]["E_vs_T"]["p_value"] == 1.0
+
+
+def test_import_leaves_numpy_unloaded():
+    # only 2-means needs numpy; ingest and report should not pay its import
+    code = "import sys, annodiff.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_report_renders_markdown(dataset_dir, tmp_path, capsys):

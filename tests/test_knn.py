@@ -1,6 +1,7 @@
 """Hierarchical kNN prediction and the hierarchical F1 metric."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -106,18 +107,41 @@ def test_rank_by_similarity_deterministic():
     assert rank_by_similarity(sims, random.Random(9)) == rank_by_similarity(sims, random.Random(9))
 
 
+def _rng(seed):
+    return lambda: random.Random(seed)
+
+
 def test_vote_plurality():
-    assert vote(["Positive", "Positive", "Negative"], random.Random(0)) == "Positive"
+    assert vote({"Positive": 2, "Negative": 1}, _rng(0)) == "Positive"
+
+
+def test_vote_unique_winner_derives_no_rng():
+    def make_rng():
+        raise AssertionError("make_rng called without a tie")
+
+    assert vote(Counter(["Positive", "Positive", "Negative"]), make_rng) == "Positive"
+    assert vote({"Irrelevant": 3}, make_rng) == "Irrelevant"
 
 
 def test_vote_tie_breaks_within_tied_set():
-    winners = {vote(["Positive", "Negative"], random.Random(seed)) for seed in range(20)}
+    winners = {vote({"Positive": 1, "Negative": 1}, _rng(seed)) for seed in range(20)}
     assert winners == {"Positive", "Negative"}
+
+
+def test_vote_tie_draws_in_label_order():
+    # the draw sees the tied labels in LABEL_ORDER, whatever order the counts
+    # mapping holds them in, so it matches a seeded choice over that order
+    for seed in range(20):
+        expected = random.Random(seed).choice(["Factual", "NonFactual", NO_LABEL])
+        counts = {NO_LABEL: 2, "NonFactual": 2, "Positive": 1, "Factual": 2}
+        assert vote(counts, _rng(seed)) == expected
 
 
 def test_vote_rejects_empty():
     with pytest.raises(ValueError):
-        vote([], random.Random(0))
+        vote({}, _rng(0))
+    with pytest.raises(ValueError):
+        vote({"Positive": 0}, _rng(0))
 
 
 words = st.lists(st.sampled_from([f"w{i}" for i in range(8)]), min_size=1, max_size=5).map(tuple)

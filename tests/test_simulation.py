@@ -245,6 +245,13 @@ def test_aggregate_counts_and_table_layout():
     assert proportions_p(agg.tables["T_vs_D"]) > 0.5
 
 
+def test_proportions_of_an_all_zero_table_is_one():
+    # neither E nor T ever occurred: the table carries no evidence
+    agg = aggregate([("early", "D"), ("late", "D")])
+    assert agg.tables["E_vs_T"].flat() == (0, 0, 0, 0)
+    assert proportions_p(agg.tables["E_vs_T"]) == 1.0
+
+
 def test_aggregate_rejects_unknown_inputs():
     with pytest.raises(ValueError):
         aggregate([("middle", "T")])
