@@ -8,10 +8,8 @@ from annodiff.difficulty import (
     agreement_score,
     difficulty_scores,
     knn_label_certainty,
-    labeling_cost,
-    predictor_certainty,
 )
-from annodiff.knn import PredictedPath, hierarchical_f1, predict, train
+from annodiff.knn import PredictedPath, hierarchical_f1
 from annodiff.labels import LabelPath, label_set
 from annodiff.simulation import (
     aggregate,
@@ -44,15 +42,11 @@ __all__ = [
     "kmeans_1d",
     "knn_label_certainty",
     "label_set",
-    "labeling_cost",
     "load_dataset",
     "majority_labels",
     "nsim",
     "parse_dataset",
-    "predict",
-    "predictor_certainty",
     "run_config",
     "test_proportions",
     "tokenize",
-    "train",
 ]

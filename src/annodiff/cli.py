@@ -8,6 +8,7 @@ the ANNODIFF_SEED environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import traceback
@@ -113,14 +114,14 @@ def _make_run_config(args) -> RunConfig:
     if not k_grid or any(k < 1 for k in k_grid):
         raise AnnodiffError("--k-grid needs at least one positive integer")
     epsilon = getattr(args, "epsilon", 0.01)
-    if epsilon < 0:
-        raise AnnodiffError("--epsilon must be non-negative")
+    if not math.isfinite(epsilon) or epsilon < 0:
+        raise AnnodiffError(f"--epsilon must be a finite non-negative number, got {epsilon}")
     if not 0 < args.split < 1:
         raise AnnodiffError("--split must lie strictly between 0 and 1")
     if args.k_certainty < 1:
         raise AnnodiffError("--k-certainty must be at least 1")
-    if args.smoothing < 0:
-        raise AnnodiffError("--smoothing must be non-negative")
+    if not math.isfinite(args.smoothing) or args.smoothing < 0:
+        raise AnnodiffError(f"--smoothing must be a finite non-negative number, got {args.smoothing}")
     return RunConfig(
         annotations=args.dataset,
         tweets=args.tweets,

@@ -12,14 +12,13 @@ import logging
 import math
 import random
 import statistics
-from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from annodiff.config import stable_seed
 from annodiff.dataset import Dataset, MajorityResult, majority_labels
 from annodiff.errors import AnnodiffError
-from annodiff.knn import rank_by_similarity
+from annodiff.knn import prefix_counts, rank_by_similarity
 from annodiff.labels import LABEL_ORDER, LEVELS, LEVEL_LABELS
 from annodiff.stats import kmeans_1d
 from annodiff.textsim import PairSimilarity, SimilarityMetric
@@ -82,24 +81,22 @@ def agreement_score(majority: MajorityResult) -> float:
 
 
 def knn_label_certainty(
-    neighbor_labels: Sequence[str], k: int, smoothing: float, labels: Sequence[str]
+    counts: Mapping[str, int], smoothing: float, labels: Sequence[str]
 ) -> dict[str, float]:
-    """Smoothed per-label certainty from the labels of the k nearest neighbors.
+    """Smoothed per-label certainty from the label counts of k neighbors.
 
-    certainty(j) = (n_j + smoothing) / (k + c) where n_j counts neighbors
-    with label j and c is the number of candidate labels. With smoothing 1
-    the certainties over all candidate labels sum to exactly 1.
+    certainty(j) = (n_j + smoothing) / (k + c) where n_j = counts[j], k is
+    the sum of the counts and c is the number of candidate labels. With
+    smoothing 1 the certainties over all candidate labels sum to exactly 1.
     """
+    k = sum(counts.values())
     if k < 1:
-        raise ValueError("k must be at least 1")
-    if len(neighbor_labels) != k:
-        raise ValueError(f"expected exactly {k} neighbor labels, got {len(neighbor_labels)}")
+        raise ValueError("need at least one neighbor")
     if smoothing < 0:
         raise ValueError("smoothing must be non-negative")
     c = len(labels)
     if c < 2:
         raise ValueError("need at least two candidate labels")
-    counts = Counter(neighbor_labels)
     unknown = set(counts) - set(labels)
     if unknown:
         raise ValueError(f"neighbor labels outside the candidate set: {sorted(unknown)}")
@@ -174,23 +171,24 @@ def predictor_certainties(
         train_size = max(1, math.floor(split_ratio * len(ids)))
         train_ids, test_ids = ids[:train_size], ids[train_size:]
 
-        level_train: dict[int, list[str]] = {level: [] for level in LEVELS}
+        # per level, the training tweets labeled at that level and their labels
+        pools: dict[int, list[str]] = {level: [] for level in LEVELS}
+        pool_labels: dict[int, list[str]] = {level: [] for level in LEVELS}
         for tid in train_ids:
-            for level in by_tweet[tid].labels.labels():
-                level_train[level].append(tid)
+            for level, label in by_tweet[tid].labels.labels().items():
+                pools[level].append(tid)
+                pool_labels[level].append(label)
 
         for tid in test_ids:
             row: dict[int, dict[str, float]] = {}
-            for level in LEVELS:
-                pool = level_train[level]
+            for level, pool in pools.items():
                 if not pool:
                     continue
-                k_eff = min(k, len(pool))
                 sim_values = [sims.sim(tid, other) for other in pool]
                 order_rng = random.Random(stable_seed(seed, "certainty-order", wid, tid, level))
                 order = rank_by_similarity(sim_values, order_rng)
-                neighbor_labels = [by_tweet[pool[i]].labels.label(level) for i in order[:k_eff]]
-                row[level] = knn_label_certainty(neighbor_labels, k_eff, smoothing, LEVEL_LABELS[level])
+                _, (counts,) = next(prefix_counts(order, [pool_labels[level]], [k]))
+                row[level] = knn_label_certainty(counts, smoothing, LEVEL_LABELS[level])
             if row:
                 rows_by_tweet.setdefault(tid, []).append(row)
 
@@ -205,34 +203,6 @@ def predictor_certainties(
         imputed = missing
         logger.warning("no certainty for %d tweet(s); imputed the population mean %.4f", len(missing), population_mean)
     return CertaintyResult(values=values, imputed=imputed)
-
-
-def predictor_certainty(
-    tweet_id: str,
-    dataset: Dataset,
-    split_ratio: float = 0.4,
-    metric: SimilarityMetric = SimilarityMetric.SUBSTRING,
-    k: int = 3,
-    smoothing: float = 1.0,
-    seed: int = 0,
-) -> float:
-    """Predictor certainty of a single tweet.
-
-    Convenience wrapper around predictor_certainties, which is the efficient
-    entry point when values for many tweets are needed.
-    """
-    result = predictor_certainties(
-        dataset,
-        dataset.word_sequences(),
-        metric=metric,
-        k=k,
-        smoothing=smoothing,
-        split_ratio=split_ratio,
-        seed=seed,
-    )
-    if tweet_id not in result.values:
-        raise AnnodiffError(f"no certainty available for tweet {tweet_id!r}")
-    return result.values[tweet_id]
 
 
 def labeling_costs(dataset: Dataset) -> dict[str, float]:
@@ -259,14 +229,6 @@ def labeling_costs(dataset: Dataset) -> dict[str, float]:
     if hi == lo:
         return {tid: 1.0 for tid in medians}
     return {tid: 1.0 - (cost - lo) / (hi - lo) for tid, cost in medians.items()}
-
-
-def labeling_cost(tweet_id: str, dataset: Dataset) -> float:
-    """Normalized labeling cost of a single tweet."""
-    costs = labeling_costs(dataset)
-    if tweet_id not in costs:
-        raise AnnodiffError(f"no labeling durations recorded for tweet {tweet_id!r}")
-    return costs[tweet_id]
 
 
 def difficulty_scores(dataset: Dataset, config: ScoreConfig = ScoreConfig()) -> ScoringResult:
@@ -309,7 +271,7 @@ def difficulty_scores(dataset: Dataset, config: ScoreConfig = ScoreConfig()) -> 
     if excluded:
         logger.warning("excluded %d tweet(s) from scoring: %s", len(excluded), excluded)
 
-    clustering = kmeans_1d([r[4] for r in rows], seed=config.seed)
+    clustering = kmeans_1d([r[4] for r in rows])
     scores = [
         DifficultyScore(
             tweet_id=tid,

@@ -1,45 +1,29 @@
-"""Per-worker hierarchical k-nearest-neighbor label prediction.
+"""Per-worker k-nearest-neighbor label prediction in three steps.
 
-A worker's labeling behavior is modeled by one kNN predictor per hierarchy
-level, trained on tweets the worker labeled. Levels the worker left blank
-(below Irrelevant or Factual) are represented by an explicit NoLabel class,
-so every training tweet is usable on every level. Predicted paths are made
-structurally coherent afterwards.
+rank_by_similarity orders a worker's labeled tweets by similarity to a query,
+prefix_counts counts the labels of the first min(k, n) of them for each k,
+and vote picks the plurality label from those counts. One ranking serves
+every k and every hierarchy level. The grid predicts a whole label path this
+way, one vote per level over rows in which a blank level (below Irrelevant or
+Factual) counts as an explicit NoLabel class, and coerce_structure makes the
+voted path structurally coherent. The certainty component counts the labels
+of one level and turns them into smoothed certainties instead of a vote.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
-from annodiff.config import stable_seed
 from annodiff.labels import (
     FACTUAL,
     IRRELEVANT,
     LABEL_ORDER,
-    LEVELS,
     NO_LABEL,
     LabelPath,
     label_set,
 )
-from annodiff.textsim import SimilarityMetric, WordSequence, nsim
-
-
-@dataclass(frozen=True)
-class LevelPredictor:
-    """kNN over word sequences for one hierarchy level."""
-
-    level: int
-    examples: tuple[tuple[tuple[str, ...], str], ...]  # (words, label or NoLabel)
-    metric: SimilarityMetric
-    k: int
-
-    @property
-    def effective_k(self) -> int:
-        """Neighbors actually consulted; capped by the training-set size."""
-        return min(self.k, len(self.examples))
 
 
 @dataclass(frozen=True)
@@ -52,31 +36,6 @@ class PredictedPath:
 
     def label(self, level: int) -> str:
         return (self.level1, self.level2, self.level3)[level - 1]
-
-
-def train(
-    examples: Sequence[tuple[WordSequence, LabelPath]],
-    metric: SimilarityMetric,
-    k: int,
-) -> tuple[LevelPredictor, LevelPredictor, LevelPredictor]:
-    """Build the three per-level predictors from one worker's labeled tweets."""
-    if not examples:
-        raise ValueError("cannot train on an empty example list")
-    if k < 1:
-        raise ValueError("k must be at least 1")
-    predictors = []
-    for level in LEVELS:
-        rows = tuple(
-            (tuple(words), path.label(level) or NO_LABEL) for words, path in examples
-        )
-        predictors.append(LevelPredictor(level=level, examples=rows, metric=metric, k=k))
-    return tuple(predictors)
-
-
-def _sim_safe(a: WordSequence, b: WordSequence, metric: SimilarityMetric) -> float:
-    if not a and not b:
-        return 1.0
-    return nsim(a, b, metric)
 
 
 def rank_by_similarity(sims: Sequence[float], rng: random.Random) -> list[int]:
@@ -99,6 +58,32 @@ def rank_by_similarity(sims: Sequence[float], rng: random.Random) -> list[int]:
         out.extend(group)
         i = j
     return out
+
+
+def prefix_counts(
+    order: Sequence[int], rows: Sequence[Sequence[str]], ks: Sequence[int]
+) -> Iterator[tuple[int, list[dict[str, int]]]]:
+    """Per-row label counts over growing prefixes of a neighbor ranking.
+
+    order is a ranking from rank_by_similarity; each row holds one label per
+    ranked item, indexed like the similarities that were ranked. For each
+    distinct k of ks in ascending order, yields (k, counts), where counts[r]
+    maps each label of rows[r] to how often it occurs among the first
+    min(k, len(order)) neighbors; a k below 1 counts none. The mappings grow
+    in place from one k to the next, so read them before advancing.
+    """
+    counts: list[dict[str, int]] = [{} for _ in rows]
+    tallies = list(zip(rows, counts))
+    depth = 0
+    for k in sorted(set(ks)):
+        end = min(k, len(order))
+        if end > depth:
+            for i in order[depth:end]:
+                for row, row_counts in tallies:
+                    label = row[i]
+                    row_counts[label] = row_counts.get(label, 0) + 1
+            depth = end
+        yield k, counts
 
 
 def vote(counts: Mapping[str, int], make_rng: Callable[[], random.Random]) -> str:
@@ -131,22 +116,6 @@ def coerce_structure(level1: str, level2: str, level3: str) -> PredictedPath:
     if level2 in (FACTUAL, NO_LABEL):
         level3 = NO_LABEL
     return PredictedPath(level1=level1, level2=level2, level3=level3)
-
-
-def predict(
-    predictors: Sequence[LevelPredictor],
-    words: WordSequence,
-    seed: int,
-) -> PredictedPath:
-    """Predict the label path of one tweet. Deterministic under a fixed seed."""
-    raw: dict[int, str] = {}
-    for predictor in predictors:
-        sims = [_sim_safe(words, ex_words, predictor.metric) for ex_words, _ in predictor.examples]
-        order_rng = random.Random(stable_seed(seed, "order", predictor.level))
-        order = rank_by_similarity(sims, order_rng)
-        counts = Counter(predictor.examples[i][1] for i in order[: predictor.effective_k])
-        raw[predictor.level] = vote(counts, lambda: random.Random(stable_seed(seed, "vote", predictor.level)))
-    return coerce_structure(raw[1], raw[2], raw[3])
 
 
 def hierarchical_f1(pairs: Sequence[tuple[LabelPath, PredictedPath]]) -> float:

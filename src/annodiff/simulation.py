@@ -20,7 +20,7 @@ from annodiff.config import DEFAULT_K_GRID, stable_seed
 from annodiff.dataset import Dataset
 from annodiff.difficulty import DIFFICULT, EASY
 from annodiff.errors import GridMismatchError
-from annodiff.knn import coerce_structure, hierarchical_f1, rank_by_similarity, vote
+from annodiff.knn import coerce_structure, hierarchical_f1, prefix_counts, rank_by_similarity, vote
 from annodiff.labels import LEVELS, NO_LABEL, LabelPath
 from annodiff.textsim import PairSimilarity, SimilarityMetric
 
@@ -152,10 +152,9 @@ def _arm_curve(
 ) -> tuple[F1Curve | None, int]:
     """Pool predictions for one arm across workers. Returns (curve, skipped).
 
-    Each query's ranked neighbors are walked once: per-level label counts
-    grow with the prefix, and every distinct k in ascending order votes on
-    the counts of its first min(k, n) neighbors. A vote derives its seeded
-    rng only when its top count is tied.
+    Each query's neighbors are ranked once; every distinct k votes per level
+    on the prefix counts of that ranking. A vote derives its seeded rng only
+    when its top count is tied.
     """
     sims = ctx.sims(metric)
     ks = sorted(set(k_grid))
@@ -170,9 +169,7 @@ def _arm_curve(
         used += 1
         training = stratum.tweets[:n]
         train_ids = {tid for tid, _ in training}
-        level_labels = {
-            level: [path.label(level) or NO_LABEL for _, path in training] for level in LEVELS
-        }
+        level_rows = [[path.label(level) or NO_LABEL for _, path in training] for level in LEVELS]
         window = ctx.windows[(wid, phase)]
         for tid, truth in window:
             if tid in train_ids:
@@ -182,26 +179,17 @@ def _arm_curve(
                 stable_seed(seed, ctx.institution, metric.value, phase, n, wid, arm, "order", tid)
             )
             order = rank_by_similarity(sim_values, order_rng)
-            counts: dict[int, dict[str, int]] = {level: {} for level in LEVELS}
-            depth = 0
-            for k in ks:
-                k_eff = min(k, n)
-                for i in order[depth:k_eff]:
-                    for level in LEVELS:
-                        level_counts = counts[level]
-                        label = level_labels[level][i]
-                        level_counts[label] = level_counts.get(label, 0) + 1
-                depth = k_eff
-                raw = {}
-                for level in LEVELS:
-                    raw[level] = vote(
-                        counts[level],
+            for k, counts in prefix_counts(order, level_rows, ks):
+                raw = [
+                    vote(
+                        level_counts,
                         lambda: random.Random(
                             stable_seed(seed, ctx.institution, metric.value, phase, n, wid, arm, "vote", tid, k, level)
                         ),
                     )
-                predicted = coerce_structure(raw[1], raw[2], raw[3])
-                pairs_per_k[k].append((truth, predicted))
+                    for level, level_counts in zip(LEVELS, counts)
+                ]
+                pairs_per_k[k].append((truth, coerce_structure(*raw)))
     if used == 0:
         return None, skipped
     points = {k: hierarchical_f1(pairs_per_k[k]) for k in ks}

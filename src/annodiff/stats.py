@@ -61,7 +61,7 @@ def _wcss(values: np.ndarray, labels: np.ndarray) -> float:
     return total
 
 
-def kmeans_1d(values, seed=None) -> Clustering1D:
+def kmeans_1d(values) -> Clustering1D:
     """Two-cluster 1-D k-means with deterministic extreme-point initialization.
 
     Lloyd iteration starting from (min, max); a value equidistant from both
@@ -69,9 +69,6 @@ def kmeans_1d(values, seed=None) -> Clustering1D:
     minimum on skewed inputs, so for populations up to 10,000 the result is
     checked against exhaustive threshold enumeration and replaced by the
     optimal contiguous split when it loses.
-
-    The seed parameter is accepted for interface uniformity; initialization
-    is deterministic and no randomness is consumed.
 
     Raises DegenerateClusteringError when fewer than two distinct values are
     given.

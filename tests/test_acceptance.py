@@ -15,6 +15,7 @@ pass/fail line each.
 import os
 import random
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -129,7 +130,7 @@ def _check_family_certainty_rows():
         labels = LEVEL_LABELS[level]
         k = rng.randint(1, 9)
         neighbors = [rng.choice(labels) for _ in range(k)]
-        row = knn_label_certainty(neighbors, k, 1.0, labels)
+        row = knn_label_certainty(Counter(neighbors), 1.0, labels)
         assert abs(sum(row.values()) - 1.0) <= 1e-12, neighbors
         assert all(v > 0.0 for v in row.values()), neighbors
 
@@ -172,7 +173,7 @@ def _check_family_kmeans():
         ]
         if len(set(values)) < 2:
             values[-1] += 1.0
-        clustering = kmeans_1d(values, seed=0)
+        clustering = kmeans_1d(values)
         assert clustering.centroids[0] < clustering.centroids[1], values
         wcss = oracles.wcss_of_assignment(values, clustering.labels)
         assert wcss <= oracles.best_threshold_wcss(values) + 1e-9, values

@@ -255,6 +255,16 @@ def test_bad_arguments_exit_1(dataset_dir, tmp_path, capsys, extra, fragment):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("flag", ["--smoothing", "--epsilon"])
+def test_non_finite_numbers_exit_1(dataset_dir, tmp_path, capsys, flag, value):
+    # the = form keeps argparse from reading -inf as an option
+    code = cli.main(["simulate", *_dataset_args(dataset_dir), "--out", str(tmp_path / "o"), f"{flag}={value}"])
+    assert code == 1
+    assert f"{flag} must be a finite non-negative number" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_missing_required_argument_is_usage_error(capsys):
     code = cli.main(["ingest", "--dataset", "a.jsonl"])
     err = capsys.readouterr().err

@@ -19,10 +19,8 @@ from annodiff.difficulty import (
     aggregate_certainties,
     difficulty_scores,
     knn_label_certainty,
-    labeling_cost,
     labeling_costs,
     predictor_certainties,
-    predictor_certainty,
 )
 from annodiff.errors import AnnodiffError
 from annodiff.labels import LabelPath
@@ -105,12 +103,12 @@ def test_agreement_never_drops_when_vote_joins_majority(votes, seed, data):
 
 
 def test_certainty_row_values():
-    row = knn_label_certainty(["NonFactual", "NonFactual", "Factual"], 3, 1.0, ("Factual", "NonFactual"))
+    row = knn_label_certainty({"NonFactual": 2, "Factual": 1}, 1.0, ("Factual", "NonFactual"))
     assert row == {"Factual": 2 / 5, "NonFactual": 3 / 5}
 
 
 def test_certainty_row_never_zero():
-    row = knn_label_certainty(["Relevant"] * 3, 3, 1.0, ("Relevant", "Irrelevant"))
+    row = knn_label_certainty({"Relevant": 3}, 1.0, ("Relevant", "Irrelevant"))
     assert row["Irrelevant"] == pytest.approx(0.2)
     assert row["Relevant"] == pytest.approx(0.8)
 
@@ -118,11 +116,11 @@ def test_certainty_row_never_zero():
 @pytest.mark.parametrize(
     "kwargs",
     [
-        dict(neighbor_labels=["Relevant"], k=2, smoothing=1.0, labels=("Relevant", "Irrelevant")),
-        dict(neighbor_labels=[], k=0, smoothing=1.0, labels=("Relevant", "Irrelevant")),
-        dict(neighbor_labels=["Relevant"], k=1, smoothing=-0.5, labels=("Relevant", "Irrelevant")),
-        dict(neighbor_labels=["Relevant"], k=1, smoothing=1.0, labels=("Relevant",)),
-        dict(neighbor_labels=["Spam"], k=1, smoothing=1.0, labels=("Relevant", "Irrelevant")),
+        dict(counts={}, smoothing=1.0, labels=("Relevant", "Irrelevant")),
+        dict(counts={"Relevant": 0}, smoothing=1.0, labels=("Relevant", "Irrelevant")),
+        dict(counts={"Relevant": 1}, smoothing=-0.5, labels=("Relevant", "Irrelevant")),
+        dict(counts={"Relevant": 1}, smoothing=1.0, labels=("Relevant",)),
+        dict(counts={"Spam": 1}, smoothing=1.0, labels=("Relevant", "Irrelevant")),
     ],
 )
 def test_certainty_row_validation(kwargs):
@@ -137,8 +135,7 @@ def test_certainty_row_validation(kwargs):
 )
 def test_certainty_rows_sum_to_one(k, split, labels):
     first = min(split, k)
-    neighbors = [labels[0]] * first + [labels[1]] * (k - first)
-    row = knn_label_certainty(neighbors, k, 1.0, labels)
+    row = knn_label_certainty({labels[0]: first, labels[1]: k - first}, 1.0, labels)
     assert abs(sum(row.values()) - 1.0) <= 1e-12
     assert all(v > 0 for v in row.values())
 
@@ -200,13 +197,19 @@ def _full_path_annotation(worker, tweet, order, durations=None):
     )
 
 
-def test_predictor_certainty_k1_single_worker():
-    # 5 identically labeled tweets, train 4 / test 1, k=1: each level's row
-    # is (2/3, 1/3), with level maxima 2/3
+@pytest.mark.parametrize("k, expected", [(1, 2 / 3), (9, 5 / 6)])
+def test_predictor_certainties_single_worker(k, expected):
+    # 5 identically labeled tweets, train 4 / test 1: each level's row is
+    # (min(k, 4) + 1, 1) / (min(k, 4) + 2), so k=1 gives level maxima 2/3
+    # and k=9, capped at the 4 pool tweets, gives 5/6. The four training
+    # tweets are imputed the one test tweet's value.
     annotations = [_full_path_annotation("w1", f"t{i}", i + 1) for i in range(5)]
     ds = _worker_dataset([Worker("w1", "MD", "M", annotations)])
-    value = predictor_certainty("t0", ds, split_ratio=0.8, k=1)
-    assert value == pytest.approx(2 / 3, abs=1e-12)
+    result = predictor_certainties(ds, ds.word_sequences(), split_ratio=0.8, k=k)
+    assert len(result.imputed) == 4
+    assert sorted(result.values) == [f"t{i}" for i in range(5)]
+    for value in result.values.values():
+        assert value == pytest.approx(expected, abs=1e-12)
 
 
 def test_predictor_certainties_imputes_training_only_tweets():
@@ -268,13 +271,12 @@ def test_cost_median_skips_incomplete_annotations():
     assert costs == {"t0": 0.0, "t1": 1.0}
 
 
-def test_cost_missing_tweet_raises():
+def test_cost_missing_tweet_is_absent():
     ds = _priced_dataset({"ta": 2.0, "tb": 4.0})
     undurated = Annotation("w9", "tc", LabelPath("Irrelevant"), {}, 1)
     ds.workers["w9"] = Worker("w9", "MD", "M", [undurated])
     ds.texts["tc"] = "text of tc"
-    with pytest.raises(AnnodiffError):
-        labeling_cost("tc", ds)
+    assert labeling_costs(ds) == {"ta": 1.0, "tb": 0.0}
 
 
 @given(st.lists(st.floats(min_value=0, max_value=1000, allow_nan=False), min_size=2, max_size=12, unique=True))

@@ -6,16 +6,16 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, strategies as st
 
+from annodiff.config import stable_seed
 from annodiff.knn import (
     PredictedPath,
     coerce_structure,
     hierarchical_f1,
-    predict,
+    prefix_counts,
     rank_by_similarity,
-    train,
     vote,
 )
-from annodiff.labels import LabelPath, NO_LABEL, label_set
+from annodiff.labels import LEVELS, LabelPath, NO_LABEL, label_set
 from annodiff.textsim import SimilarityMetric, nsim
 from oracles import hier_f1_direct, path_label_set
 
@@ -32,27 +32,75 @@ def test_label_set_closure():
     assert label_set(("Irrelevant", NO_LABEL, None)) == {"Irrelevant"}
 
 
-def test_train_builds_three_predictors():
+def level_rows(examples):
+    """Per-level label rows of (words, path) examples; blanks are NoLabel."""
+    return [[path.label(level) or NO_LABEL for _, path in examples] for level in LEVELS]
+
+
+def predict(examples, query, k, seed, metric=SimilarityMetric.EDIT):
+    """Predict a label path the way the grid does: rank the examples once,
+    count the first min(k, n) labels per level, vote, coerce."""
+    sims = [nsim(query, words, metric) for words, _ in examples]
+    order = rank_by_similarity(sims, random.Random(stable_seed(seed, "order")))
+    _, counts = next(prefix_counts(order, level_rows(examples), [k]))
+    raw = [
+        vote(level_counts, lambda: random.Random(stable_seed(seed, "vote", level)))
+        for level, level_counts in zip(LEVELS, counts)
+    ]
+    return coerce_structure(*raw)
+
+
+def test_prefix_counts_cover_every_row():
     examples = [(("w",) * (i + 1), PATHS[i % 4]) for i in range(5)]
-    predictors = train(examples, SimilarityMetric.EDIT, k=3)
-    assert [p.level for p in predictors] == [1, 2, 3]
-    assert all(len(p.examples) == 5 for p in predictors)
-    # blank levels become an explicit class
-    assert predictors[2].examples[0][1] == NO_LABEL
-    assert predictors[1].examples[1][1] == "Factual"
+    [(k, counts)] = prefix_counts(range(5), level_rows(examples), [5])
+    assert k == 5
+    assert [sum(c.values()) for c in counts] == [5, 5, 5]
+    assert counts[0] == {"Irrelevant": 2, "Relevant": 3}
+    # blank levels are counted as an explicit class
+    assert counts[1] == {NO_LABEL: 2, "Factual": 1, "NonFactual": 2}
+    assert counts[2] == {NO_LABEL: 3, "Positive": 1, "Negative": 1}
 
 
-def test_train_effective_k_caps_at_pool_size():
-    examples = [(("x",), LabelPath("Irrelevant"))] * 5
-    predictors = train(examples, SimilarityMetric.EDIT, k=9)
-    assert predictors[0].effective_k == 5
+def test_prefix_counts_follow_the_ranking():
+    rows = [["a", "b", "b", "c"]]
+    order = [3, 1, 0, 2]
+    assert [(k, dict(c[0])) for k, c in prefix_counts(order, rows, [1, 2, 3])] == [
+        (1, {"c": 1}),
+        (2, {"c": 1, "b": 1}),
+        (3, {"c": 1, "b": 1, "a": 1}),
+    ]
 
 
-def test_train_validation():
-    with pytest.raises(ValueError):
-        train([], SimilarityMetric.EDIT, k=3)
-    with pytest.raises(ValueError):
-        train([(("x",), PATHS[0])], SimilarityMetric.EDIT, k=0)
+def test_prefix_counts_caps_k_at_ranking_length():
+    rows = [["Irrelevant"] * 5]
+    [(k, counts)] = prefix_counts(range(5), rows, [9])
+    assert k == 9
+    assert counts == [{"Irrelevant": 5}]
+
+
+def test_prefix_counts_yields_distinct_k_ascending():
+    rows = [["x", "y", "x"]]
+    assert [k for k, _ in prefix_counts([0, 1, 2], rows, [5, 1, 3, 3])] == [1, 3, 5]
+
+
+def test_empty_prefix_cannot_vote():
+    # no neighbors, or a k below 1, leave nothing to vote on
+    for order, k in (([], 3), ([0], 0)):
+        [(_, counts)] = prefix_counts(order, [["Irrelevant"]], [k])
+        assert counts == [{}]
+        with pytest.raises(ValueError):
+            vote(counts[0], lambda: random.Random(0))
+
+
+@given(
+    labels=st.lists(st.sampled_from(["a", "b", "c"]), max_size=9),
+    ks=st.lists(st.integers(0, 12), min_size=1, max_size=5),
+    data=st.data(),
+)
+def test_prefix_counts_match_sliced_counters(labels, ks, data):
+    order = data.draw(st.permutations(range(len(labels))))
+    for k, counts in prefix_counts(order, [labels], ks):
+        assert counts[0] == Counter(labels[i] for i in order[: max(k, 0)])
 
 
 def test_predict_exact_match_k1():
@@ -60,25 +108,22 @@ def test_predict_exact_match_k1():
         (("budget", "plan", "works"), LabelPath("Relevant", "NonFactual", "Positive")),
         (("boring", "rerun", "tonight"), LabelPath("Irrelevant")),
     ]
-    predictors = train(examples, SimilarityMetric.SUBSTRING, k=1)
-    path = predict(predictors, ("budget", "plan", "works"), seed=0)
+    path = predict(examples, ("budget", "plan", "works"), 1, 0, SimilarityMetric.SUBSTRING)
     assert path == PredictedPath("Relevant", "NonFactual", "Positive")
-    path = predict(predictors, ("boring", "rerun", "tonight"), seed=0)
+    path = predict(examples, ("boring", "rerun", "tonight"), 1, 0, SimilarityMetric.SUBSTRING)
     assert path == PredictedPath("Irrelevant", NO_LABEL, NO_LABEL)
 
 
 def test_predict_only_irrelevant_training():
-    predictors = train([(("zzz",), LabelPath("Irrelevant"))], SimilarityMetric.EDIT, k=3)
-    path = predict(predictors, ("anything", "else"), seed=7)
+    path = predict([(("zzz",), LabelPath("Irrelevant"))], ("anything", "else"), 3, 7)
     assert path == PredictedPath("Irrelevant", NO_LABEL, NO_LABEL)
 
 
 def test_predict_deterministic_under_seed():
     examples = [(tuple(f"w{i}{j}" for j in range(3)), PATHS[i % 4]) for i in range(6)]
-    predictors = train(examples, SimilarityMetric.SUBSEQUENCE, k=3)
     queries = [tuple(f"w{i}{j}" for j in range(2)) for i in range(6)]
-    first = [predict(predictors, q, seed=11) for q in queries]
-    second = [predict(predictors, q, seed=11) for q in queries]
+    first = [predict(examples, q, 3, 11, SimilarityMetric.SUBSEQUENCE) for q in queries]
+    second = [predict(examples, q, 3, 11, SimilarityMetric.SUBSEQUENCE) for q in queries]
     assert first == second
 
 
@@ -157,8 +202,8 @@ def test_duplicating_training_set_with_doubled_k_is_noop(examples, query, k, see
     # a similarity tie spanning the cut makes the neighbor set genuinely
     # ambiguous, which doubling resolves differently; skip those draws
     assume(k_eff == len(examples) or sims[k_eff - 1] > sims[k_eff])
-    single = predict(train(examples, SimilarityMetric.EDIT, k), query, seed)
-    doubled = predict(train(examples + examples, SimilarityMetric.EDIT, 2 * k), query, seed)
+    single = predict(examples, query, k, seed)
+    doubled = predict(examples + examples, query, 2 * k, seed)
     assert single == doubled
 
 
