@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
@@ -152,8 +153,9 @@ def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[Annota
         level = _LEVEL_KEYS[key]
         if level not in present_levels:
             fail(f"duration given for level {level} but no label is present there")
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or not value == value or value < 0:
-            fail(f"duration for level {level} must be a non-negative number, got {value!r}")
+        # the range test also rejects NaN, infinity and integers too large for a float
+        if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
+            fail(f"duration for level {level} must be a finite non-negative number, got {value!r}")
         parsed_durations[level] = float(value)
     missing_duration = len(parsed_durations) < len(present_levels)
 

@@ -26,7 +26,8 @@ class DatasetError(AnnodiffError):
 
 
 class DegenerateClusteringError(AnnodiffError):
-    """Raised when 1-D k-means receives fewer than two distinct values."""
+    """Raised when 1-D k-means receives fewer than two distinct values, or
+    values whose squares do not sum to a finite number."""
 
 
 class GridMismatchError(AnnodiffError):

@@ -1,23 +1,18 @@
 """Small statistics primitives: 1-D 2-means and Fisher's exact test.
 
 Both are implemented here rather than pulled from a library because their
-exact conventions matter downstream: the clustering must be the
-variance-minimizing contiguous split with deterministic initialization, and
-the exact test must use the point-probability definition of two-tailed.
+exact conventions matter downstream: the clustering must be the optimal
+contiguous split with a fixed tie rule, and the exact test must use the
+point-probability definition of two-tailed.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from itertools import accumulate
 
 from annodiff.errors import DegenerateClusteringError
-
-if TYPE_CHECKING:
-    import numpy as np
-
-_MAX_VERIFY = 10_000  # population cap for the exhaustive-threshold check
 
 
 @dataclass(frozen=True)
@@ -26,89 +21,42 @@ class Clustering1D:
     labels: tuple[int, ...]  # cluster index per input value, aligned with input order
 
 
-def _threshold_wcss(sorted_vals: np.ndarray) -> tuple[float, int]:
-    """Best within-cluster sum of squares over contiguous splits.
-
-    Returns (wcss, i) where the lower cluster is sorted_vals[:i]. Only splits
-    between distinct neighboring values are considered; an optimal split never
-    needs to separate equal values.
-    """
-    import numpy as np
-
-    n = len(sorted_vals)
-    csum = np.cumsum(sorted_vals)
-    csq = np.cumsum(sorted_vals**2)
-    best = (math.inf, 1)
-    for i in range(1, n):
-        if sorted_vals[i - 1] == sorted_vals[i]:
-            continue
-        left = csq[i - 1] - csum[i - 1] ** 2 / i
-        right = (csq[n - 1] - csq[i - 1]) - (csum[n - 1] - csum[i - 1]) ** 2 / (n - i)
-        wcss = left + right
-        if wcss < best[0]:
-            best = (wcss, i)
-    return best
-
-
-def _wcss(values: np.ndarray, labels: np.ndarray) -> float:
-    import numpy as np
-
-    total = 0.0
-    for cluster in (0, 1):
-        members = values[labels == cluster]
-        if len(members):
-            total += float(np.sum((members - members.mean()) ** 2))
-    return total
-
-
 def kmeans_1d(values) -> Clustering1D:
-    """Two-cluster 1-D k-means with deterministic extreme-point initialization.
+    """Exact two-cluster 1-D k-means by one scan over threshold splits.
 
-    Lloyd iteration starting from (min, max); a value equidistant from both
-    centroids goes to the lower one. Lloyd can stall in a suboptimal local
-    minimum on skewed inputs, so for populations up to 10,000 the result is
-    checked against exhaustive threshold enumeration and replaced by the
-    optimal contiguous split when it loses.
+    In 1-D an optimal 2-means clustering splits the sorted values into a
+    lower and an upper run, so every split between distinct sorted neighbors
+    is scored by its within-cluster sum of squares (WCSS), taken from prefix
+    sums of the values and of their squares. Splits whose WCSS exceeds the
+    least by at most 1e-12 times the sum of the squared values count as
+    tied, which absorbs rounding without depending on the scale of the
+    values; among tied splits the one with the larger lower cluster wins.
 
     Raises DegenerateClusteringError when fewer than two distinct values are
-    given.
+    given, or when a value is not finite or the squares overflow.
     """
-    # imported here so that commands which never cluster skip numpy's import
-    import numpy as np
+    vals = [float(v) for v in values]
+    ordered = sorted(vals)
+    n = len(ordered)
+    sums = list(accumulate(ordered, initial=0.0))
+    squares = list(accumulate((v * v for v in ordered), initial=0.0))
+    total, total_sq = sums[n], squares[n]
+    if not math.isfinite(total_sq):
+        raise DegenerateClusteringError(f"degenerate clustering: the sum of squared values is {total_sq}")
 
-    arr = np.asarray(list(values), dtype=float)
-    if len(np.unique(arr)) < 2:
+    def wcss(i: int) -> float:  # lower cluster is ordered[:i]
+        upper = total - sums[i]
+        return squares[i] - sums[i] ** 2 / i + (total_sq - squares[i]) - upper**2 / (n - i)
+
+    costs = {i: wcss(i) for i in range(1, n) if ordered[i - 1] < ordered[i]}
+    if not costs:
         raise DegenerateClusteringError("degenerate clustering: need at least two distinct values")
+    least = min(costs.values())
+    split = max(i for i, cost in costs.items() if cost <= least + 1e-12 * total_sq)
 
-    lo, hi = float(arr.min()), float(arr.max())
-    centroids = np.array([lo, hi])
-    labels: np.ndarray | None = None
-    for _step in range(1000):
-        dist0 = np.abs(arr - centroids[0])
-        dist1 = np.abs(arr - centroids[1])
-        new_labels = (dist1 < dist0).astype(int)  # ties go to the lower centroid
-        if labels is not None and np.array_equal(new_labels, labels):
-            break
-        labels = new_labels
-        for cluster in (0, 1):
-            members = arr[labels == cluster]
-            if len(members):
-                centroids[cluster] = members.mean()
-    assert labels is not None
-
-    if len(arr) <= _MAX_VERIFY:
-        sorted_vals = np.sort(arr)
-        best_wcss, split = _threshold_wcss(sorted_vals)
-        if best_wcss < _wcss(arr, labels) - 1e-12:
-            boundary = sorted_vals[split - 1]
-            labels = (arr > boundary).astype(int)
-
-    means = sorted(float(arr[labels == cluster].mean()) for cluster in (0, 1))
-    # relabel so cluster 0 is the lower-centroid cluster regardless of the
-    # path that produced the assignment
-    lower = min((0, 1), key=lambda cluster: float(arr[labels == cluster].mean()))
-    final = tuple(0 if lab == lower else 1 for lab in labels)
-    return Clustering1D(centroids=(means[0], means[1]), labels=final)
+    boundary = ordered[split - 1]
+    centroids = (sums[split] / split, (total - sums[split]) / (n - split))
+    return Clustering1D(centroids=centroids, labels=tuple(int(v > boundary) for v in vals))
 
 
 def _log_choose(n: int, k: int) -> float:

@@ -191,11 +191,18 @@ def test_simulate_writes_stats_when_every_code_is_d(tmp_path, capsys):
     assert stats["tables"]["E_vs_T"]["p_value"] == 1.0
 
 
-def test_import_leaves_numpy_unloaded():
-    # only 2-means needs numpy; ingest and report should not pay its import
-    code = "import sys, annodiff.cli; sys.exit('numpy' in sys.modules)"
+def test_import_leaves_numpy_unloaded(dataset_dir, tmp_path):
+    # the program has no runtime dependency, so scoring (2-means included)
+    # must not import numpy even where it is installed
+    args = ["score", *_dataset_args(dataset_dir), "--out", str(tmp_path / "out")]
+    code = (
+        "import sys; from annodiff import cli\n"
+        f"assert cli.main({args!r}) == 0\n"
+        "sys.exit('numpy' in sys.modules)"
+    )
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 def test_report_renders_markdown(dataset_dir, tmp_path, capsys):

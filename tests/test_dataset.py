@@ -124,6 +124,8 @@ ERROR_CASES = [
     (ann("w1", "t1", 1, {"l1": "Relevant", "l2": "Factual"}, {"l1": 1.0, "l3": 2.0}), [tw("t1")], "no label is present"),
     (ann("w1", "t1", 1, {"l1": "Irrelevant"}, {"l1": -1.0}), [tw("t1")], "non-negative"),
     (ann("w1", "t1", 1, {"l1": "Irrelevant"}, {"l1": float("nan")}), [tw("t1")], "non-negative"),
+    (ann("w1", "t1", 1, {"l1": "Irrelevant"}, {"l1": float("inf")}), [tw("t1")], "finite non-negative"),
+    (ann("w1", "t1", 1, {"l1": "Irrelevant"}, {"l1": 10**400}), [tw("t1")], "finite non-negative"),
     (ann("w1", "t1", 1, {"l1": "Irrelevant"}, {"l1": True}), [tw("t1")], "non-negative"),
     (ann("w1", "t1", 1, {"l1": "Irrelevant"}, {"l9": 1.0}), [tw("t1")], "unknown duration level"),
     (ann("w1", "t1", 1, FULL) + "\n" + ann("w1", "t1", 2, FULL), [tw("t1")], "twice"),

@@ -7,7 +7,6 @@ from annodiff.dataset import Annotation, Dataset, Worker
 from annodiff.errors import GridMismatchError
 from annodiff.labels import LabelPath
 from annodiff.simulation import (
-    ConfigResult,
     F1Curve,
     aggregate,
     build_strata,

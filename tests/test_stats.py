@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from annodiff.errors import DegenerateClusteringError
 from annodiff.stats import fisher_exact_two_tailed, kmeans_1d
-from oracles import best_threshold_wcss, fisher_exact_fraction, wcss_of_assignment
+from oracles import best_threshold_wcss, exact_threshold_wcss, fisher_exact_fraction, wcss_of_assignment
 
 
 def test_kmeans_symmetric_split():
@@ -23,11 +23,12 @@ def test_kmeans_wide_gap():
 
 
 def test_kmeans_three_values():
-    # both contiguous splits of {1,2,3} have equal cost; the midpoint tie
-    # sends 2 to the lower cluster
+    # both contiguous splits of {1,2,3} have equal cost; among tied splits
+    # the larger lower cluster wins, so 2 goes to the lower cluster
     result = kmeans_1d([1.0, 2.0, 3.0])
     assert result.labels == (0, 0, 1)
     assert result.centroids == (1.5, 3.0)
+    assert kmeans_1d([0.0, 0.0, 1.0, 2.0, 2.0]).labels == (0, 0, 0, 1, 1)
 
 
 def test_kmeans_labels_follow_input_order():
@@ -36,15 +37,48 @@ def test_kmeans_labels_follow_input_order():
 
 
 def test_kmeans_escapes_poor_local_minimum():
-    # extreme-point Lloyd stalls with the crowd at zero split apart from
-    # {10, 20}; the optimal contiguous split keeps the zeros together
-    values = [0.0] * 8 + [10.0, 20.0]
+    # {0, ..., 0, 10} | {20} is a local minimum of 2-means (each value is
+    # nearest its own cluster's mean), but the optimal contiguous split
+    # keeps the zeros together; the larger crowd is above 10,000 values
+    for crowd in (8, 10_399):
+        values = [0.0] * crowd + [10.0, 20.0]
+        result = kmeans_1d(values)
+        assert result.labels == (0,) * crowd + (1, 1)
+        assert wcss_of_assignment(values, result.labels) == pytest.approx(50.0)
+
+
+def _skewed_scores(rng):
+    # a crowd of low scores, a small mode just above it and a rare top mode:
+    # keeping the small mode with the crowd is a local minimum of 2-means
+    # with about twice the optimal cost
+    def draw():
+        u = rng.random()
+        centre, spread = (0.3, 0.05) if u < 0.965 else (1.2, 0.05) if u < 0.995 else (2.8, 0.1)
+        return min(3.0, max(0.0, rng.gauss(centre, spread)))
+
+    return [draw() for _ in range(rng.randint(10_001, 12_000))]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_kmeans_optimal_on_large_skewed_populations(seed):
+    values = _skewed_scores(random.Random(seed))
     result = kmeans_1d(values)
-    assert result.labels == (0,) * 8 + (1, 1)
-    assert wcss_of_assignment(values, result.labels) == pytest.approx(50.0)
+    optimum = float(exact_threshold_wcss(values))
+    assert wcss_of_assignment(values, result.labels) <= optimum * (1 + 1e-9)
 
 
-@pytest.mark.parametrize("values", [[], [3.0], [5.0, 5.0, 5.0]])
+@pytest.mark.parametrize("scale", [2.0**-40, 2.0**40])
+def test_kmeans_labels_ignore_power_of_two_scale(scale):
+    rng = random.Random(77)
+    cases = [[0.0] * 8 + [10.0, 20.0], [1.0, 2.0, 3.0], [0.4, 0.8, 1.2], [0.0, 0.0, 1.0, 2.0, 2.0]]
+    cases += [[rng.uniform(0.0, 3.0) for _ in range(rng.randint(2, 40))] for _ in range(200)]
+    for values in cases:
+        assert kmeans_1d([v * scale for v in values]).labels == kmeans_1d(values).labels, values
+
+
+@pytest.mark.parametrize(
+    "values", [[], [3.0], [5.0, 5.0, 5.0], [1.0, float("nan")], [1.0, float("inf")], [1.0, 1e200]]
+)
 def test_kmeans_degenerate_inputs(values):
     with pytest.raises(DegenerateClusteringError):
         kmeans_1d(values)
