@@ -26,8 +26,8 @@ class DatasetError(AnnodiffError):
 
 
 class DegenerateClusteringError(AnnodiffError):
-    """Raised when 1-D k-means receives fewer than two distinct values, or
-    values whose squares do not sum to a finite number."""
+    """Raised when 1-D k-means receives fewer than two distinct values, a
+    value that is not finite, or values whose squared deviations overflow."""
 
 
 class GridMismatchError(AnnodiffError):

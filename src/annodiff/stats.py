@@ -24,38 +24,43 @@ class Clustering1D:
 def kmeans_1d(values) -> Clustering1D:
     """Exact two-cluster 1-D k-means by one scan over threshold splits.
 
-    In 1-D an optimal 2-means clustering splits the sorted values into a
-    lower and an upper run, so every split between distinct sorted neighbors
-    is scored by its within-cluster sum of squares (WCSS), taken from prefix
-    sums of the values and of their squares. Splits whose WCSS exceeds the
-    least by at most 1e-12 times the sum of the squared values count as
-    tied, which absorbs rounding without depending on the scale of the
-    values; among tied splits the one with the larger lower cluster wins.
+    An optimal 1-D 2-means split cuts the sorted values into a lower and an
+    upper run. Every cut between distinct neighbors is scored by its
+    within-cluster sum of squares (WCSS) from prefix sums of the deviations
+    from the median and of their squares, which stay as small as the spread.
+    Costs within 1e-12 times the summed squared deviations (at most twice the
+    total WCSS) of the least count as tied, so what ties does not depend on
+    the offset or the scale of the values; the larger lower cluster wins.
 
-    Raises DegenerateClusteringError when fewer than two distinct values are
-    given, or when a value is not finite or the squares overflow.
+    Raises DegenerateClusteringError on fewer than two distinct values, on a
+    value that is not finite, or when the squared deviations overflow.
     """
     vals = [float(v) for v in values]
+    if not all(map(math.isfinite, vals)):
+        raise DegenerateClusteringError("degenerate clustering: values must be finite")
     ordered = sorted(vals)
     n = len(ordered)
-    sums = list(accumulate(ordered, initial=0.0))
-    squares = list(accumulate((v * v for v in ordered), initial=0.0))
+    splits = [i for i in range(1, n) if ordered[i - 1] < ordered[i]]
+    if not splits:
+        raise DegenerateClusteringError("degenerate clustering: need at least two distinct values")
+    median = ordered[n // 2]
+    deviations = [v - median for v in ordered]
+    sums = list(accumulate(deviations, initial=0.0))
+    squares = list(accumulate((d * d for d in deviations), initial=0.0))
     total, total_sq = sums[n], squares[n]
-    if not math.isfinite(total_sq):
-        raise DegenerateClusteringError(f"degenerate clustering: the sum of squared values is {total_sq}")
 
     def wcss(i: int) -> float:  # lower cluster is ordered[:i]
-        upper = total - sums[i]
-        return squares[i] - sums[i] ** 2 / i + (total_sq - squares[i]) - upper**2 / (n - i)
+        lower, upper = sums[i], total - sums[i]
+        return squares[i] - lower * lower / i + (total_sq - squares[i]) - upper * upper / (n - i)
 
-    costs = {i: wcss(i) for i in range(1, n) if ordered[i - 1] < ordered[i]}
-    if not costs:
-        raise DegenerateClusteringError("degenerate clustering: need at least two distinct values")
+    costs = {i: wcss(i) for i in splits}
+    if not all(map(math.isfinite, costs.values())):
+        raise DegenerateClusteringError("degenerate clustering: the squared deviations overflow")
     least = min(costs.values())
     split = max(i for i, cost in costs.items() if cost <= least + 1e-12 * total_sq)
 
     boundary = ordered[split - 1]
-    centroids = (sums[split] / split, (total - sums[split]) / (n - split))
+    centroids = (median + sums[split] / split, median + (total - sums[split]) / (n - split))
     return Clustering1D(centroids=centroids, labels=tuple(int(v > boundary) for v in vals))
 
 

@@ -76,8 +76,30 @@ def test_kmeans_labels_ignore_power_of_two_scale(scale):
         assert kmeans_1d([v * scale for v in values]).labels == kmeans_1d(values).labels, values
 
 
+@pytest.mark.parametrize("shift", [100.0, -1e4])
+def test_kmeans_labels_ignore_shift(shift):
+    # the tie slack scales with the spread of the values, not with their
+    # distance from zero, so a far-off run is split like one near zero
+    assert kmeans_1d([100.0, 100.0002, 100.00021]).labels == (0, 1, 1)
+    assert kmeans_1d([7e153, 7.01e153, 7.02e153]).labels == (0, 0, 1)
+    rng = random.Random(78)
+    cases = [[0.0] * 8 + [10.0, 20.0], [1.0, 2.0, 3.0], [0.4, 0.8, 1.2], [0.0, 0.0, 1.0, 2.0, 2.0]]
+    cases += [[rng.uniform(0.0, 3.0) for _ in range(rng.randint(2, 40))] for _ in range(200)]
+    for values in cases:
+        assert kmeans_1d([v + shift for v in values]).labels == kmeans_1d(values).labels, values
+
+
 @pytest.mark.parametrize(
-    "values", [[], [3.0], [5.0, 5.0, 5.0], [1.0, float("nan")], [1.0, float("inf")], [1.0, 1e200]]
+    "values",
+    [
+        [],
+        [3.0],
+        [5.0, 5.0, 5.0],
+        [1.0, float("nan")],
+        [1.0, float("inf")],
+        [1.0, 1e200],
+        [-3e152] * 1000 + [0.0] * 1001,  # deviations square to finite sums whose squares overflow
+    ],
 )
 def test_kmeans_degenerate_inputs(values):
     with pytest.raises(DegenerateClusteringError):
