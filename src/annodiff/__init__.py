@@ -1,10 +1,10 @@
 """Difficulty scoring and label-reliability simulation for hierarchically
 labeled tweets."""
 
+from annodiff.config import RunConfig
 from annodiff.dataset import Annotation, Dataset, Worker, load_dataset, majority_labels, parse_dataset
 from annodiff.difficulty import (
     DifficultyScore,
-    ScoreConfig,
     agreement_score,
     difficulty_scores,
     knn_label_certainty,
@@ -29,7 +29,7 @@ __all__ = [
     "DifficultyScore",
     "LabelPath",
     "PredictedPath",
-    "ScoreConfig",
+    "RunConfig",
     "SimilarityMetric",
     "Worker",
     "agreement_score",

@@ -12,13 +12,15 @@ import math
 import os
 import sys
 import traceback
+from contextlib import contextmanager
 from pathlib import Path
 
-from annodiff.config import DEFAULT_K_GRID, DEFAULT_METRICS, SEED_ENV_VAR, RunConfig
+from annodiff.config import SCORING_FIELDS, SEED_ENV_VAR, RunConfig
 from annodiff.dataset import GROUPS, INSTITUTIONS, Dataset, load_dataset
-from annodiff.difficulty import DIFFICULT, EASY, ScoreConfig, difficulty_scores
+from annodiff.difficulty import DIFFICULT, EASY, difficulty_scores
 from annodiff.errors import AnnodiffError
 from annodiff.outputs import (
+    read_csv,
     read_json,
     read_scores_csv,
     stats_payload,
@@ -54,11 +56,11 @@ def _add_dataset_args(parser):
 
 def _add_scoring_args(parser):
     parser.add_argument("--institution", choices=INSTITUTIONS, help="restrict to one institution (default: both)")
-    parser.add_argument("--smoothing", type=float, default=1.0, help="additive smoothing of certainty rows (default 1)")
-    parser.add_argument("--k-certainty", type=int, default=3, help="neighbors for the certainty predictors (default 3)")
-    parser.add_argument("--split", type=float, default=0.4, help="training share of each worker's tweets (default 0.4)")
-    parser.add_argument("--seed", type=int, default=None, help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    parser.add_argument("--out", default="out", help="output directory (default ./out)")
+    parser.add_argument("--smoothing", type=float, default=RunConfig.smoothing, help="additive smoothing of certainty rows (default %(default)s)")
+    parser.add_argument("--k-certainty", type=int, default=RunConfig.k_certainty, help="neighbors for the certainty predictors (default %(default)s)")
+    parser.add_argument("--split", type=float, default=RunConfig.split_ratio, help="training share of each worker's tweets (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=None, help=f"master seed (default: ${SEED_ENV_VAR} or {RunConfig.seed})")
+    parser.add_argument("--out", default=RunConfig.out, help="output directory (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -75,13 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the easy/difficult predictor grid")
     _add_dataset_args(p_sim)
     _add_scoring_args(p_sim)
-    p_sim.add_argument("--metrics", default=",".join(DEFAULT_METRICS), help="comma-separated similarity metrics (default all)")
-    p_sim.add_argument("--k-grid", default=",".join(str(k) for k in DEFAULT_K_GRID), help="comma-separated neighbor counts")
-    p_sim.add_argument("--epsilon", type=float, default=0.01, help="dominance threshold for outcome coding (default 0.01)")
+    p_sim.add_argument("--metrics", default=",".join(RunConfig.metrics), help="comma-separated similarity metrics (default %(default)s)")
+    p_sim.add_argument("--k-grid", default=",".join(map(str, RunConfig.k_grid)), help="comma-separated neighbor counts (default %(default)s)")
+    p_sim.add_argument("--epsilon", type=float, default=RunConfig.epsilon, help="dominance threshold for outcome coding (default %(default)s)")
 
     p_report = sub.add_parser("report", help="render a human-readable summary of prior outputs")
-    p_report.add_argument("--out", default="out", help="directory holding score and simulation outputs")
-    p_report.add_argument("--alpha", type=float, default=0.05, help="significance level for verdicts (default 0.05)")
+    p_report.add_argument("--out", default=RunConfig.out, help="directory holding score and simulation outputs (default %(default)s)")
+    p_report.add_argument("--alpha", type=float, default=RunConfig.alpha, help="significance level for verdicts (default %(default)s)")
     return parser
 
 
@@ -90,7 +92,7 @@ def _resolve_seed(value: int | None) -> int:
         return value
     env = os.environ.get(SEED_ENV_VAR)
     if env is None or env == "":
-        return 0
+        return RunConfig.seed
     try:
         return int(env)
     except ValueError:
@@ -98,24 +100,28 @@ def _resolve_seed(value: int | None) -> int:
 
 
 def _make_run_config(args) -> RunConfig:
-    institutions = (args.institution,) if args.institution else INSTITUTIONS
-    metrics = tuple(m.strip() for m in getattr(args, "metrics", ",".join(DEFAULT_METRICS)).split(",") if m.strip())
-    valid = {m.value for m in SimilarityMetric}
-    for m in metrics:
-        if m not in valid:
-            raise AnnodiffError(f"unknown metric {m!r}; choose from {sorted(valid)}")
-    if not metrics:
-        raise AnnodiffError("at least one metric is required")
-    raw_grid = getattr(args, "k_grid", ",".join(str(k) for k in DEFAULT_K_GRID))
-    try:
-        k_grid = tuple(int(k.strip()) for k in raw_grid.split(",") if k.strip())
-    except ValueError:
-        raise AnnodiffError(f"--k-grid must be comma-separated integers, got {raw_grid!r}")
-    if not k_grid or any(k < 1 for k in k_grid):
-        raise AnnodiffError("--k-grid needs at least one positive integer")
-    epsilon = getattr(args, "epsilon", 0.01)
-    if not math.isfinite(epsilon) or epsilon < 0:
-        raise AnnodiffError(f"--epsilon must be a finite non-negative number, got {epsilon}")
+    """RunConfig from the flags this subcommand has; every setting it has no
+    flag for keeps its RunConfig default."""
+    given = {}
+    if args.institution:
+        given["institutions"] = (args.institution,)
+    if "metrics" in args:  # simulate's grid flags
+        metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
+        valid = {m.value for m in SimilarityMetric}
+        for m in metrics:
+            if m not in valid:
+                raise AnnodiffError(f"unknown metric {m!r}; choose from {sorted(valid)}")
+        if not metrics:
+            raise AnnodiffError("at least one metric is required")
+        try:
+            k_grid = tuple(int(k.strip()) for k in args.k_grid.split(",") if k.strip())
+        except ValueError:
+            raise AnnodiffError(f"--k-grid must be comma-separated integers, got {args.k_grid!r}")
+        if not k_grid or any(k < 1 for k in k_grid):
+            raise AnnodiffError("--k-grid needs at least one positive integer")
+        if not math.isfinite(args.epsilon) or args.epsilon < 0:
+            raise AnnodiffError(f"--epsilon must be a finite non-negative number, got {args.epsilon}")
+        given.update(metrics=metrics, k_grid=k_grid, epsilon=args.epsilon)
     if not 0 < args.split < 1:
         raise AnnodiffError("--split must lie strictly between 0 and 1")
     if args.k_certainty < 1:
@@ -125,16 +131,12 @@ def _make_run_config(args) -> RunConfig:
     return RunConfig(
         annotations=args.dataset,
         tweets=args.tweets,
-        institutions=institutions,
-        metrics=metrics,
         smoothing=args.smoothing,
         k_certainty=args.k_certainty,
-        k_grid=k_grid,
-        epsilon=epsilon,
         split_ratio=args.split,
         seed=_resolve_seed(args.seed),
-        alpha=getattr(args, "alpha", 0.05),
         out=args.out,
+        **given,
     )
 
 
@@ -160,13 +162,6 @@ def cmd_ingest(args) -> int:
 def _score_institutions(dataset: Dataset, config: RunConfig):
     """Score each requested institution. Returns (scores per institution,
     summary payload)."""
-    score_config = ScoreConfig(
-        metric=SimilarityMetric(config.certainty_metric),
-        k=config.k_certainty,
-        smoothing=config.smoothing,
-        split_ratio=config.split_ratio,
-        seed=config.seed,
-    )
     scored: dict[str, list] = {}
     summary: dict[str, dict] = {}
     for institution in config.institutions:
@@ -174,7 +169,7 @@ def _score_institutions(dataset: Dataset, config: RunConfig):
         if not subset.workers:
             print(f"{institution}: no workers, skipped")
             continue
-        result = difficulty_scores(subset, score_config)
+        result = difficulty_scores(subset, config)
         scored[institution] = result.scores
         class_by_tweet = {s.tweet_id: s.klass for s in result.scores}
         built = build_strata(subset, class_by_tweet)
@@ -244,18 +239,23 @@ def cmd_simulate(args) -> int:
     scores_path = out / "scores.csv"
     if scores_path.exists():
         embedded, by_institution = read_scores_csv(str(scores_path))
-        if embedded is not None:
-            try:
-                theirs = RunConfig(
-                    **{k: tuple(v) if isinstance(v, list) else v for k, v in embedded.items()}
-                ).scoring_fields()
-            except TypeError as exc:
-                raise AnnodiffError(f"{scores_path}: malformed embedded config: {exc}") from exc
-            if theirs != config.scoring_fields():
-                raise AnnodiffError(
-                    f"{scores_path} was produced under a different scoring configuration; "
-                    "rerun score or remove the file"
-                )
+        if embedded is None:
+            raise AnnodiffError(
+                f"{scores_path} has no embedded config line, so its scoring configuration is unknown; "
+                "rerun score or remove the file"
+            )
+        try:
+            theirs = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in embedded.items()})
+        except TypeError as exc:
+            raise AnnodiffError(f"{scores_path}: malformed embedded config: {exc}") from exc
+        mistyped = [name for name in SCORING_FIELDS if type(getattr(theirs, name)) is not type(getattr(config, name))]
+        if mistyped:
+            raise AnnodiffError(f"{scores_path}: malformed embedded config: wrong type for {', '.join(mistyped)}")
+        if theirs.scoring_fields() != config.scoring_fields():
+            raise AnnodiffError(
+                f"{scores_path} was produced under a different scoring configuration; "
+                "rerun score or remove the file"
+            )
         scored = {inst: list(scores.values()) for inst, scores in sorted(by_institution.items())}
         print(f"loaded difficulty scores from {scores_path}")
     else:
@@ -264,7 +264,6 @@ def cmd_simulate(args) -> int:
         write_json(str(out / "summary.json"), summary)
         print(f"wrote {scores_path}")
 
-    metrics = [SimilarityMetric(m) for m in config.metrics]
     results = []
     for institution in config.institutions:
         if institution not in scored:
@@ -275,7 +274,7 @@ def cmd_simulate(args) -> int:
         if not ctx.worker_ids:
             print(f"{institution}: no worker has {TRAIN_SIZES[-1]} strata tweets, skipped")
             continue
-        results.extend(run_grid(ctx, metrics, config.k_grid, config.seed, config.epsilon))
+        results.extend(run_grid(ctx, config))
 
     if not results:
         raise AnnodiffError("nothing to simulate: no institution produced any configuration")
@@ -304,6 +303,16 @@ def _format_p(p: float) -> str:
     return "p < 0.0001" if p < 1e-4 else f"p = {p:.4f}"
 
 
+@contextmanager
+def _refuse_malformed(path: Path):
+    """Data read from path that lacks a key or column, or holds a value of
+    the wrong kind, makes the file malformed: an input error naming it."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise AnnodiffError(f"{path} is malformed ({type(exc).__name__}: {exc}); rerun score and simulate") from exc
+
+
 def cmd_report(args) -> int:
     out = Path(args.out)
     alpha = args.alpha
@@ -314,58 +323,57 @@ def cmd_report(args) -> int:
     if missing:
         raise AnnodiffError(f"missing inputs: {', '.join(missing)}; run score and simulate first")
 
-    summary = read_json(str(required["summary.json"]))
-    from annodiff.outputs import read_csv
-
-    _, outcome_rows = read_csv(str(required["outcomes.csv"]))
-    stats = read_json(str(required["stats.json"]))
-    if not outcome_rows:
-        raise AnnodiffError("outcomes file holds no comparisons")
-
     lines = ["# Annotation difficulty report", ""]
     lines.append("## Class balance by phase window")
     lines.append("")
     lines.append("| institution | phase | easy | difficult | easy share |")
     lines.append("|---|---|---|---|---|")
-    for institution, info in sorted(summary.get("institutions", {}).items()):
-        for phase in PHASES:
-            ph = info["phases"][phase]
-            total = ph[EASY] + ph[DIFFICULT]
-            share = f"{100.0 * ph[EASY] / total:.1f}%" if total else "n/a"
-            lines.append(f"| {institution} | {phase} | {ph[EASY]} | {ph[DIFFICULT]} | {share} |")
+    summary = read_json(str(required["summary.json"]))
+    with _refuse_malformed(required["summary.json"]):
+        for institution, info in sorted(summary["institutions"].items()):
+            for phase in PHASES:
+                ph = info["phases"][phase]
+                total = ph[EASY] + ph[DIFFICULT]
+                share = f"{100.0 * ph[EASY] / total:.1f}%" if total else "n/a"
+                lines.append(f"| {institution} | {phase} | {ph[EASY]} | {ph[DIFFICULT]} | {share} |")
     lines.append("")
 
     lines.append("## Outcomes per configuration")
     lines.append("")
-    sizes = sorted({int(r["n"]) for r in outcome_rows})
-    lines.append("| institution | metric | phase | " + " | ".join(f"n={n}" for n in sizes) + " |")
-    lines.append("|" + "---|" * (3 + len(sizes)))
-    keyed = {(r["institution"], r["metric"], r["phase"], int(r["n"])): r["code"] for r in outcome_rows}
-    combos = sorted({(r["institution"], r["metric"]) for r in outcome_rows})
-    for institution, metric in combos:
-        for phase in PHASES:
-            codes = [keyed.get((institution, metric, phase, n), "") for n in sizes]
-            if any(codes):
-                lines.append(f"| {institution} | {metric} | {phase} | " + " | ".join(codes) + " |")
+    _, outcome_rows = read_csv(str(required["outcomes.csv"]))
+    if not outcome_rows:
+        raise AnnodiffError(f"{required['outcomes.csv']} holds no comparisons")
+    with _refuse_malformed(required["outcomes.csv"]):
+        sizes = sorted({int(r["n"]) for r in outcome_rows})
+        lines.append("| institution | metric | phase | " + " | ".join(f"n={n}" for n in sizes) + " |")
+        lines.append("|" + "---|" * (3 + len(sizes)))
+        keyed = {(r["institution"], r["metric"], r["phase"], int(r["n"])): r["code"] for r in outcome_rows}
+        combos = sorted({(r["institution"], r["metric"]) for r in outcome_rows})
+        for institution, metric in combos:
+            for phase in PHASES:
+                codes = [keyed.get((institution, metric, phase, n), "") for n in sizes]
+                if any(codes):
+                    lines.append(f"| {institution} | {metric} | {phase} | " + " | ".join(codes) + " |")
     lines.append("")
 
     lines.append("## Outcome counts and pairwise tests")
     lines.append("")
-    counts = stats["outcome_counts"]
     lines.append("| phase | T | E | D |")
     lines.append("|---|---|---|---|")
-    for phase in PHASES:
-        row = counts[phase]
-        lines.append(f"| {phase} | {row['T']} | {row['E']} | {row['D']} |")
-    lines.append("")
-    significant = []
-    for name, table in sorted(stats["tables"].items()):
-        p = table["p_value"]
-        verdict = "significant" if p < alpha else "not significant"
-        if p < alpha:
-            significant.append(name)
-        pretty = name.replace("_vs_", " vs ")
-        lines.append(f"- {pretty}: rows {table['rows']}, counts {table['counts']}, {_format_p(p)} ({verdict} at alpha={alpha:g})")
+    stats = read_json(str(required["stats.json"]))
+    with _refuse_malformed(required["stats.json"]):
+        for phase in PHASES:
+            row = stats["outcome_counts"][phase]
+            lines.append(f"| {phase} | {row['T']} | {row['E']} | {row['D']} |")
+        lines.append("")
+        significant = []
+        for name, table in sorted(stats["tables"].items()):
+            p = table["p_value"]
+            verdict = "significant" if p < alpha else "not significant"
+            if p < alpha:
+                significant.append(name)
+            pretty = name.replace("_vs_", " vs ")
+            lines.append(f"- {pretty}: rows {table['rows']}, counts {table['counts']}, {_format_p(p)} ({verdict} at alpha={alpha:g})")
     if not significant:
         lines.append(f"- no significant differences at alpha={alpha:g}")
     lines.append("")

@@ -1,5 +1,7 @@
 """Run configuration and deterministic seed derivation.
 
+RunConfig is the one home of every run setting and its default: the
+command line, the scorer and the simulation grid all read them from it.
 Every output file written by the command line embeds the full RunConfig, so
 a run can be reproduced byte for byte from any of its artifacts.
 """
@@ -10,8 +12,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
-DEFAULT_K_GRID = (1, 3, 5, 7, 9, 11, 13, 15)
-DEFAULT_METRICS = ("subsequence", "substring", "edit")
 SEED_ENV_VAR = "ANNODIFF_SEED"
 
 
@@ -25,16 +25,21 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
+# the RunConfig fields that decide scores.csv; the rest only shape the grid,
+# the report and where outputs go
+SCORING_FIELDS = ("annotations", "tweets", "institutions", "smoothing", "k_certainty", "certainty_metric", "split_ratio", "seed")
+
+
 @dataclass(frozen=True)
 class RunConfig:
     annotations: str
     tweets: str
     institutions: tuple[str, ...] = ("MD", "SU")
-    metrics: tuple[str, ...] = DEFAULT_METRICS
+    metrics: tuple[str, ...] = ("subsequence", "substring", "edit")
     smoothing: float = 1.0
     k_certainty: int = 3
     certainty_metric: str = "substring"
-    k_grid: tuple[int, ...] = DEFAULT_K_GRID
+    k_grid: tuple[int, ...] = (1, 3, 5, 7, 9, 11, 13, 15)
     epsilon: float = 0.01
     split_ratio: float = 0.4
     seed: int = 0
@@ -49,18 +54,9 @@ class RunConfig:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(", ", ": "))
 
     def scoring_fields(self) -> dict:
-        """The subset of fields that determine difficulty scores.
+        """The fields named in SCORING_FIELDS, which determine difficulty scores.
 
         Used to refuse mixing a scores file produced under one scoring
         configuration with a simulation run under another.
         """
-        return {
-            "annotations": self.annotations,
-            "tweets": self.tweets,
-            "institutions": list(self.institutions),
-            "smoothing": self.smoothing,
-            "k_certainty": self.k_certainty,
-            "certainty_metric": self.certainty_metric,
-            "split_ratio": self.split_ratio,
-            "seed": self.seed,
-        }
+        return {name: getattr(self, name) for name in SCORING_FIELDS}

@@ -9,6 +9,7 @@ session. tweets.jsonl maps tweet ids to their raw text.
 from __future__ import annotations
 
 import json
+import math
 import random
 import sys
 from collections import Counter
@@ -166,6 +167,9 @@ def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[Annota
         durations=parsed_durations,
         order_index=order_index,
     )
+    total = ann.total_duration()
+    if total is not None and not math.isfinite(total):
+        fail("the summed per-level durations overflow a float")
     return ann, institution, group, pruned, missing_duration
 
 

@@ -15,7 +15,7 @@ import statistics
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from annodiff.config import stable_seed
+from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Dataset, MajorityResult, majority_labels
 from annodiff.errors import AnnodiffError
 from annodiff.knn import prefix_counts, rank_by_similarity
@@ -27,21 +27,6 @@ logger = logging.getLogger(__name__)
 
 EASY = "easy"
 DIFFICULT = "difficult"
-
-
-@dataclass(frozen=True)
-class ScoreConfig:
-    """Knobs of the scoring pipeline.
-
-    metric and k drive the per-worker certainty predictors; split_ratio is
-    the fraction of each worker's tweets used to train them.
-    """
-
-    metric: SimilarityMetric = SimilarityMetric.SUBSTRING
-    k: int = 3
-    smoothing: float = 1.0
-    split_ratio: float = 0.4
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -139,26 +124,23 @@ class CertaintyResult:
 def predictor_certainties(
     dataset: Dataset,
     words_by_id: Mapping[str, Sequence[str]],
-    *,
-    metric: SimilarityMetric = SimilarityMetric.SUBSTRING,
-    k: int = 3,
-    smoothing: float = 1.0,
-    split_ratio: float = 0.4,
-    seed: int = 0,
+    config: RunConfig,
 ) -> CertaintyResult:
     """Predictor certainty for every tweet of the dataset.
 
     Each worker's labeled tweets are split once into a training and a test
-    partition (seeded, per worker). A k-nearest-neighbor predictor per
-    hierarchy level, trained on the training partition, emits a certainty row
-    for every test tweet. Rows are aggregated across workers per tweet.
+    partition (config.split_ratio of them train, seeded per worker). A
+    config.k_certainty-nearest-neighbor predictor per hierarchy level, over
+    config.certainty_metric similarity and trained on the training
+    partition, emits a certainty row smoothed by config.smoothing for every
+    test tweet. Rows are aggregated across workers per tweet.
 
     Labeled tweets that land in no worker's test partition get the population
     mean certainty; their ids are reported in the result.
     """
-    if not 0 < split_ratio < 1:
+    if not 0 < config.split_ratio < 1:
         raise ValueError("split_ratio must be strictly between 0 and 1")
-    sims = PairSimilarity(words_by_id, metric)
+    sims = PairSimilarity(words_by_id, SimilarityMetric(config.certainty_metric))
     rows_by_tweet: dict[str, list[dict[int, dict[str, float]]]] = {}
     for wid in dataset.worker_ids():
         annotations = dataset.workers[wid].annotations
@@ -166,9 +148,9 @@ def predictor_certainties(
             continue
         by_tweet = {a.tweet_id: a for a in annotations}
         ids = sorted(by_tweet)
-        rng = random.Random(stable_seed(seed, "certainty-split", wid))
+        rng = random.Random(stable_seed(config.seed, "certainty-split", wid))
         rng.shuffle(ids)
-        train_size = max(1, math.floor(split_ratio * len(ids)))
+        train_size = max(1, math.floor(config.split_ratio * len(ids)))
         train_ids, test_ids = ids[:train_size], ids[train_size:]
 
         # per level, the training tweets labeled at that level and their labels
@@ -185,10 +167,10 @@ def predictor_certainties(
                 if not pool:
                     continue
                 sim_values = [sims.sim(tid, other) for other in pool]
-                order_rng = random.Random(stable_seed(seed, "certainty-order", wid, tid, level))
+                order_rng = random.Random(stable_seed(config.seed, "certainty-order", wid, tid, level))
                 order = rank_by_similarity(sim_values, order_rng)
-                _, (counts,) = next(prefix_counts(order, [pool_labels[level]], [k]))
-                row[level] = knn_label_certainty(counts, smoothing, LEVEL_LABELS[level])
+                _, (counts,) = next(prefix_counts(order, [pool_labels[level]], [config.k_certainty]))
+                row[level] = knn_label_certainty(counts, config.smoothing, LEVEL_LABELS[level])
             if row:
                 rows_by_tweet.setdefault(tid, []).append(row)
 
@@ -222,6 +204,8 @@ def labeling_costs(dataset: Dataset) -> dict[str, float]:
         durations = [d for d in (a.total_duration() for a in annotations) if d is not None]
         if durations:
             medians[tid] = statistics.median(durations)
+            if not math.isfinite(medians[tid]):
+                raise AnnodiffError(f"tweet {tid}: the median labeling duration overflows a float")
     if not medians:
         return {}
     lo = min(medians.values())
@@ -231,8 +215,11 @@ def labeling_costs(dataset: Dataset) -> dict[str, float]:
     return {tid: 1.0 - (cost - lo) / (hi - lo) for tid, cost in medians.items()}
 
 
-def difficulty_scores(dataset: Dataset, config: ScoreConfig = ScoreConfig()) -> ScoringResult:
+def difficulty_scores(dataset: Dataset, config: RunConfig) -> ScoringResult:
     """Score every labeled tweet of the dataset and class it easy or difficult.
+
+    Reads the certainty settings and the seed from config; its input paths
+    and grid settings play no part.
 
     The easy class is the 2-means cluster with the higher mean score. Tweets
     lacking a component (no recorded durations, or no certainty when nothing
@@ -241,15 +228,7 @@ def difficulty_scores(dataset: Dataset, config: ScoreConfig = ScoreConfig()) -> 
     by_tweet = dataset.annotations_by_tweet()
     if not by_tweet:
         raise AnnodiffError("cannot score an empty dataset")
-    certainty = predictor_certainties(
-        dataset,
-        dataset.word_sequences(),
-        metric=config.metric,
-        k=config.k,
-        smoothing=config.smoothing,
-        split_ratio=config.split_ratio,
-        seed=config.seed,
-    )
+    certainty = predictor_certainties(dataset, dataset.word_sequences(), config)
     costs = labeling_costs(dataset)
 
     rows: list[tuple[str, float, float, float, float]] = []

@@ -13,7 +13,7 @@ import io
 import json
 from typing import Iterable, Mapping, Sequence
 
-from annodiff.difficulty import DifficultyScore
+from annodiff.difficulty import DIFFICULT, EASY, DifficultyScore
 from annodiff.errors import AnnodiffError
 from annodiff.simulation import Aggregate, ConfigResult
 
@@ -43,17 +43,31 @@ def _write_csv(path: str, header_json: str, fields: Sequence[str], rows: Iterabl
 
 def read_csv(path: str) -> tuple[dict | None, list[dict]]:
     """Read one of our CSV files back: (embedded config, row dicts)."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-        config = None
-        if first.startswith(CONFIG_PREFIX):
-            config = json.loads(first[len(CONFIG_PREFIX):])
-            header_line = fh.readline()
-        else:
-            header_line = first
-        fields = next(csv.reader([header_line]))
-        rows = [dict(zip(fields, row)) for row in csv.reader(fh)]
+    try:
+        with open(path, encoding="utf-8") as fh:
+            first = fh.readline()
+            config = None
+            if first.startswith(CONFIG_PREFIX):
+                config = _json_object(path, first[len(CONFIG_PREFIX):])
+                header_line = fh.readline()
+            else:
+                header_line = first
+            fields = next(csv.reader([header_line]))
+            rows = [dict(zip(fields, row)) for row in csv.reader(fh)]
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise AnnodiffError(f"{path} is unreadable: {exc}") from exc
     return config, rows
+
+
+def _json_object(path: str, text: str) -> dict:
+    """Parse text read from path as a JSON object, or say why not."""
+    try:
+        value = json.loads(text)
+    except ValueError as exc:
+        raise AnnodiffError(f"{path} holds malformed JSON: {exc}") from exc
+    if not isinstance(value, dict):
+        raise AnnodiffError(f"{path} holds JSON that is not an object")
+    return value
 
 
 def write_scores_csv(path: str, header_json: str, scored: Mapping[str, Sequence[DifficultyScore]]) -> None:
@@ -82,6 +96,8 @@ def read_scores_csv(path: str) -> tuple[dict | None, dict[str, dict[str, Difficu
             institution = row["institution"]
         except (KeyError, ValueError) as exc:
             raise AnnodiffError(f"malformed scores file {path}: {exc}")
+        if score.klass not in (EASY, DIFFICULT):
+            raise AnnodiffError(f"malformed scores file {path}: tweet {score.tweet_id} has class {score.klass!r}")
         out.setdefault(institution, {})[score.tweet_id] = score
     return config, out
 
@@ -141,5 +157,9 @@ def write_json(path: str, payload: dict) -> None:
 
 
 def read_json(path: str) -> dict:
-    with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise AnnodiffError(f"{path} is unreadable: {exc}") from exc
+    return _json_object(path, text)

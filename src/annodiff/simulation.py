@@ -16,7 +16,7 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
-from annodiff.config import DEFAULT_K_GRID, stable_seed
+from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Dataset
 from annodiff.difficulty import DIFFICULT, EASY
 from annodiff.errors import GridMismatchError
@@ -210,9 +210,9 @@ def run_config(
     metric: SimilarityMetric,
     phase: str,
     n: int,
-    k_grid: Sequence[int] = DEFAULT_K_GRID,
-    seed: int = 0,
-    epsilon: float = 0.01,
+    k_grid: Sequence[int],
+    seed: int,
+    epsilon: float,
 ) -> ConfigResult:
     """Run one (institution, metric, phase, train size) configuration."""
     if phase not in PHASES:
@@ -228,7 +228,7 @@ def run_config(
         delta = None
     else:
         delta = mean_curve_delta(curve_easy, curve_difficult)
-        code = encode_outcome(curve_easy, curve_difficult, epsilon)
+        code = encode_outcome(delta, epsilon)
     return ConfigResult(
         institution=ctx.institution,
         metric=metric.value,
@@ -252,12 +252,11 @@ def mean_curve_delta(curve_easy: F1Curve, curve_difficult: F1Curve) -> float:
     return statistics.fmean(curve_easy.points[k] - curve_difficult.points[k] for k in sorted(curve_easy.points))
 
 
-def encode_outcome(curve_easy: F1Curve, curve_difficult: F1Curve, epsilon: float = 0.01) -> str:
-    """Encode which arm dominated: E, D, or T when neither leads by more than
-    epsilon on average."""
+def encode_outcome(delta: float, epsilon: float) -> str:
+    """Encode which arm dominated from the mean curve delta (easy minus
+    difficult): E, D, or T when neither leads by more than epsilon."""
     if epsilon < 0:
         raise ValueError("epsilon must be non-negative")
-    delta = mean_curve_delta(curve_easy, curve_difficult)
     if delta > epsilon:
         return CODE_EASY
     if delta < -epsilon:
@@ -265,21 +264,15 @@ def encode_outcome(curve_easy: F1Curve, curve_difficult: F1Curve, epsilon: float
     return CODE_TIE
 
 
-def run_grid(
-    ctx: SimulationContext,
-    metrics: Sequence[SimilarityMetric],
-    k_grid: Sequence[int],
-    seed: int,
-    epsilon: float,
-    train_sizes: Sequence[int] = TRAIN_SIZES,
-) -> list[ConfigResult]:
-    """All (metric, phase, train size) configurations for one institution."""
-    results = []
-    for metric in metrics:
-        for phase in PHASES:
-            for n in train_sizes:
-                results.append(run_config(ctx, metric, phase, n, k_grid, seed, epsilon))
-    return results
+def run_grid(ctx: SimulationContext, config: RunConfig) -> list[ConfigResult]:
+    """All (metric, phase, train size) configurations for one institution,
+    over config's metrics, k grid, seed and epsilon."""
+    return [
+        run_config(ctx, SimilarityMetric(metric), phase, n, config.k_grid, config.seed, config.epsilon)
+        for metric in config.metrics
+        for phase in PHASES
+        for n in TRAIN_SIZES
+    ]
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import pytest
 
 import oracles
 from annodiff import cli
+from annodiff.config import RunConfig
 from annodiff.dataset import (
     Annotation,
     Dataset,
@@ -30,7 +31,6 @@ from annodiff.dataset import (
     majority_from_votes,
 )
 from annodiff.difficulty import (
-    ScoreConfig,
     agreement_score,
     aggregate_certainties,
     difficulty_scores,
@@ -287,15 +287,14 @@ def test_c5_reference_corpus_reproduction():
     corpus = os.environ.get("ANNODIFF_DATASET_DIR")
     if not corpus:
         pytest.skip("set ANNODIFF_DATASET_DIR to a directory with annotations.jsonl and tweets.jsonl")
-    dataset = load_dataset(
-        str(Path(corpus) / "annotations.jsonl"), str(Path(corpus) / "tweets.jsonl")
-    )
+    config = RunConfig(str(Path(corpus) / "annotations.jsonl"), str(Path(corpus) / "tweets.jsonl"), seed=0)
+    dataset = load_dataset(config.annotations, config.tweets)
     outcome_counts = {}
     for institution, expected_workers in REFERENCE_WORKERS.items():
         subset = dataset.filter_institution(institution)
         assert len(subset.workers) == expected_workers, institution
 
-        result = difficulty_scores(subset, ScoreConfig(seed=0))
+        result = difficulty_scores(subset, config)
         classes = {s.tweet_id: s.klass for s in result.scores}
         built = build_strata(subset, classes)
         for phase in ("early", "late"):
@@ -312,7 +311,7 @@ def test_c5_reference_corpus_reproduction():
             assert abs(difficult - expected[1]) <= 5, (institution, phase, difficult)
 
         ctx = make_context(dataset, institution, classes)
-        results = run_grid(ctx, list(SimilarityMetric), (1, 3, 5, 7, 9, 11, 13, 15), 0, 0.01)
+        results = run_grid(ctx, config)
         agg = aggregate([(r.phase, r.code) for r in results if r.code is not None])
         for phase in ("early", "late"):
             for code, count in agg.counts[phase].items():
@@ -334,13 +333,13 @@ def test_c5_reference_corpus_reproduction():
 def test_c6_easy_training_class_beats_difficult():
     config = SynthConfig(n_workers=8, n_easy=40, n_difficult=20, difficult_label_noise=0.6, seed=11)
     dataset = generate_dataset(config)
-    result = difficulty_scores(dataset, ScoreConfig(seed=11))
+    result = difficulty_scores(dataset, RunConfig("annotations.jsonl", "tweets.jsonl", seed=11))
     classes = {s.tweet_id: s.klass for s in result.scores}
     assert set(classes.values()) == {"easy", "difficult"}
 
     ctx = make_context(dataset, "MD", classes)
     for metric in SimilarityMetric:
-        run = run_config(ctx, metric, "late", 8, k_grid=(1, 3, 5, 7, 9, 11, 13, 15), seed=11)
+        run = run_config(ctx, metric, "late", 8, k_grid=(1, 3, 5, 7, 9, 11, 13, 15), seed=11, epsilon=0.01)
         assert run.curve_easy is not None and run.curve_difficult is not None, metric
         assert run.curve_easy.workers_used == 8, metric
         assert run.curve_difficult.workers_used == 8, metric

@@ -1,12 +1,17 @@
 """End-to-end command line behaviour through main()."""
 
+import contextlib
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from annodiff import cli
 from annodiff.config import SEED_ENV_VAR
@@ -296,3 +301,116 @@ def test_seed_env_must_be_integer(dataset_dir, tmp_path, monkeypatch, capsys):
     code = cli.main(["score", *_dataset_args(dataset_dir), "--out", str(tmp_path / "o")])
     assert code == 1
     assert SEED_ENV_VAR in capsys.readouterr().err
+
+
+def test_simulate_refuses_unstamped_scores(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0
+    scores = out / "scores.csv"
+    scores.write_text(scores.read_text().split("\n", 1)[1])
+    capsys.readouterr()
+    code = cli.main(_simulate_args(dataset_dir, out, extra=["--seed", "99"]))
+    assert code == 1
+    assert f"{scores} has no embedded config line" in capsys.readouterr().err
+    assert not (out / "outcomes.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def simulated(dataset_dir, tmp_path_factory):
+    """Outputs of one simulate run, for tests that corrupt a copy."""
+    out = tmp_path_factory.mktemp("simulated") / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(_simulate_args(dataset_dir, out)) == 0
+    return out
+
+
+def _replace_line(text, index, new):
+    lines = text.split("\n")
+    lines[index] = new
+    return "\n".join(lines)
+
+
+def _drop_csv_column(text, column):
+    config, header, *rows = text.split("\n")
+    keep = [i for i, name in enumerate(header.split(",")) if name != column]
+    return "\n".join([config] + [",".join(row.split(",")[i] for i in keep) if row else row for row in [header, *rows]])
+
+
+# (file, edit of its text into new text or bytes, command that reads it)
+CORRUPTIONS = {
+    "config line not json": ("scores.csv", lambda t: _replace_line(t, 0, CONFIG_PREFIX + "{oops"), "simulate"),
+    "config line not an object": ("scores.csv", lambda t: _replace_line(t, 0, CONFIG_PREFIX + "[1, 2]"), "simulate"),
+    "unknown class": ("scores.csv", lambda t: t.replace(",easy\n", ",medium\n", 1), "simulate"),
+    "truncated stats": ("stats.json", lambda t: t[: len(t) // 2], "report"),
+    "stats not an object": ("stats.json", lambda t: "[1, 2]\n", "report"),
+    "summary without phases": ("summary.json", lambda t: t.replace('"phases"', '"no_phases"'), "report"),
+    "outcomes without n": ("outcomes.csv", lambda t: _drop_csv_column(t, "n"), "report"),
+    "outcomes not utf-8": ("outcomes.csv", lambda t: t.encode() + b"\xff\xfe,\n", "report"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+def test_corrupt_output_exits_1_naming_it(dataset_dir, simulated, tmp_path, capsys, case):
+    name, corrupt, command = CORRUPTIONS[case]
+    out = tmp_path / "out"
+    shutil.copytree(simulated, out)
+    path = out / name
+    corrupted = corrupt(path.read_text())
+    path.write_bytes(corrupted if isinstance(corrupted, bytes) else corrupted.encode())
+    argv = _simulate_args(dataset_dir, out) if command == "simulate" else ["report", "--out", str(out)]
+    capsys.readouterr()
+    assert cli.main(argv) == 1
+    assert str(path) in capsys.readouterr().err
+
+
+# which command reads each output back; nothing reads curves.csv
+READERS = {"scores.csv": "simulate", "summary.json": "report", "outcomes.csv": "report", "stats.json": "report"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(READERS)), data=st.data())
+def test_truncated_output_exits_0_or_1(dataset_dir, simulated, name, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        shutil.copytree(simulated, out)
+        path = out / name
+        content = path.read_bytes()
+        path.write_bytes(content[: data.draw(st.integers(0, len(content)), label="offset")])
+        argv = _simulate_args(dataset_dir, out) if READERS[name] == "simulate" else ["report", "--out", str(out)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main(argv)
+        assert code in (0, 1), err.getvalue()
+
+
+def _overflow_total(record):
+    record["durations_s"] = {level: 0.0 for level in record["durations_s"]}
+    record["durations_s"]["l1"] = 1.7e308
+
+
+OVERFLOWS = {
+    # one record's levels sum past the largest float
+    "record": (
+        lambda records: records[0]["durations_s"].update({level: 1.5e308 for level in records[0]["durations_s"]}),
+        "annotations.jsonl, line 1: the summed per-level durations overflow a float",
+    ),
+    # two finite totals of one tweet whose median overflows
+    "median": (
+        lambda records: [_overflow_total(r) for r in records if r["tweet_id"] == records[0]["tweet_id"]],
+        "the median labeling duration overflows a float",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OVERFLOWS))
+def test_duration_overflow_is_named(tmp_path, capsys, case):
+    corrupt, fragment = OVERFLOWS[case]
+    annotations, tweets = generate_records(SynthConfig(n_workers=2, n_easy=25, n_difficult=25, seed=5))
+    corrupt(annotations)
+    write_jsonl(annotations, str(tmp_path / "annotations.jsonl"))
+    write_jsonl(tweets, str(tmp_path / "tweets.jsonl"))
+    code = cli.main(["score", *_dataset_args(tmp_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert fragment in err
+    if case == "median":
+        assert f"tweet {annotations[0]['tweet_id']}:" in err

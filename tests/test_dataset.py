@@ -127,6 +127,11 @@ ERROR_CASES = [
     (ann("w1", "t1", 1, {"l1": "Irrelevant"}, {"l1": float("inf")}), [tw("t1")], "finite non-negative"),
     (ann("w1", "t1", 1, {"l1": "Irrelevant"}, {"l1": 10**400}), [tw("t1")], "finite non-negative"),
     (ann("w1", "t1", 1, {"l1": "Irrelevant"}, {"l1": True}), [tw("t1")], "non-negative"),
+    (
+        ann("w1", "t1", 1, FULL, FULL_D) + "\n" + ann("w1", "t2", 2, FULL, {"l1": 1.5e308, "l2": 1.5e308, "l3": 1.5e308}),
+        [tw("t1"), tw("t2")],
+        "line 2: the summed per-level durations overflow a float",
+    ),
     (ann("w1", "t1", 1, {"l1": "Irrelevant"}, {"l9": 1.0}), [tw("t1")], "unknown duration level"),
     (ann("w1", "t1", 1, FULL) + "\n" + ann("w1", "t1", 2, FULL), [tw("t1")], "twice"),
     (ann("w1", "t1", 1, FULL) + "\n" + ann("w1", "t2", 1, FULL), [tw("t1"), tw("t2")], "order_index 1"),

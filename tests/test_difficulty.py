@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from annodiff.config import RunConfig
 from annodiff.dataset import (
     Annotation,
     Dataset,
@@ -14,7 +15,6 @@ from annodiff.dataset import (
 from annodiff.difficulty import (
     DIFFICULT,
     EASY,
-    ScoreConfig,
     agreement_score,
     aggregate_certainties,
     difficulty_scores,
@@ -26,6 +26,11 @@ from annodiff.errors import AnnodiffError
 from annodiff.labels import LabelPath
 from annodiff.synth import SynthConfig, generate_dataset
 from oracles import agreement_direct
+
+
+def _config(**settings):
+    """A RunConfig with placeholder input paths, which scoring never reads."""
+    return RunConfig("annotations.jsonl", "tweets.jsonl", **settings)
 
 
 def level(label, majority, voters, tie=False):
@@ -205,7 +210,7 @@ def test_predictor_certainties_single_worker(k, expected):
     # tweets are imputed the one test tweet's value.
     annotations = [_full_path_annotation("w1", f"t{i}", i + 1) for i in range(5)]
     ds = _worker_dataset([Worker("w1", "MD", "M", annotations)])
-    result = predictor_certainties(ds, ds.word_sequences(), split_ratio=0.8, k=k)
+    result = predictor_certainties(ds, ds.word_sequences(), _config(split_ratio=0.8, k_certainty=k))
     assert len(result.imputed) == 4
     assert sorted(result.values) == [f"t{i}" for i in range(5)]
     for value in result.values.values():
@@ -215,7 +220,7 @@ def test_predictor_certainties_single_worker(k, expected):
 def test_predictor_certainties_imputes_training_only_tweets():
     annotations = [_full_path_annotation("w1", f"t{i}", i + 1) for i in range(2)]
     ds = _worker_dataset([Worker("w1", "MD", "M", annotations)])
-    result = predictor_certainties(ds, ds.word_sequences())
+    result = predictor_certainties(ds, ds.word_sequences(), _config())
     assert len(result.imputed) == 1
     assert set(result.values) == {"t0", "t1"}
     # the imputed tweet carries the population mean, here the other's value
@@ -226,7 +231,7 @@ def test_predictor_certainties_imputes_training_only_tweets():
 def test_predictor_certainties_rejects_bad_split():
     ds = _worker_dataset([Worker("w1", "MD", "M", [_full_path_annotation("w1", "t0", 1)])])
     with pytest.raises(ValueError):
-        predictor_certainties(ds, ds.word_sequences(), split_ratio=1.0)
+        predictor_certainties(ds, ds.word_sequences(), _config(split_ratio=1.0))
 
 
 # --- labeling cost ---
@@ -279,6 +284,15 @@ def test_cost_missing_tweet_is_absent():
     assert labeling_costs(ds) == {"ta": 1.0, "tb": 0.0}
 
 
+def test_cost_median_overflow_names_the_tweet():
+    # two finite totals whose mean overflows: median (a + b) / 2 is infinite
+    big = [Annotation(f"w{i}", "tb", LabelPath("Irrelevant"), {1: 1.7e308}, 1) for i in range(2)]
+    cheap = Annotation("w2", "ta", LabelPath("Irrelevant"), {1: 1.0}, 1)
+    ds = _worker_dataset([Worker(a.worker_id, "MD", "M", [a]) for a in (*big, cheap)])
+    with pytest.raises(AnnodiffError, match="tweet tb: the median labeling duration overflows"):
+        labeling_costs(ds)
+
+
 @given(st.lists(st.floats(min_value=0, max_value=1000, allow_nan=False), min_size=2, max_size=12, unique=True))
 def test_cost_is_antitone_in_raw_seconds(seconds):
     ds = _priced_dataset({f"t{i:02d}": s for i, s in enumerate(seconds)})
@@ -299,7 +313,7 @@ def small_synthetic():
 
 
 def test_scores_are_component_sums_in_range(small_synthetic):
-    result = difficulty_scores(small_synthetic, ScoreConfig())
+    result = difficulty_scores(small_synthetic, _config())
     assert len(result.scores) == 16
     assert not result.excluded
     for s in result.scores:
@@ -311,7 +325,7 @@ def test_scores_are_component_sums_in_range(small_synthetic):
 
 
 def test_easy_class_has_higher_mean_score(small_synthetic):
-    scores = difficulty_scores(small_synthetic, ScoreConfig()).scores
+    scores = difficulty_scores(small_synthetic, _config()).scores
     easy = [s.ds for s in scores if s.klass == EASY]
     difficult = [s.ds for s in scores if s.klass == DIFFICULT]
     assert easy and difficult
@@ -319,7 +333,7 @@ def test_easy_class_has_higher_mean_score(small_synthetic):
 
 
 def test_scoring_is_deterministic(small_synthetic):
-    config = ScoreConfig(seed=21)
+    config = _config(seed=21)
     first = difficulty_scores(small_synthetic, config)
     second = difficulty_scores(small_synthetic, config)
     assert first.scores == second.scores
@@ -332,7 +346,7 @@ def test_scoring_reports_cost_exclusions():
     bare = Annotation("md_w00", "tx", LabelPath("Irrelevant"), {}, len(ds.workers["md_w00"].annotations) + 1)
     ds.workers["md_w00"].annotations.append(bare)
     ds.texts["tx"] = "a tweet nobody timed"
-    result = difficulty_scores(ds, ScoreConfig())
+    result = difficulty_scores(ds, _config())
     assert result.excluded == {"tx": "no labeling durations"}
     assert all(s.tweet_id != "tx" for s in result.scores)
 
@@ -340,4 +354,4 @@ def test_scoring_reports_cost_exclusions():
 def test_scoring_single_tweet_fails():
     ds = _worker_dataset([Worker("w1", "MD", "M", [_full_path_annotation("w1", "t0", 1)])])
     with pytest.raises(AnnodiffError):
-        difficulty_scores(ds, ScoreConfig())
+        difficulty_scores(ds, _config())

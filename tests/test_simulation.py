@@ -3,10 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from annodiff.config import RunConfig
 from annodiff.dataset import Annotation, Dataset, Worker
 from annodiff.errors import GridMismatchError
 from annodiff.labels import LabelPath
 from annodiff.simulation import (
+    PHASES,
+    TRAIN_SIZES,
     F1Curve,
     aggregate,
     build_strata,
@@ -98,7 +101,7 @@ def test_run_config_hand_computed_f1():
     # for any k and any metric. The resulting pooled F1 values are exact.
     ds, classes = _alternating_dataset(50)
     ctx = make_context(ds, "MD", classes)
-    result = run_config(ctx, SimilarityMetric.SUBSTRING, "early", 2, k_grid=(1, 3, 5), seed=0)
+    result = run_config(ctx, SimilarityMetric.SUBSTRING, "early", 2, k_grid=(1, 3, 5), seed=0, epsilon=0.01)
     # easy arm: 23 test tweets, 11 easy truths fully matched (3 labels each),
     # 12 difficult truths missed: F1 = 2*33/(69+45)
     for value in result.curve_easy.points.values():
@@ -119,7 +122,7 @@ def test_run_config_skips_thin_strata():
     for tid in late_easy[3:]:
         classes[tid] = "difficult"
     ctx = make_context(ds, "MD", classes)
-    result = run_config(ctx, SimilarityMetric.EDIT, "late", 5, k_grid=(1,), seed=0)
+    result = run_config(ctx, SimilarityMetric.EDIT, "late", 5, k_grid=(1,), seed=0, epsilon=0.01)
     assert result.curve_easy is None
     assert result.skipped_easy == 1
     assert result.code is None
@@ -130,39 +133,34 @@ def test_run_config_skips_thin_strata():
 def test_run_config_validation():
     ds, classes = _alternating_dataset(50)
     ctx = make_context(ds, "MD", classes)
+    grid = {"k_grid": (1, 3), "seed": 0, "epsilon": 0.01}
     with pytest.raises(ValueError):
-        run_config(ctx, SimilarityMetric.EDIT, "middle", 5)
+        run_config(ctx, SimilarityMetric.EDIT, "middle", 5, **grid)
     with pytest.raises(ValueError):
-        run_config(ctx, SimilarityMetric.EDIT, "early", 1)
+        run_config(ctx, SimilarityMetric.EDIT, "early", 1, **grid)
     with pytest.raises(ValueError):
-        run_config(ctx, SimilarityMetric.EDIT, "early", 11)
+        run_config(ctx, SimilarityMetric.EDIT, "early", 11, **grid)
     with pytest.raises(ValueError):
-        run_config(ctx, SimilarityMetric.EDIT, "early", 5, k_grid=())
+        run_config(ctx, SimilarityMetric.EDIT, "early", 5, **{**grid, "k_grid": ()})
 
 
 def test_run_config_deterministic():
     ds, classes = _alternating_dataset(50)
     ctx = make_context(ds, "MD", classes)
-    args = (ctx, SimilarityMetric.SUBSEQUENCE, "late", 3)
-    assert run_config(*args, seed=5) == run_config(*args, seed=5)
+    args = (ctx, SimilarityMetric.SUBSEQUENCE, "late", 3, (1, 3, 5, 7, 9, 11, 13, 15))
+    assert run_config(*args, seed=5, epsilon=0.01) == run_config(*args, seed=5, epsilon=0.01)
 
 
 def test_run_grid_covers_all_configurations():
     ds, classes = _alternating_dataset(50)
     ctx = make_context(ds, "MD", classes)
-    results = run_grid(
-        ctx,
-        [SimilarityMetric.SUBSTRING, SimilarityMetric.EDIT],
-        k_grid=(1, 3),
-        seed=0,
-        epsilon=0.01,
-        train_sizes=(2, 3),
-    )
-    assert len(results) == 8
+    config = RunConfig("annotations.jsonl", "tweets.jsonl", metrics=("substring", "edit"), k_grid=(1, 3))
+    results = run_grid(ctx, config)
+    assert len(results) == 2 * len(PHASES) * len(TRAIN_SIZES) == 36
     combos = [(r.metric, r.phase, r.train_size) for r in results]
     assert combos[0] == ("substring", "early", 2)
-    assert combos[-1] == ("edit", "late", 3)
-    assert len(set(combos)) == 8
+    assert combos[-1] == ("edit", "late", 10)
+    assert len(set(combos)) == 36
 
 
 # --- outcome coding ---
@@ -191,18 +189,22 @@ def test_mean_curve_delta_grid_mismatch():
         mean_curve_delta(_curve({1: 0.5}), _curve({1: 0.5, 3: 0.5}))
 
 
+def _code(curve_easy, curve_difficult, epsilon=0.01):
+    return encode_outcome(mean_curve_delta(curve_easy, curve_difficult), epsilon)
+
+
 def test_encode_outcome_codes():
     flat = _curve({1: 0.5, 3: 0.5})
-    assert encode_outcome(flat, _curve({1: 0.5, 3: 0.5})) == "T"
-    assert encode_outcome(_curve({1: 0.55, 3: 0.55}), flat) == "E"
-    assert encode_outcome(flat, _curve({1: 0.55, 3: 0.55})) == "D"
+    assert _code(flat, _curve({1: 0.5, 3: 0.5})) == "T"
+    assert _code(_curve({1: 0.55, 3: 0.55}), flat) == "E"
+    assert _code(flat, _curve({1: 0.55, 3: 0.55})) == "D"
     # a crossing pair whose mean difference stays inside the tolerance
-    assert encode_outcome(_curve({1: 0.504, 3: 0.5}), flat) == "T"
+    assert _code(_curve({1: 0.504, 3: 0.5}), flat) == "T"
 
 
 def test_encode_outcome_rejects_negative_epsilon():
     with pytest.raises(ValueError):
-        encode_outcome(_curve({1: 0.5}), _curve({1: 0.5}), epsilon=-0.1)
+        encode_outcome(0.0, epsilon=-0.1)
 
 
 grid_values = st.tuples(*(st.floats(0, 1) for _ in range(3)))
@@ -212,8 +214,8 @@ grid_values = st.tuples(*(st.floats(0, 1) for _ in range(3)))
 def test_encode_outcome_antisymmetric(values_e, values_d, epsilon):
     easy = _curve(dict(zip((1, 3, 5), values_e)))
     difficult = _curve(dict(zip((1, 3, 5), values_d)), arm="difficult")
-    forward = encode_outcome(easy, difficult, epsilon)
-    backward = encode_outcome(difficult, easy, epsilon)
+    forward = _code(easy, difficult, epsilon)
+    backward = _code(difficult, easy, epsilon)
     assert backward == {"E": "D", "D": "E", "T": "T"}[forward]
 
 
