@@ -230,6 +230,25 @@ def cmd_score(args) -> int:
     return 0
 
 
+def _refuse_lost_rows(scores_path: Path, by_institution: dict[str, dict], summary_path: Path) -> None:
+    """A scores.csv cut at a row boundary reads back as a shorter valid file.
+    When the summary.json that score wrote beside it is there, each
+    institution's row count must equal its tweets_scored."""
+    if not summary_path.exists():
+        return
+    summary = read_json(str(summary_path))
+    with _refuse_malformed(summary_path):
+        expected = {inst: info["tweets_scored"] for inst, info in summary["institutions"].items()}
+    for institution in sorted(set(expected) | set(by_institution)):
+        rows = len(by_institution.get(institution, {}))
+        scored = expected.get(institution, 0)
+        if rows != scored:
+            raise AnnodiffError(
+                f"{scores_path} holds {rows} {institution} rows but {summary_path} records {scored} tweets scored; "
+                "rerun score or remove both files"
+            )
+
+
 def cmd_simulate(args) -> int:
     config = _make_run_config(args)
     dataset = load_dataset(config.annotations, config.tweets)
@@ -256,6 +275,7 @@ def cmd_simulate(args) -> int:
                 f"{scores_path} was produced under a different scoring configuration; "
                 "rerun score or remove the file"
             )
+        _refuse_lost_rows(scores_path, by_institution, out / "summary.json")
         scored = {inst: list(scores.values()) for inst, scores in sorted(by_institution.items())}
         print(f"loaded difficulty scores from {scores_path}")
     else:
@@ -313,6 +333,27 @@ def _refuse_malformed(path: Path):
         raise AnnodiffError(f"{path} is malformed ({type(exc).__name__}: {exc}); rerun score and simulate") from exc
 
 
+def _refuse_mixed_runs(configs: dict[Path, dict | None]) -> None:
+    """report's inputs, summary.json, outcomes.csv and stats.json in that
+    order, must come from one run: the same scoring configuration in all
+    three, and the same full configuration in the last two, which one
+    simulate writes together."""
+    scoring = {}
+    for path, config in configs.items():
+        if not isinstance(config, dict):
+            raise AnnodiffError(f"{path} has no embedded config, so its run is unknown; rerun score and simulate")
+        with _refuse_malformed(path):
+            scoring[path] = {name: config[name] for name in SCORING_FIELDS}
+    paths = list(configs)
+    disagree = [(a, b) for i, a in enumerate(paths) for b in paths[i + 1:] if scoring[a] != scoring[b]]
+    if disagree:
+        pairs = "; ".join(f"{a} and {b}" for a, b in disagree)
+        raise AnnodiffError(f"outputs of runs under different scoring configurations: {pairs}; rerun score and simulate")
+    _, outcomes, stats = paths
+    if configs[outcomes] != configs[stats]:
+        raise AnnodiffError(f"{outcomes} and {stats} come from different simulate runs; rerun simulate")
+
+
 def cmd_report(args) -> int:
     out = Path(args.out)
     alpha = args.alpha
@@ -323,12 +364,22 @@ def cmd_report(args) -> int:
     if missing:
         raise AnnodiffError(f"missing inputs: {', '.join(missing)}; run score and simulate first")
 
+    summary = read_json(str(required["summary.json"]))
+    outcomes_config, outcome_rows = read_csv(str(required["outcomes.csv"]))
+    stats = read_json(str(required["stats.json"]))
+    _refuse_mixed_runs(
+        {
+            required["summary.json"]: summary.get("config"),
+            required["outcomes.csv"]: outcomes_config,
+            required["stats.json"]: stats.get("config"),
+        }
+    )
+
     lines = ["# Annotation difficulty report", ""]
     lines.append("## Class balance by phase window")
     lines.append("")
     lines.append("| institution | phase | easy | difficult | easy share |")
     lines.append("|---|---|---|---|---|")
-    summary = read_json(str(required["summary.json"]))
     with _refuse_malformed(required["summary.json"]):
         for institution, info in sorted(summary["institutions"].items()):
             for phase in PHASES:
@@ -340,7 +391,6 @@ def cmd_report(args) -> int:
 
     lines.append("## Outcomes per configuration")
     lines.append("")
-    _, outcome_rows = read_csv(str(required["outcomes.csv"]))
     if not outcome_rows:
         raise AnnodiffError(f"{required['outcomes.csv']} holds no comparisons")
     with _refuse_malformed(required["outcomes.csv"]):
@@ -360,7 +410,6 @@ def cmd_report(args) -> int:
     lines.append("")
     lines.append("| phase | T | E | D |")
     lines.append("|---|---|---|---|")
-    stats = read_json(str(required["stats.json"]))
     with _refuse_malformed(required["stats.json"]):
         for phase in PHASES:
             row = stats["outcome_counts"][phase]

@@ -153,20 +153,25 @@ def predictor_certainties(
         train_size = max(1, math.floor(config.split_ratio * len(ids)))
         train_ids, test_ids = ids[:train_size], ids[train_size:]
 
-        # per level, the training tweets labeled at that level and their labels
-        pools: dict[int, list[str]] = {level: [] for level in LEVELS}
+        # per level, the positions in train_ids of the training tweets labeled
+        # at that level, and their labels; every tweet has a level-1 label, so
+        # train_ids is the level-1 pool and the deeper pools are subsequences
+        # of it in the same order
+        pools: dict[int, list[int]] = {level: [] for level in LEVELS}
         pool_labels: dict[int, list[str]] = {level: [] for level in LEVELS}
-        for tid in train_ids:
+        for position, tid in enumerate(train_ids):
             for level, label in by_tweet[tid].labels.labels().items():
-                pools[level].append(tid)
+                pools[level].append(position)
                 pool_labels[level].append(label)
 
         for tid in test_ids:
+            # one similarity row per test tweet, shared by the three levels
+            sim_row = [sims.sim(tid, other) for other in train_ids]
             row: dict[int, dict[str, float]] = {}
             for level, pool in pools.items():
                 if not pool:
                     continue
-                sim_values = [sims.sim(tid, other) for other in pool]
+                sim_values = [sim_row[position] for position in pool]
                 order_rng = random.Random(stable_seed(config.seed, "certainty-order", wid, tid, level))
                 order = rank_by_similarity(sim_values, order_rng)
                 _, (counts,) = next(prefix_counts(order, [pool_labels[level]], [config.k_certainty]))

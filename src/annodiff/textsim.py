@@ -41,74 +41,128 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
+def word_masks(words: WordSequence) -> dict[str, int]:
+    """Match bitmask per distinct word: bit j is set where words[j] is that
+    word. The table every kernel reads for the second sequence of a pair."""
+    masks: dict[str, int] = {}
+    for j, word in enumerate(words):
+        masks[word] = masks.get(word, 0) | 1 << j
+    return masks
+
+
+def _subsequence(a: WordSequence, masks: Mapping[str, int], n: int) -> int:
+    """Bit-parallel LCS length (Allison & Dix 1986; Hyyrö 2004) of a against
+    a length-n sequence given by its word_masks: O(len(a)) operations on
+    n-bit integers. A zero bit j of s marks a column where the LCS of the
+    prefixes read so far grows."""
+    full = (1 << n) - 1
+    s = full
+    for word in a:
+        match = masks.get(word)
+        if match:
+            u = s & match
+            s = ((s + u) | (s - u)) & full
+    return n - s.bit_count()
+
+
+def _substring(a: WordSequence, masks: Mapping[str, int]) -> int:
+    """Longest common run of a and a sequence given by its word_masks.
+
+    Walks the diagonal runs of matching words: after each word of a, runs[r]
+    has bit j set where a common run of at least r + 1 words ends at that
+    word and at position j of b. O(len(a) * longest run) integer operations.
+    """
+    best = 0
+    runs: list[int] = []
+    get = masks.get
+    for word in a:
+        match = get(word)
+        if match is None:
+            if runs:
+                runs = []
+            continue
+        extended = [match]
+        for run in runs:
+            match &= run << 1
+            if not match:
+                break
+            extended.append(match)
+        runs = extended
+        if len(runs) > best:
+            best = len(runs)
+    return best
+
+
+def _edit(a: WordSequence, masks: Mapping[str, int], n: int) -> int:
+    """Levenshtein distance of a and a length-n sequence given by its
+    word_masks, by Myers' bit-vector algorithm (J. ACM 1999) in Hyyrö's
+    formulation for the global distance: O(len(a)) operations on n-bit
+    integers. pv and mv hold the +1 and -1 vertical deltas of the current DP
+    column; dist follows its last cell."""
+    if not n:
+        return len(a)
+    full = (1 << n) - 1
+    last = 1 << (n - 1)
+    pv, mv, dist = full, 0, n
+    for word in a:
+        eq = masks.get(word, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | (~(xh | pv) & full)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        # the first DP row is 0, 1, 2, ..., so every column enters with a +1
+        ph = (ph << 1 | 1) & full
+        mh = (mh << 1) & full
+        pv = mh | (~(xv | ph) & full)
+        mv = ph & xv
+    return dist
+
+
 def lcs_subsequence_words(a: WordSequence, b: WordSequence) -> int:
     """Length of the longest common subsequence of two word sequences."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
-    for wa in a:
-        cur = [0]
-        for j, wb in enumerate(b, start=1):
-            if wa == wb:
-                cur.append(prev[j - 1] + 1)
-            else:
-                cur.append(max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+    return _subsequence(a, word_masks(b), len(b))
 
 
 def lcs_substring_words(a: WordSequence, b: WordSequence) -> int:
     """Length of the longest contiguous run of words shared by a and b."""
-    if not a or not b:
-        return 0
-    best = 0
-    prev = [0] * (len(b) + 1)
-    for wa in a:
-        cur = [0]
-        for j, wb in enumerate(b, start=1):
-            run = prev[j - 1] + 1 if wa == wb else 0
-            cur.append(run)
-            if run > best:
-                best = run
-        prev = cur
-    return best
+    return _substring(a, word_masks(b))
 
 
 def edit_distance_words(a: WordSequence, b: WordSequence) -> int:
     """Levenshtein distance over words (insert, delete, substitute)."""
-    if not a:
-        return len(b)
-    if not b:
-        return len(a)
-    prev = list(range(len(b) + 1))
-    for i, wa in enumerate(a, start=1):
-        cur = [i]
-        for j, wb in enumerate(b, start=1):
-            cost = 0 if wa == wb else 1
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
-        prev = cur
-    return prev[-1]
+    return _edit(a, word_masks(b), len(b))
 
 
-def nsim(a: WordSequence, b: WordSequence, metric: SimilarityMetric) -> float:
+def nsim(
+    a: WordSequence, b: WordSequence, metric: SimilarityMetric, b_masks: Mapping[str, int] | None = None
+) -> float:
     """Normalized word-level similarity in [0, 1].
 
     Common-subsequence and common-substring lengths are divided by the longer
     sequence length. Edit distance is mapped through 1 - distance / longer
     length so that identical sequences score 1 and disjoint ones score 0.
 
+    b_masks, when given, is word_masks(b), built once by a caller that
+    compares b many times; otherwise it is built here.
+
     Raises ValueError when both sequences are empty, where similarity is
     undefined.
     """
     if not a and not b:
         raise ValueError("similarity is undefined for two empty word sequences")
+    if b_masks is None:
+        b_masks = word_masks(b)
     longest = max(len(a), len(b))
     if metric is SimilarityMetric.SUBSEQUENCE:
-        return lcs_subsequence_words(a, b) / longest
+        return _subsequence(a, b_masks, len(b)) / longest
     if metric is SimilarityMetric.SUBSTRING:
-        return lcs_substring_words(a, b) / longest
+        return _substring(a, b_masks) / longest
     if metric is SimilarityMetric.EDIT:
-        return 1.0 - edit_distance_words(a, b) / longest
+        return 1.0 - _edit(a, b_masks, len(b)) / longest
     raise ValueError(f"unknown metric: {metric!r}")
 
 
@@ -116,7 +170,8 @@ class PairSimilarity:
     """Memoized nsim over a fixed id -> words table.
 
     Tweets are compared many times across workers and train sizes, so pair
-    similarities are cached under a symmetric key. Two empty sequences are
+    similarities are cached under a symmetric key, and each tweet's
+    word_masks are built once, on its first use. Two empty sequences are
     treated as identical (similarity 1.0) to keep pipelines total.
     """
 
@@ -124,6 +179,7 @@ class PairSimilarity:
         self._words = words_by_id
         self._metric = metric
         self._cache: dict[tuple[str, str], float] = {}
+        self._masks: dict[str, dict[str, int]] = {}
 
     def sim(self, id_a: str, id_b: str) -> float:
         key = (id_a, id_b) if id_a <= id_b else (id_b, id_a)
@@ -132,6 +188,14 @@ class PairSimilarity:
             return hit
         a = self._words[id_a]
         b = self._words[id_b]
-        value = 1.0 if not a and not b else nsim(a, b, self._metric)
+        if not a and not b:
+            value = 1.0
+        else:
+            masks = self._masks.get(id_b)
+            if masks is None:
+                masks = self._masks[id_b] = word_masks(b)
+            # through the module-level name, so a wrapper installed on
+            # textsim.nsim sees every computed pair
+            value = nsim(a, b, self._metric, masks)
         self._cache[key] = value
         return value

@@ -60,6 +60,58 @@ def edit_distance_brute(a, b):
     return go(0, 0)
 
 
+def lcs_subsequence_dp(a, b):
+    """Longest common subsequence length by the O(len(a) * len(b)) dynamic
+    program over prefixes."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for wa in a:
+        cur = [0]
+        for j, wb in enumerate(b, start=1):
+            if wa == wb:
+                cur.append(prev[j - 1] + 1)
+            else:
+                cur.append(max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def lcs_substring_dp(a, b):
+    """Longest common contiguous run by the O(len(a) * len(b)) dynamic
+    program over the run lengths ending at each pair of positions."""
+    if not a or not b:
+        return 0
+    best = 0
+    prev = [0] * (len(b) + 1)
+    for wa in a:
+        cur = [0]
+        for j, wb in enumerate(b, start=1):
+            run = prev[j - 1] + 1 if wa == wb else 0
+            cur.append(run)
+            if run > best:
+                best = run
+        prev = cur
+    return best
+
+
+def edit_distance_dp(a, b):
+    """Levenshtein distance by the O(len(a) * len(b)) Wagner-Fischer dynamic
+    program."""
+    if not a:
+        return len(b)
+    if not b:
+        return len(a)
+    prev = list(range(len(b) + 1))
+    for i, wa in enumerate(a, start=1):
+        cur = [i]
+        for j, wb in enumerate(b, start=1):
+            cost = 0 if wa == wb else 1
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + cost))
+        prev = cur
+    return prev[-1]
+
+
 def fisher_exact_fraction(a, b, c, d):
     """Two-tailed Fisher p-value as an exact Fraction.
 

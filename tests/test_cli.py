@@ -224,6 +224,35 @@ def test_report_renders_markdown(dataset_dir, tmp_path, capsys):
     assert "E vs D" in report
 
 
+def test_report_refuses_outputs_of_different_runs(tmp_path, capsys):
+    # simulate under seed 11, then score under seed 12 into the same --out:
+    # summary.json now disagrees with outcomes.csv and stats.json
+    annotations, tweets = generate_records(
+        SynthConfig(n_workers=8, n_easy=40, n_difficult=20, difficult_label_noise=0.6, seed=11)
+    )
+    write_jsonl(annotations, str(tmp_path / "annotations.jsonl"))
+    write_jsonl(tweets, str(tmp_path / "tweets.jsonl"))
+    out = tmp_path / "out"
+    assert cli.main([*_simulate_args(tmp_path, out), "--seed", "11"]) == 0
+    assert cli.main(["score", *_dataset_args(tmp_path), "--out", str(out), "--seed", "12"]) == 0
+    capsys.readouterr()
+    assert cli.main(["report", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"{out / 'summary.json'} and {out / 'outcomes.csv'}" in err
+    assert f"{out / 'summary.json'} and {out / 'stats.json'}" in err
+    assert not (out / "report.md").exists()
+
+
+def test_report_refuses_outcomes_and_stats_of_different_simulations(dataset_dir, simulated, tmp_path, capsys):
+    out = tmp_path / "out"
+    shutil.copytree(simulated, out)
+    stats = read_json(str(out / "stats.json"))
+    stats["config"]["epsilon"] = 0.5
+    (out / "stats.json").write_text(json.dumps(stats))
+    assert cli.main(["report", "--out", str(out)]) == 1
+    assert f"{out / 'outcomes.csv'} and {out / 'stats.json'} come from different simulate runs" in capsys.readouterr().err
+
+
 def test_report_requires_prior_outputs(tmp_path, capsys):
     (tmp_path / "out").mkdir()
     code = cli.main(["report", "--out", str(tmp_path / "out")])
@@ -301,6 +330,20 @@ def test_seed_env_must_be_integer(dataset_dir, tmp_path, monkeypatch, capsys):
     code = cli.main(["score", *_dataset_args(dataset_dir), "--out", str(tmp_path / "o")])
     assert code == 1
     assert SEED_ENV_VAR in capsys.readouterr().err
+
+
+def test_simulate_refuses_scores_that_lost_whole_rows(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0
+    scores = out / "scores.csv"
+    lines = scores.read_text().splitlines(keepends=True)
+    scores.write_text("".join(lines[:-1]))  # cut at a row boundary
+    capsys.readouterr()
+    assert cli.main(_simulate_args(dataset_dir, out)) == 1
+    err = capsys.readouterr().err
+    rows = len(lines) - 2  # less the config and header lines
+    assert f"{scores} holds {rows - 1} MD rows but {out / 'summary.json'} records {rows} tweets scored" in err
+    assert not (out / "outcomes.csv").exists()
 
 
 def test_simulate_refuses_unstamped_scores(dataset_dir, tmp_path, capsys):

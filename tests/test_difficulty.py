@@ -1,8 +1,11 @@
 """Agreement, certainty, and cost components plus end-to-end scoring."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
+from annodiff import textsim
 from annodiff.config import RunConfig
 from annodiff.dataset import (
     Annotation,
@@ -338,6 +341,37 @@ def test_scoring_is_deterministic(small_synthetic):
     second = difficulty_scores(small_synthetic, config)
     assert first.scores == second.scores
     assert first.imputed_certainty == second.imputed_certainty
+
+
+def test_certainty_computes_one_row_per_test_tweet_and_each_pair_once(small_synthetic, monkeypatch):
+    looked_up = []
+    computed = []
+    sim, nsim = textsim.PairSimilarity.sim, textsim.nsim
+
+    def recording_sim(self, id_a, id_b):
+        looked_up.append((id_a, id_b))
+        return sim(self, id_a, id_b)
+
+    def counting_nsim(*args, **kwargs):
+        computed.append(args[:2])
+        return nsim(*args, **kwargs)
+
+    monkeypatch.setattr(textsim.PairSimilarity, "sim", recording_sim)
+    monkeypatch.setattr(textsim, "nsim", counting_nsim)
+    config = _config()
+    predictor_certainties(small_synthetic, small_synthetic.word_sequences(), config)
+    # each worker's test tweet is compared once with each of its training
+    # tweets, whatever the levels they are labeled at
+    rows = 0
+    for worker in small_synthetic.workers.values():
+        n = len(worker.annotations)
+        train = max(1, math.floor(config.split_ratio * n))
+        rows += (n - train) * train
+    assert len(looked_up) == rows
+    # tweets shared between workers repeat pairs, which are computed once
+    distinct = {frozenset(pair) for pair in looked_up}
+    assert len(distinct) < rows
+    assert len(computed) == len(distinct)
 
 
 def test_scoring_reports_cost_exclusions():

@@ -1,7 +1,7 @@
 """Tokenization and the three word-level similarity metrics."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from annodiff.textsim import (
     PairSimilarity,
@@ -11,8 +11,16 @@ from annodiff.textsim import (
     lcs_substring_words,
     nsim,
     tokenize,
+    word_masks,
 )
-from oracles import edit_distance_brute, lcs_subsequence_brute, lcs_substring_brute
+from oracles import (
+    edit_distance_brute,
+    edit_distance_dp,
+    lcs_subsequence_brute,
+    lcs_subsequence_dp,
+    lcs_substring_brute,
+    lcs_substring_dp,
+)
 
 TOKENIZE_CASES = [
     ("Law and order #Debates", ["law", "and", "order", "#debates"]),
@@ -102,6 +110,45 @@ def test_nsim_symmetric_and_bounded(a, b, metric):
 @given(a=words.filter(bool), metric=st.sampled_from(list(SimilarityMetric)))
 def test_nsim_identity(a, metric):
     assert nsim(a, a, metric) == 1.0
+
+
+@st.composite
+def long_word_pairs(draw):
+    """Two sequences over one vocabulary of 2 to 60 words, each 0 to 150
+    words long, so match masks run past 64 bits and small vocabularies
+    repeat words often."""
+    vocabulary = draw(st.integers(2, 60))
+    word = st.integers(0, vocabulary - 1).map(lambda i: f"w{i}")
+    lengths = draw(st.tuples(st.integers(0, 150), st.integers(0, 150)))
+    return tuple(draw(st.lists(word, min_size=n, max_size=n)) for n in lengths)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=long_word_pairs())
+def test_kernels_match_dynamic_programs(pair):
+    a, b = pair
+    subsequence = lcs_subsequence_dp(a, b)
+    substring = lcs_substring_dp(a, b)
+    distance = edit_distance_dp(a, b)
+    assert lcs_subsequence_words(a, b) == subsequence
+    assert lcs_substring_words(a, b) == substring
+    assert edit_distance_words(a, b) == distance
+    if not a and not b:
+        return
+    longest = max(len(a), len(b))
+    masks = word_masks(b)
+    for metric, expected in [
+        (SimilarityMetric.SUBSEQUENCE, subsequence / longest),
+        (SimilarityMetric.SUBSTRING, substring / longest),
+        (SimilarityMetric.EDIT, 1.0 - distance / longest),
+    ]:
+        assert nsim(a, b, metric) == expected
+        assert nsim(a, b, metric, masks) == expected
+
+
+def test_word_masks():
+    assert word_masks(["a", "b", "a"]) == {"a": 0b101, "b": 0b010}
+    assert word_masks([]) == {}
 
 
 def test_pair_similarity_cache():
