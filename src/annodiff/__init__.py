@@ -9,7 +9,7 @@ from annodiff.difficulty import (
     difficulty_scores,
     knn_label_certainty,
 )
-from annodiff.knn import PredictedPath, hierarchical_f1
+from annodiff.knn import hierarchical_f1
 from annodiff.labels import LabelPath, label_set
 from annodiff.simulation import (
     aggregate,
@@ -28,7 +28,6 @@ __all__ = [
     "Dataset",
     "DifficultyScore",
     "LabelPath",
-    "PredictedPath",
     "RunConfig",
     "SimilarityMetric",
     "Worker",

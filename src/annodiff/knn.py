@@ -4,38 +4,23 @@ rank_by_similarity orders a worker's labeled tweets by similarity to a query,
 prefix_counts counts the labels of the first min(k, n) of them for each k,
 and vote picks the plurality label from those counts. One ranking serves
 every k and every hierarchy level. The grid predicts a whole label path this
-way, one vote per level over rows in which a blank level (below Irrelevant or
-Factual) counts as an explicit NoLabel class, and coerce_structure makes the
-voted path structurally coherent. The certainty component counts the labels
-of one level and turns them into smoothed certainties instead of a vote.
+way over rows in which a blank level (below Irrelevant or Factual) counts as
+an explicit NoLabel class, voting top-down (simulation.vote_path), and
+hierarchical_f1 scores (truth, predicted) path tuples. The certainty
+component counts the labels of one level and turns them into smoothed
+certainties instead of a vote.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator, Mapping, Sequence
 
-from annodiff.labels import (
-    FACTUAL,
-    IRRELEVANT,
-    LABEL_ORDER,
-    NO_LABEL,
-    LabelPath,
-    label_set,
-)
+from annodiff.labels import LABEL_ORDER, label_set
 
-
-@dataclass(frozen=True)
-class PredictedPath:
-    """Predicted labels for all three levels; blanks are NoLabel."""
-
-    level1: str
-    level2: str
-    level3: str
-
-    def label(self, level: int) -> str:
-        return (self.level1, self.level2, self.level3)[level - 1]
+# a path's ancestor-closed label set; the grid scores only a handful of paths
+_path_set = cache(label_set)
 
 
 def rank_by_similarity(sims: Sequence[float], rng: random.Random) -> list[int]:
@@ -103,27 +88,12 @@ def vote(counts: Mapping[str, int], make_rng: Callable[[], random.Random]) -> st
     return make_rng().choice(tied)
 
 
-def coerce_structure(level1: str, level2: str, level3: str) -> PredictedPath:
-    """Repair per-level votes into a structurally coherent path.
-
-    An Irrelevant tweet has no lower levels, and a level 2 other than
-    NonFactual admits no sentiment, so the affected levels collapse to
-    NoLabel.
-    """
-    if level1 == IRRELEVANT:
-        level2 = NO_LABEL
-        level3 = NO_LABEL
-    if level2 in (FACTUAL, NO_LABEL):
-        level3 = NO_LABEL
-    return PredictedPath(level1=level1, level2=level2, level3=level3)
-
-
-def hierarchical_f1(pairs: Sequence[tuple[LabelPath, PredictedPath]]) -> float:
+def hierarchical_f1(pairs: Sequence[tuple[tuple[str, ...], tuple[str, ...]]]) -> float:
     """Micro-averaged hierarchical F1 over (truth, prediction) pairs.
 
-    Each side is expanded to its ancestor-closed label set; precision and
-    recall are computed from the pooled intersection sizes. Returns 0 when
-    both are 0.
+    Each side is a (level1, level2, level3) tuple whose blanks are NoLabel or
+    None, expanded to its ancestor-closed label set; precision and recall are
+    computed from the pooled intersection sizes. Returns 0 when both are 0.
     """
     if not pairs:
         raise ValueError("cannot compute F1 over zero pairs")
@@ -131,8 +101,8 @@ def hierarchical_f1(pairs: Sequence[tuple[LabelPath, PredictedPath]]) -> float:
     predicted_total = 0
     truth_total = 0
     for truth, predicted in pairs:
-        truth_set = label_set((truth.level1, truth.level2, truth.level3))
-        predicted_set = label_set((predicted.level1, predicted.level2, predicted.level3))
+        truth_set = _path_set(truth)
+        predicted_set = _path_set(predicted)
         overlap += len(truth_set & predicted_set)
         predicted_total += len(predicted_set)
         truth_total += len(truth_set)

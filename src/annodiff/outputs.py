@@ -80,7 +80,8 @@ def write_scores_csv(path: str, header_json: str, scored: Mapping[str, Sequence[
 
 
 def read_scores_csv(path: str) -> tuple[dict | None, dict[str, dict[str, DifficultyScore]]]:
-    """Returns (embedded config, institution -> tweet_id -> score)."""
+    """Returns (embedded config, institution -> tweet_id -> score); a tweet
+    with two rows in one institution makes the file malformed."""
     config, rows = read_csv(path)
     out: dict[str, dict[str, DifficultyScore]] = {}
     for row in rows:
@@ -98,7 +99,10 @@ def read_scores_csv(path: str) -> tuple[dict | None, dict[str, dict[str, Difficu
             raise AnnodiffError(f"malformed scores file {path}: {exc}")
         if score.klass not in (EASY, DIFFICULT):
             raise AnnodiffError(f"malformed scores file {path}: tweet {score.tweet_id} has class {score.klass!r}")
-        out.setdefault(institution, {})[score.tweet_id] = score
+        scores = out.setdefault(institution, {})
+        if score.tweet_id in scores:
+            raise AnnodiffError(f"malformed scores file {path}: {institution} tweet {score.tweet_id} has more than one row")
+        scores[score.tweet_id] = score
     return config, out
 
 

@@ -14,14 +14,14 @@ from __future__ import annotations
 import random
 import statistics
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Dataset
 from annodiff.difficulty import DIFFICULT, EASY
 from annodiff.errors import GridMismatchError
-from annodiff.knn import coerce_structure, hierarchical_f1, prefix_counts, rank_by_similarity, vote
-from annodiff.labels import LEVELS, NO_LABEL, LabelPath
+from annodiff.knn import hierarchical_f1, prefix_counts, rank_by_similarity, vote
+from annodiff.labels import LEVELS, NO_LABEL, NONFACTUAL, RELEVANT
 from annodiff.textsim import PairSimilarity, SimilarityMetric
 
 EARLY = "early"
@@ -37,21 +37,14 @@ CODE_DIFFICULT = "D"
 OUTCOME_CODES = (CODE_TIE, CODE_EASY, CODE_DIFFICULT)
 
 
-@dataclass(frozen=True)
-class Stratum:
-    """One worker's tweets of one difficulty class within one phase window,
-    in annotation order."""
-
-    worker_id: str
-    phase: str
-    klass: str
-    tweets: tuple[tuple[str, LabelPath], ...]
+LabelTuple = tuple[str, str, str]  # (level1, level2, level3), NoLabel where blank
+Window = tuple[tuple[str, LabelTuple], ...]  # (tweet id, labels) in annotation order
 
 
 @dataclass
 class StrataResult:
-    strata: list[Stratum]
-    windows: dict[tuple[str, str], tuple[tuple[str, LabelPath], ...]]  # (worker, phase) -> window
+    strata: dict[tuple[str, str, str], Window]  # (worker, phase, klass) -> that class's window tweets
+    windows: dict[tuple[str, str], Window]  # (worker, phase) -> window
     excluded_workers: list[str]  # workers with fewer than 50 annotations
 
 
@@ -61,9 +54,11 @@ def build_strata(dataset: Dataset, class_by_tweet: Mapping[str, str]) -> StrataR
     Workers with fewer than 50 annotations are excluded and reported;
     annotations beyond the 50th are discarded. Window tweets without a
     difficulty class belong to no stratum but stay in the phase window.
+    Each tweet's labels become a (level1, level2, level3) tuple with NoLabel
+    blanks, the form the grid votes and scores.
     """
-    strata: list[Stratum] = []
-    windows: dict[tuple[str, str], tuple[tuple[str, LabelPath], ...]] = {}
+    strata: dict[tuple[str, str, str], Window] = {}
+    windows: dict[tuple[str, str], Window] = {}
     excluded: list[str] = []
     for wid in dataset.worker_ids():
         annotations = dataset.workers[wid].annotations
@@ -72,12 +67,12 @@ def build_strata(dataset: Dataset, class_by_tweet: Mapping[str, str]) -> StrataR
             continue
         for phase, start in ((EARLY, 0), (LATE, PHASE_LENGTH)):
             window = tuple(
-                (a.tweet_id, a.labels) for a in annotations[start : start + PHASE_LENGTH]
+                (a.tweet_id, tuple(a.labels.label(level) or NO_LABEL for level in LEVELS))
+                for a in annotations[start : start + PHASE_LENGTH]
             )
             windows[(wid, phase)] = window
             for klass in (EASY, DIFFICULT):
-                members = tuple(t for t in window if class_by_tweet.get(t[0]) == klass)
-                strata.append(Stratum(worker_id=wid, phase=phase, klass=klass, tweets=members))
+                strata[(wid, phase, klass)] = tuple(t for t in window if class_by_tweet.get(t[0]) == klass)
     return StrataResult(strata=strata, windows=windows, excluded_workers=excluded)
 
 
@@ -87,8 +82,8 @@ class SimulationContext:
 
     institution: str
     worker_ids: list[str]
-    strata: dict[tuple[str, str, str], Stratum]  # (worker, phase, klass)
-    windows: dict[tuple[str, str], tuple[tuple[str, LabelPath], ...]]
+    strata: dict[tuple[str, str, str], Window]  # (worker, phase, klass)
+    windows: dict[tuple[str, str], Window]
     words: dict[str, tuple[str, ...]]
     excluded_workers: list[str]
     _sims: dict[SimilarityMetric, PairSimilarity] = field(default_factory=dict)
@@ -102,11 +97,10 @@ class SimulationContext:
 def make_context(dataset: Dataset, institution: str, class_by_tweet: Mapping[str, str]) -> SimulationContext:
     subset = dataset.filter_institution(institution)
     built = build_strata(subset, class_by_tweet)
-    worker_ids = sorted({s.worker_id for s in built.strata})
     return SimulationContext(
         institution=institution,
-        worker_ids=worker_ids,
-        strata={(s.worker_id, s.phase, s.klass): s for s in built.strata},
+        worker_ids=sorted({wid for wid, _ in built.windows}),
+        strata=built.strata,
         windows=built.windows,
         words=dataset.word_sequences(),
         excluded_workers=built.excluded_workers,
@@ -116,13 +110,8 @@ def make_context(dataset: Dataset, institution: str, class_by_tweet: Mapping[str
 @dataclass(frozen=True)
 class F1Curve:
     """Micro-averaged hierarchical F1 per neighbor count for one arm of one
-    configuration."""
+    configuration, pooled over the workers it used."""
 
-    institution: str
-    metric: str
-    phase: str
-    train_size: int
-    arm: str  # EASY or DIFFICULT
     points: dict[int, float]
     workers_used: int
 
@@ -141,6 +130,25 @@ class ConfigResult:
     mean_delta: float | None
 
 
+def vote_path(
+    counts: Sequence[Mapping[str, int]], make_rng: Callable[[int], random.Random]
+) -> LabelTuple:
+    """Top-down plurality vote of a label path over per-level neighbor counts.
+
+    Level 2 is voted only under Relevant and level 3 only under NonFactual,
+    so the path is coherent without repair; a level not voted is NoLabel.
+    make_rng(level) is called only on a tie at a voted level.
+    """
+    # through the module-level name, so a wrapper installed on simulation.vote sees every grid vote
+    level1 = vote(counts[0], lambda: make_rng(1))
+    if level1 != RELEVANT:
+        return level1, NO_LABEL, NO_LABEL
+    level2 = vote(counts[1], lambda: make_rng(2))
+    if level2 != NONFACTUAL:
+        return level1, level2, NO_LABEL
+    return level1, level2, vote(counts[2], lambda: make_rng(3))
+
+
 def _arm_curve(
     ctx: SimulationContext,
     metric: SimilarityMetric,
@@ -152,26 +160,25 @@ def _arm_curve(
 ) -> tuple[F1Curve | None, int]:
     """Pool predictions for one arm across workers. Returns (curve, skipped).
 
-    Each query's neighbors are ranked once; every distinct k votes per level
-    on the prefix counts of that ranking. A vote derives its seeded rng only
-    when its top count is tied.
+    Each query's neighbors are ranked once; every distinct k votes a path on
+    the prefix counts of that ranking. A level's tie rng is seeded on its own
+    (tweet, k, level) parts and derived only on a tie, so a level that
+    vote_path skips changes no other draw.
     """
     sims = ctx.sims(metric)
     ks = sorted(set(k_grid))
-    pairs_per_k: dict[int, list[tuple[LabelPath, object]]] = {k: [] for k in ks}
+    pairs_per_k: dict[int, list[tuple[LabelTuple, LabelTuple]]] = {k: [] for k in ks}
     used = 0
     skipped = 0
     for wid in ctx.worker_ids:
-        stratum = ctx.strata[(wid, phase, arm)]
-        if len(stratum.tweets) < n:
+        training = ctx.strata[(wid, phase, arm)][:n]
+        if len(training) < n:
             skipped += 1
             continue
         used += 1
-        training = stratum.tweets[:n]
         train_ids = {tid for tid, _ in training}
-        level_rows = [[path.label(level) or NO_LABEL for _, path in training] for level in LEVELS]
-        window = ctx.windows[(wid, phase)]
-        for tid, truth in window:
+        level_rows = tuple(zip(*(path for _, path in training)))
+        for tid, truth in ctx.windows[(wid, phase)]:
             if tid in train_ids:
                 continue
             sim_values = [sims.sim(tid, train_tid) for train_tid, _ in training]
@@ -180,29 +187,16 @@ def _arm_curve(
             )
             order = rank_by_similarity(sim_values, order_rng)
             for k, counts in prefix_counts(order, level_rows, ks):
-                raw = [
-                    vote(
-                        level_counts,
-                        lambda: random.Random(
-                            stable_seed(seed, ctx.institution, metric.value, phase, n, wid, arm, "vote", tid, k, level)
-                        ),
-                    )
-                    for level, level_counts in zip(LEVELS, counts)
-                ]
-                pairs_per_k[k].append((truth, coerce_structure(*raw)))
+                predicted = vote_path(
+                    counts,
+                    lambda level: random.Random(
+                        stable_seed(seed, ctx.institution, metric.value, phase, n, wid, arm, "vote", tid, k, level)
+                    ),
+                )
+                pairs_per_k[k].append((truth, predicted))
     if used == 0:
         return None, skipped
-    points = {k: hierarchical_f1(pairs_per_k[k]) for k in ks}
-    curve = F1Curve(
-        institution=ctx.institution,
-        metric=metric.value,
-        phase=phase,
-        train_size=n,
-        arm=arm,
-        points=points,
-        workers_used=used,
-    )
-    return curve, skipped
+    return F1Curve(points={k: hierarchical_f1(pairs_per_k[k]) for k in ks}, workers_used=used), skipped
 
 
 def run_config(

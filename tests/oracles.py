@@ -201,3 +201,17 @@ def hier_f1_direct(pairs):
 def path_label_set(*labels):
     """Ancestor-closed label set of a path already known to be coherent."""
     return frozenset(lab for lab in labels if lab and lab != "NoLabel")
+
+
+def coerce_structure(level1, level2, level3):
+    """Repair independent per-level votes into a coherent path tuple.
+
+    The grid's old route, kept as the reference for the top-down vote: every
+    level is voted, then an Irrelevant level 1 blanks both lower levels and a
+    level 2 other than NonFactual blanks level 3.
+    """
+    if level1 == "Irrelevant":
+        level2 = level3 = "NoLabel"
+    if level2 in ("Factual", "NoLabel"):
+        level3 = "NoLabel"
+    return level1, level2, level3

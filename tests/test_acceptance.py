@@ -37,7 +37,7 @@ from annodiff.difficulty import (
     knn_label_certainty,
     labeling_costs,
 )
-from annodiff.knn import PredictedPath, coerce_structure, hierarchical_f1
+from annodiff.knn import hierarchical_f1
 from annodiff.labels import (
     FACTUAL,
     IRRELEVANT,
@@ -180,10 +180,10 @@ def _check_family_kmeans():
 
 
 TRUTH_PATHS = (
-    LabelPath(IRRELEVANT),
-    LabelPath(RELEVANT, FACTUAL),
-    LabelPath(RELEVANT, NONFACTUAL, POSITIVE),
-    LabelPath(RELEVANT, NONFACTUAL, NEGATIVE),
+    (IRRELEVANT, NO_LABEL, NO_LABEL),
+    (RELEVANT, FACTUAL, NO_LABEL),
+    (RELEVANT, NONFACTUAL, POSITIVE),
+    (RELEVANT, NONFACTUAL, NEGATIVE),
 )
 
 
@@ -193,7 +193,7 @@ def _check_family_hierarchical_f1():
         pairs = []
         for _ in range(rng.randint(1, 12)):
             truth = rng.choice(TRUTH_PATHS)
-            predicted = coerce_structure(
+            predicted = oracles.coerce_structure(
                 rng.choice((RELEVANT, IRRELEVANT)),
                 rng.choice((FACTUAL, NONFACTUAL, NO_LABEL)),
                 rng.choice((POSITIVE, NEGATIVE, NO_LABEL)),
@@ -201,18 +201,9 @@ def _check_family_hierarchical_f1():
             pairs.append((truth, predicted))
         value = hierarchical_f1(pairs)
         assert 0.0 <= value <= 1.0
-        sets = [
-            (
-                oracles.path_label_set(t.level1, t.level2, t.level3),
-                oracles.path_label_set(p.level1, p.level2, p.level3),
-            )
-            for t, p in pairs
-        ]
+        sets = [(oracles.path_label_set(*t), oracles.path_label_set(*p)) for t, p in pairs]
         assert value == pytest.approx(oracles.hier_f1_direct(sets), abs=1e-12)
-        perfect = [
-            (t, PredictedPath(t.level1, t.level2 or NO_LABEL, t.level3 or NO_LABEL))
-            for t, _ in pairs
-        ]
+        perfect = [(t, t) for t, _ in pairs]
         assert hierarchical_f1(perfect) == 1.0
 
 

@@ -346,6 +346,24 @@ def test_simulate_refuses_scores_that_lost_whole_rows(dataset_dir, tmp_path, cap
     assert not (out / "outcomes.csv").exists()
 
 
+def test_simulate_refuses_a_repeated_score_row(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0
+    scores = out / "scores.csv"
+    text = scores.read_text()
+    row = text.splitlines()[2].split(",")
+    row[-1] = "difficult" if row[-1] == "easy" else "easy"
+    # a copy of the first row with its class flipped: the last row used to
+    # win, and the count of distinct tweets still matched summary.json
+    scores.write_text(text + ",".join(row) + "\n")
+    capsys.readouterr()
+    assert cli.main(_simulate_args(dataset_dir, out)) == 1
+    err = capsys.readouterr().err
+    assert str(scores) in err
+    assert f"tweet {row[1]} has more than one row" in err
+    assert not (out / "outcomes.csv").exists()
+
+
 def test_simulate_refuses_unstamped_scores(dataset_dir, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0

@@ -7,23 +7,18 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from annodiff.config import stable_seed
-from annodiff.knn import (
-    PredictedPath,
-    coerce_structure,
-    hierarchical_f1,
-    prefix_counts,
-    rank_by_similarity,
-    vote,
-)
-from annodiff.labels import LEVELS, LabelPath, NO_LABEL, label_set
+from annodiff.knn import hierarchical_f1, prefix_counts, rank_by_similarity, vote
+from annodiff.labels import LEVEL_LABELS, LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, label_set
+from annodiff.simulation import vote_path
 from annodiff.textsim import SimilarityMetric, nsim
-from oracles import hier_f1_direct, path_label_set
+from oracles import coerce_structure, hier_f1_direct, path_label_set
 
+# truth paths as the grid holds them: (level1, level2, level3), NoLabel blanks
 PATHS = [
-    LabelPath("Irrelevant"),
-    LabelPath("Relevant", "Factual"),
-    LabelPath("Relevant", "NonFactual", "Positive"),
-    LabelPath("Relevant", "NonFactual", "Negative"),
+    ("Irrelevant", NO_LABEL, NO_LABEL),
+    ("Relevant", "Factual", NO_LABEL),
+    ("Relevant", "NonFactual", "Positive"),
+    ("Relevant", "NonFactual", "Negative"),
 ]
 
 
@@ -34,20 +29,16 @@ def test_label_set_closure():
 
 def level_rows(examples):
     """Per-level label rows of (words, path) examples; blanks are NoLabel."""
-    return [[path.label(level) or NO_LABEL for _, path in examples] for level in LEVELS]
+    return list(zip(*(path for _, path in examples)))
 
 
 def predict(examples, query, k, seed, metric=SimilarityMetric.EDIT):
     """Predict a label path the way the grid does: rank the examples once,
-    count the first min(k, n) labels per level, vote, coerce."""
+    count the first min(k, n) labels per level, vote top-down."""
     sims = [nsim(query, words, metric) for words, _ in examples]
     order = rank_by_similarity(sims, random.Random(stable_seed(seed, "order")))
     _, counts = next(prefix_counts(order, level_rows(examples), [k]))
-    raw = [
-        vote(level_counts, lambda: random.Random(stable_seed(seed, "vote", level)))
-        for level, level_counts in zip(LEVELS, counts)
-    ]
-    return coerce_structure(*raw)
+    return vote_path(counts, lambda level: random.Random(stable_seed(seed, "vote", level)))
 
 
 def test_prefix_counts_cover_every_row():
@@ -105,18 +96,18 @@ def test_prefix_counts_match_sliced_counters(labels, ks, data):
 
 def test_predict_exact_match_k1():
     examples = [
-        (("budget", "plan", "works"), LabelPath("Relevant", "NonFactual", "Positive")),
-        (("boring", "rerun", "tonight"), LabelPath("Irrelevant")),
+        (("budget", "plan", "works"), PATHS[2]),
+        (("boring", "rerun", "tonight"), PATHS[0]),
     ]
     path = predict(examples, ("budget", "plan", "works"), 1, 0, SimilarityMetric.SUBSTRING)
-    assert path == PredictedPath("Relevant", "NonFactual", "Positive")
+    assert path == ("Relevant", "NonFactual", "Positive")
     path = predict(examples, ("boring", "rerun", "tonight"), 1, 0, SimilarityMetric.SUBSTRING)
-    assert path == PredictedPath("Irrelevant", NO_LABEL, NO_LABEL)
+    assert path == ("Irrelevant", NO_LABEL, NO_LABEL)
 
 
 def test_predict_only_irrelevant_training():
-    path = predict([(("zzz",), LabelPath("Irrelevant"))], ("anything", "else"), 3, 7)
-    assert path == PredictedPath("Irrelevant", NO_LABEL, NO_LABEL)
+    path = predict([(("zzz",), PATHS[0])], ("anything", "else"), 3, 7)
+    assert path == ("Irrelevant", NO_LABEL, NO_LABEL)
 
 
 def test_predict_deterministic_under_seed():
@@ -136,8 +127,36 @@ def test_predict_deterministic_under_seed():
         (("Relevant", "NonFactual", "Negative"), ("Relevant", "NonFactual", "Negative")),
     ],
 )
-def test_coerce_structure(raw, expected):
-    assert coerce_structure(*raw) == PredictedPath(*expected)
+def test_vote_path_blanks_levels_the_tree_forbids(raw, expected):
+    def make_rng(level):
+        raise AssertionError(f"make_rng({level}) called without a tie")
+
+    assert vote_path([{label: 1} for label in raw], make_rng) == expected
+    assert coerce_structure(*raw) == expected
+
+
+LEVEL_COUNTS = [
+    st.dictionaries(st.sampled_from(labels), st.integers(1, 4), min_size=1)
+    for labels in (LEVEL_LABELS[1], (*LEVEL_LABELS[2], NO_LABEL), (*LEVEL_LABELS[3], NO_LABEL))
+]
+
+
+@given(counts=st.tuples(*LEVEL_COUNTS), seed=st.integers(0, 2**32))
+def test_vote_path_matches_voting_every_level_then_coercing(counts, seed):
+    def rng(level):
+        return random.Random(stable_seed(seed, "vote", level))
+
+    called = []
+
+    def make_rng(level):
+        called.append(level)
+        return rng(level)
+
+    path = vote_path(counts, make_rng)
+    expected = coerce_structure(*(vote(c, lambda level=level: rng(level)) for level, c in zip(LEVELS, counts)))
+    assert path == expected
+    skipped = {2, 3} if path[0] != RELEVANT else {3} if path[1] != NONFACTUAL else set()
+    assert not skipped & set(called)
 
 
 def test_rank_by_similarity_orders_descending():
@@ -210,25 +229,21 @@ def test_duplicating_training_set_with_doubled_k_is_noop(examples, query, k, see
 # --- hierarchical F1 ---
 
 
-def as_predicted(path):
-    return PredictedPath(path.level1, path.level2 or NO_LABEL, path.level3 or NO_LABEL)
-
-
 def test_f1_perfect_predictions():
-    pairs = [(p, as_predicted(p)) for p in PATHS]
+    pairs = [(p, p) for p in PATHS]
     assert hierarchical_f1(pairs) == 1.0
 
 
 def test_f1_partial_overlap():
-    truth = LabelPath("Relevant", "NonFactual", "Negative")
-    predicted = PredictedPath("Relevant", "Factual", NO_LABEL)
+    truth = ("Relevant", "NonFactual", "Negative")
+    predicted = ("Relevant", "Factual", NO_LABEL)
     # one of two predicted labels is right, one of three truth labels found
     assert hierarchical_f1([(truth, predicted)]) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_f1_no_overlap_is_zero():
-    truth = LabelPath("Irrelevant")
-    predicted = PredictedPath("Relevant", "Factual", NO_LABEL)
+    truth = ("Irrelevant", NO_LABEL, NO_LABEL)
+    predicted = ("Relevant", "Factual", NO_LABEL)
     assert hierarchical_f1([(truth, predicted)]) == 0.0
 
 
@@ -240,34 +255,19 @@ def test_f1_rejects_empty():
 def test_f1_flat_case_equals_micro_f1():
     # single-level paths on both sides collapse to plain micro-averaged F1,
     # which for one label per item is accuracy
-    truth = [LabelPath("Irrelevant")] * 10
-    predicted = [PredictedPath("Irrelevant", NO_LABEL, NO_LABEL)] * 7 + [
-        PredictedPath("Relevant", NO_LABEL, NO_LABEL)
-    ] * 3
+    truth = [("Irrelevant", NO_LABEL, NO_LABEL)] * 10
+    predicted = [("Irrelevant", NO_LABEL, NO_LABEL)] * 7 + [("Relevant", NO_LABEL, NO_LABEL)] * 3
     pairs = list(zip(truth, predicted))
     assert hierarchical_f1(pairs) == pytest.approx(0.7, abs=1e-12)
 
 
-predicted_paths = st.sampled_from(
-    [
-        PredictedPath("Irrelevant", NO_LABEL, NO_LABEL),
-        PredictedPath("Relevant", "Factual", NO_LABEL),
-        PredictedPath("Relevant", "NonFactual", NO_LABEL),
-        PredictedPath("Relevant", "NonFactual", "Positive"),
-        PredictedPath("Relevant", "NonFactual", "Negative"),
-    ]
-)
+predicted_paths = st.sampled_from([*PATHS, ("Relevant", "NonFactual", NO_LABEL)])
 pair_lists = st.lists(st.tuples(st.sampled_from(PATHS), predicted_paths), min_size=1, max_size=20)
 
 
 @given(pairs=pair_lists)
 def test_f1_matches_direct_formula(pairs):
-    expected = hier_f1_direct(
-        [
-            (path_label_set(t.level1, t.level2, t.level3), path_label_set(p.level1, p.level2, p.level3))
-            for t, p in pairs
-        ]
-    )
+    expected = hier_f1_direct([(path_label_set(*t), path_label_set(*p)) for t, p in pairs])
     value = hierarchical_f1(pairs)
     assert value == pytest.approx(expected, abs=1e-12)
     assert 0.0 <= value <= 1.0
@@ -282,5 +282,5 @@ def test_f1_permutation_invariant(pairs, data):
 @given(pairs=pair_lists, extra=st.sampled_from(PATHS))
 def test_f1_never_drops_when_perfect_pair_added(pairs, extra):
     base = hierarchical_f1(pairs)
-    extended = hierarchical_f1(pairs + [(extra, as_predicted(extra))])
+    extended = hierarchical_f1(pairs + [(extra, extra)])
     assert extended >= base - 1e-12

@@ -84,24 +84,16 @@ def test_read_csv_without_config_line(tmp_path):
 
 
 def _result(code, delta, with_curves=True):
-    def curve(arm):
-        return F1Curve(
-            institution="MD",
-            metric="edit",
-            phase="late",
-            train_size=4,
-            arm=arm,
-            points={3: 0.75, 1: 1 / 3},
-            workers_used=2,
-        )
+    def curve():
+        return F1Curve(points={3: 0.75, 1: 1 / 3}, workers_used=2)
 
     return ConfigResult(
         institution="MD",
         metric="edit",
         phase="late",
         train_size=4,
-        curve_easy=curve("easy") if with_curves else None,
-        curve_difficult=curve("difficult") if with_curves else None,
+        curve_easy=curve() if with_curves else None,
+        curve_difficult=curve() if with_curves else None,
         skipped_easy=0 if with_curves else 1,
         skipped_difficult=0,
         code=code,

@@ -59,28 +59,32 @@ def test_build_strata_windows_and_exclusion():
     assert [tid for tid, _ in early] == [f"w1_t{i:02d}" for i in range(25)]
     assert [tid for tid, _ in late] == [f"w1_t{i:02d}" for i in range(25, 50)]
     # annotations 51..60 appear in no window
-    strata = {(s.phase, s.klass): s for s in built.strata}
-    assert len(strata) == 4
-    assert len(strata[("early", "easy")].tweets) == 13
-    assert len(strata[("early", "difficult")].tweets) == 12
-    assert len(strata[("late", "easy")].tweets) == 12
-    assert len(strata[("late", "difficult")].tweets) == 13
+    assert len(built.strata) == 4
+    assert len(built.strata[("w1", "early", "easy")]) == 13
+    assert len(built.strata[("w1", "early", "difficult")]) == 12
+    assert len(built.strata[("w1", "late", "easy")]) == 12
+    assert len(built.strata[("w1", "late", "difficult")]) == 13
+    # each tweet's labels are held as a path tuple with NoLabel blanks
+    assert early[:2] == (
+        ("w1_t00", ("Relevant", "NonFactual", "Positive")),
+        ("w1_t01", ("Irrelevant", "NoLabel", "NoLabel")),
+    )
 
 
 def test_build_strata_unclassed_tweets_stay_in_window():
     ds, classes = _alternating_dataset(50)
     del classes["w1_t00"]
     built = build_strata(ds, classes)
-    early_easy = next(s for s in built.strata if s.phase == "early" and s.klass == "easy")
-    assert all(tid != "w1_t00" for tid, _ in early_easy.tweets)
+    early_easy = built.strata[("w1", "early", "easy")]
+    assert all(tid != "w1_t00" for tid, _ in early_easy)
     assert any(tid == "w1_t00" for tid, _ in built.windows[("w1", "early")])
 
 
 def test_stratum_tweets_keep_annotation_order():
     ds, classes = _alternating_dataset(50)
     built = build_strata(ds, classes)
-    for stratum in built.strata:
-        ids = [tid for tid, _ in stratum.tweets]
+    for stratum in built.strata.values():
+        ids = [tid for tid, _ in stratum]
         assert ids == sorted(ids)  # tweet ids were minted in annotation order
 
 
@@ -166,21 +170,13 @@ def test_run_grid_covers_all_configurations():
 # --- outcome coding ---
 
 
-def _curve(points, arm="easy"):
-    return F1Curve(
-        institution="MD",
-        metric="edit",
-        phase="late",
-        train_size=5,
-        arm=arm,
-        points=dict(points),
-        workers_used=3,
-    )
+def _curve(points):
+    return F1Curve(points=dict(points), workers_used=3)
 
 
 def test_mean_curve_delta():
     easy = _curve({1: 0.6, 3: 0.7, 5: 0.8})
-    difficult = _curve({1: 0.5, 3: 0.7, 5: 0.6}, arm="difficult")
+    difficult = _curve({1: 0.5, 3: 0.7, 5: 0.6})
     assert mean_curve_delta(easy, difficult) == pytest.approx(0.1, abs=1e-12)
 
 
@@ -213,7 +209,7 @@ grid_values = st.tuples(*(st.floats(0, 1) for _ in range(3)))
 @given(values_e=grid_values, values_d=grid_values, epsilon=st.floats(0, 0.2))
 def test_encode_outcome_antisymmetric(values_e, values_d, epsilon):
     easy = _curve(dict(zip((1, 3, 5), values_e)))
-    difficult = _curve(dict(zip((1, 3, 5), values_d)), arm="difficult")
+    difficult = _curve(dict(zip((1, 3, 5), values_d)))
     forward = _code(easy, difficult, epsilon)
     backward = _code(difficult, easy, epsilon)
     assert backward == {"E": "D", "D": "E", "T": "T"}[forward]
