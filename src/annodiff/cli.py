@@ -249,6 +249,22 @@ def _refuse_lost_rows(scores_path: Path, by_institution: dict[str, dict], summar
             )
 
 
+def _refuse_unlabeled_rows(scores_path: Path, by_institution: dict[str, dict], dataset: Dataset) -> None:
+    """Every row of a reused scores.csv must name a tweet that its
+    institution's annotations label; any other row would silently drop out
+    of every stratum."""
+    labeled: dict[str, set[str]] = {}
+    for worker in dataset.workers.values():
+        labeled.setdefault(worker.institution, set()).update(a.tweet_id for a in worker.annotations)
+    for institution, scores in sorted(by_institution.items()):
+        unknown = sorted(set(scores) - labeled.get(institution, set()))
+        if unknown:
+            raise AnnodiffError(
+                f"{scores_path} holds {len(unknown)} {institution} row(s) for tweets that no {institution} "
+                f"annotation labels, first {', '.join(unknown[:5])}; rerun score or remove the file"
+            )
+
+
 def cmd_simulate(args) -> int:
     config = _make_run_config(args)
     dataset = load_dataset(config.annotations, config.tweets)
@@ -276,6 +292,7 @@ def cmd_simulate(args) -> int:
                 "rerun score or remove the file"
             )
         _refuse_lost_rows(scores_path, by_institution, out / "summary.json")
+        _refuse_unlabeled_rows(scores_path, by_institution, dataset)
         scored = {inst: list(scores.values()) for inst, scores in sorted(by_institution.items())}
         print(f"loaded difficulty scores from {scores_path}")
     else:

@@ -21,7 +21,7 @@ from annodiff.errors import AnnodiffError
 from annodiff.knn import prefix_counts, rank_by_similarity
 from annodiff.labels import LABEL_ORDER, LEVELS, LEVEL_LABELS
 from annodiff.stats import kmeans_1d
-from annodiff.textsim import PairSimilarity, SimilarityMetric
+from annodiff.textsim import SimilarityMetric, similarity_rows
 
 logger = logging.getLogger(__name__)
 
@@ -133,14 +133,16 @@ def predictor_certainties(
     config.k_certainty-nearest-neighbor predictor per hierarchy level, over
     config.certainty_metric similarity and trained on the training
     partition, emits a certainty row smoothed by config.smoothing for every
-    test tweet. Rows are aggregated across workers per tweet.
+    test tweet. All of a worker's test tweets get their similarities to its
+    training tweets from one similarity_rows call, and each ranking stops at
+    rank config.k_certainty. Rows are aggregated across workers per tweet.
 
     Labeled tweets that land in no worker's test partition get the population
     mean certainty; their ids are reported in the result.
     """
     if not 0 < config.split_ratio < 1:
         raise ValueError("split_ratio must be strictly between 0 and 1")
-    sims = PairSimilarity(words_by_id, SimilarityMetric(config.certainty_metric))
+    metric = SimilarityMetric(config.certainty_metric)
     rows_by_tweet: dict[str, list[dict[int, dict[str, float]]]] = {}
     for wid in dataset.worker_ids():
         annotations = dataset.workers[wid].annotations
@@ -164,16 +166,18 @@ def predictor_certainties(
                 pools[level].append(position)
                 pool_labels[level].append(label)
 
-        for tid in test_ids:
-            # one similarity row per test tweet, shared by the three levels
-            sim_row = [sims.sim(tid, other) for other in train_ids]
+        # one similarity row per test tweet, shared by the three levels
+        sim_rows = similarity_rows(
+            [words_by_id[tid] for tid in test_ids], [words_by_id[tid] for tid in train_ids], metric
+        )
+        for tid, sim_row in zip(test_ids, sim_rows):
             row: dict[int, dict[str, float]] = {}
             for level, pool in pools.items():
                 if not pool:
                     continue
                 sim_values = [sim_row[position] for position in pool]
                 order_rng = random.Random(stable_seed(config.seed, "certainty-order", wid, tid, level))
-                order = rank_by_similarity(sim_values, order_rng)
+                order = rank_by_similarity(sim_values, order_rng, config.k_certainty)
                 _, (counts,) = next(prefix_counts(order, [pool_labels[level]], [config.k_certainty]))
                 row[level] = knn_label_certainty(counts, config.smoothing, LEVEL_LABELS[level])
             if row:

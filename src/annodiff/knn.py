@@ -1,14 +1,14 @@
 """Per-worker k-nearest-neighbor label prediction in three steps.
 
 rank_by_similarity orders a worker's labeled tweets by similarity to a query,
-prefix_counts counts the labels of the first min(k, n) of them for each k,
-and vote picks the plurality label from those counts. One ranking serves
-every k and every hierarchy level. The grid predicts a whole label path this
-way over rows in which a blank level (below Irrelevant or Factual) counts as
-an explicit NoLabel class, voting top-down (simulation.vote_path), and
-hierarchical_f1 scores (truth, predicted) path tuples. The certainty
-component counts the labels of one level and turns them into smoothed
-certainties instead of a vote.
+as deep as the largest k needs, prefix_counts counts the labels of the first
+min(k, n) of them for each k, and vote picks the plurality label from those
+counts. One ranking serves every k and every hierarchy level. The grid
+predicts a whole label path this way over rows in which a blank level (below
+Irrelevant or Factual) counts as an explicit NoLabel class, voting top-down
+(simulation.vote_path), and hierarchical_f1 scores (truth, predicted) path
+tuples. The certainty component counts the labels of one level and turns
+them into smoothed certainties instead of a vote.
 """
 
 from __future__ import annotations
@@ -23,26 +23,31 @@ from annodiff.labels import LABEL_ORDER, label_set
 _path_set = cache(label_set)
 
 
-def rank_by_similarity(sims: Sequence[float], rng: random.Random) -> list[int]:
-    """Indices ordered by descending similarity.
+def rank_by_similarity(sims: Sequence[float], rng: random.Random, depth: int) -> list[int]:
+    """The indices of the depth most similar items, by descending similarity.
 
-    Equal similarities are shuffled by the given rng, which settles which
-    examples make the cut when a tie spans the k-th rank. The prefix of
-    length k is the neighbor set for any k.
+    One stable sort puts equal similarities in index order; then each group
+    of equal similarities is shuffled by the given rng, from the top down,
+    until the group that holds rank depth is done. That settles which items
+    make the cut when a tie spans it, and draws from the rng exactly as
+    shuffling every group would up to that point, so the result is the
+    prefix of the full ranking. The prefix of length k is the neighbor set
+    for any k up to depth.
     """
-    order = sorted(range(len(sims)), key=lambda i: -sims[i])
-    out: list[int] = []
+    order = sorted(range(len(sims)), key=sims.__getitem__, reverse=True)
+    end = min(max(depth, 0), len(order))
     i = 0
-    while i < len(order):
-        j = i
-        while j < len(order) and sims[order[j]] == sims[order[i]]:
+    while i < end:
+        value = sims[order[i]]
+        j = i + 1
+        while j < len(order) and sims[order[j]] == value:
             j += 1
-        group = order[i:j]
-        if len(group) > 1:
+        if j - i > 1:
+            group = order[i:j]
             rng.shuffle(group)
-        out.extend(group)
+            order[i:j] = group
         i = j
-    return out
+    return order[:end]
 
 
 def prefix_counts(

@@ -185,7 +185,7 @@ def _arm_curve(
             order_rng = random.Random(
                 stable_seed(seed, ctx.institution, metric.value, phase, n, wid, arm, "order", tid)
             )
-            order = rank_by_similarity(sim_values, order_rng)
+            order = rank_by_similarity(sim_values, order_rng, ks[-1])
             for k, counts in prefix_counts(order, level_rows, ks):
                 predicted = vote_path(
                     counts,

@@ -1,7 +1,9 @@
 """Word-level similarity between short texts.
 
 Texts are compared as word sequences, not character strings. All similarity
-values are normalized to [0, 1] by the length of the longer sequence. The
+values are normalized to [0, 1] by the length of the longer sequence. nsim
+compares one pair; similarity_rows compares many queries with one pool and
+gives the same floats, and PairSimilarity caches pairs over an id table. The
 functions here are pure and safe to call from multiple threads.
 """
 
@@ -9,7 +11,7 @@ from __future__ import annotations
 
 import string
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 # characters stripped from both ends of each token; '#' and '@' survive so
 # hashtags and mentions keep their marker
@@ -166,13 +168,101 @@ def nsim(
     raise ValueError(f"unknown metric: {metric!r}")
 
 
-class PairSimilarity:
-    """Memoized nsim over a fixed id -> words table.
+def _gram_levels(pool: Sequence[WordSequence]) -> Callable[[int], dict[WordSequence, list[int]]]:
+    """Lazy r-gram index of a pool: level(r) maps each run of r consecutive
+    words to the ascending pool positions whose sequence holds it, built on
+    the first request for that r."""
+    levels: list[dict[WordSequence, list[int]]] = []
 
-    Tweets are compared many times across workers and train sizes, so pair
-    similarities are cached under a symmetric key, and each tweet's
+    def level(r: int) -> dict[WordSequence, list[int]]:
+        while len(levels) < r:
+            n = len(levels) + 1
+            grams: dict[WordSequence, list[int]] = {}
+            for position, words in enumerate(pool):
+                for j in range(len(words) - n + 1):
+                    holders = grams.setdefault(words[j : j + n], [])
+                    if not holders or holders[-1] != position:
+                        holders.append(position)
+            levels.append(grams)
+        return levels[r - 1]
+
+    return level
+
+
+def _substring_lengths(query: WordSequence, level: Callable[[int], Mapping[WordSequence, list[int]]]) -> dict[int, int]:
+    """Longest common run of the query with each pool sequence that shares
+    a word with it, by pool position. A run of r words starting at query
+    position i exists only if the run of r - 1 words there does, so each
+    length looks up only the starts that hit at the length before, and the
+    search stops at the first length with no hit."""
+    longest: dict[int, int] = {}
+    starts = range(len(query))
+    r = 1
+    while starts:
+        grams = level(r)
+        hit = []
+        for i in starts:
+            if i + r > len(query):
+                break
+            holders = grams.get(query[i : i + r])
+            if holders:
+                hit.append(i)
+                for position in holders:
+                    longest[position] = r
+        starts = hit
+        r += 1
+    return longest
+
+
+def similarity_rows(
+    queries: Sequence[WordSequence], pool: Sequence[WordSequence], metric: SimilarityMetric
+) -> list[list[float]]:
+    """Each query's similarity to every pool sequence, by pool position.
+
+    The floats are those of nsim(query, pool[j], metric), except that two
+    empty sequences give 1.0, as in PairSimilarity. substring reads one r-gram
+    index of the pool, shared by all queries; subsequence and edit build each
+    query's word_masks once and run the pair kernels with the pool sequence
+    as the first argument, which gives the same integers because all three
+    measures are symmetric.
+    """
+    lengths = [len(words) for words in pool]
+    rows: list[list[float]] = []
+    if metric is SimilarityMetric.SUBSTRING:
+        level = _gram_levels([tuple(words) for words in pool])
+        for query in queries:
+            query = tuple(query)  # its runs are looked up as dict keys
+            n = len(query)
+            if not n:
+                rows.append([0.0 if m else 1.0 for m in lengths])
+                continue
+            row = [0.0] * len(pool)
+            for position, run in _substring_lengths(query, level).items():
+                row[position] = run / max(n, lengths[position])
+            rows.append(row)
+        return rows
+    if metric not in (SimilarityMetric.SUBSEQUENCE, SimilarityMetric.EDIT):
+        raise ValueError(f"unknown metric: {metric!r}")
+    for query in queries:
+        n = len(query)
+        masks = word_masks(query)
+        if metric is SimilarityMetric.SUBSEQUENCE:
+            row = [_subsequence(words, masks, n) / max(n, m) if n or m else 1.0 for words, m in zip(pool, lengths)]
+        else:
+            row = [1.0 - _edit(words, masks, n) / max(n, m) if n or m else 1.0 for words, m in zip(pool, lengths)]
+        rows.append(row)
+    return rows
+
+
+class PairSimilarity:
+    """Memoized nsim over a fixed id -> words table: the simulation grid's
+    similarity cache.
+
+    The grid compares the same pairs again for each nested training size,
+    so pair similarities are cached under a symmetric key, and each tweet's
     word_masks are built once, on its first use. Two empty sequences are
-    treated as identical (similarity 1.0) to keep pipelines total.
+    treated as identical (similarity 1.0) to keep pipelines total. The
+    certainty kNN compares each pair once and reads similarity_rows instead.
     """
 
     def __init__(self, words_by_id: Mapping[str, WordSequence], metric: SimilarityMetric):

@@ -215,3 +215,25 @@ def coerce_structure(level1, level2, level3):
     if level2 in ("Factual", "NoLabel"):
         level3 = "NoLabel"
     return level1, level2, level3
+
+
+def rank_full(sims, rng):
+    """Every index by descending similarity, each group of equal
+    similarities shuffled by rng from the top down.
+
+    The ranking's old route, which shuffled every tie group: the reference
+    whose prefix rank_by_similarity must give at any depth.
+    """
+    order = sorted(range(len(sims)), key=lambda i: -sims[i])
+    out = []
+    i = 0
+    while i < len(order):
+        j = i
+        while j < len(order) and sims[order[j]] == sims[order[i]]:
+            j += 1
+        group = order[i:j]
+        if len(group) > 1:
+            rng.shuffle(group)
+        out.extend(group)
+        i = j
+    return out

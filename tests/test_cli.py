@@ -364,6 +364,21 @@ def test_simulate_refuses_a_repeated_score_row(dataset_dir, tmp_path, capsys):
     assert not (out / "outcomes.csv").exists()
 
 
+def test_simulate_refuses_scores_of_tweets_nobody_labeled(dataset_dir, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0
+    scores = out / "scores.csv"
+    text = scores.read_text()
+    assert ",t000," in text
+    # the row count still matches summary.json, so only the ids can tell
+    scores.write_text(text.replace(",t000,", ",no_such_tweet,"))
+    capsys.readouterr()
+    assert cli.main(_simulate_args(dataset_dir, out)) == 1
+    err = capsys.readouterr().err
+    assert f"{scores} holds 1 MD row(s) for tweets that no MD annotation labels, first no_such_tweet" in err
+    assert not (out / "outcomes.csv").exists()
+
+
 def test_simulate_refuses_unstamped_scores(dataset_dir, tmp_path, capsys):
     out = tmp_path / "out"
     assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0

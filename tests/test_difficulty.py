@@ -5,7 +5,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from annodiff import textsim
+from annodiff import difficulty, textsim
 from annodiff.config import RunConfig
 from annodiff.dataset import (
     Annotation,
@@ -344,34 +344,30 @@ def test_scoring_is_deterministic(small_synthetic):
 
 
 def test_certainty_computes_one_row_per_test_tweet_and_each_pair_once(small_synthetic, monkeypatch):
-    looked_up = []
-    computed = []
-    sim, nsim = textsim.PairSimilarity.sim, textsim.nsim
+    calls = []
+    similarity_rows = difficulty.similarity_rows
 
-    def recording_sim(self, id_a, id_b):
-        looked_up.append((id_a, id_b))
-        return sim(self, id_a, id_b)
+    def recording_rows(queries, pool, metric):
+        rows = similarity_rows(queries, pool, metric)
+        calls.append((len(queries), len(pool), [len(row) for row in rows]))
+        return rows
 
-    def counting_nsim(*args, **kwargs):
-        computed.append(args[:2])
-        return nsim(*args, **kwargs)
+    def no_pair_lookups(*args, **kwargs):
+        raise AssertionError("certainty must read similarity rows, not single pairs")
 
-    monkeypatch.setattr(textsim.PairSimilarity, "sim", recording_sim)
-    monkeypatch.setattr(textsim, "nsim", counting_nsim)
+    monkeypatch.setattr(difficulty, "similarity_rows", recording_rows)
+    monkeypatch.setattr(textsim.PairSimilarity, "sim", no_pair_lookups)
+    monkeypatch.setattr(textsim, "nsim", no_pair_lookups)
     config = _config()
     predictor_certainties(small_synthetic, small_synthetic.word_sequences(), config)
-    # each worker's test tweet is compared once with each of its training
-    # tweets, whatever the levels they are labeled at
-    rows = 0
-    for worker in small_synthetic.workers.values():
-        n = len(worker.annotations)
+    # one call per worker; each of its test tweets gets one row against all
+    # of its training tweets, whatever the levels they are labeled at
+    expected = []
+    for wid in small_synthetic.worker_ids():
+        n = len(small_synthetic.workers[wid].annotations)
         train = max(1, math.floor(config.split_ratio * n))
-        rows += (n - train) * train
-    assert len(looked_up) == rows
-    # tweets shared between workers repeat pairs, which are computed once
-    distinct = {frozenset(pair) for pair in looked_up}
-    assert len(distinct) < rows
-    assert len(computed) == len(distinct)
+        expected.append((n - train, train, [train] * (n - train)))
+    assert calls == expected
 
 
 def test_scoring_reports_cost_exclusions():

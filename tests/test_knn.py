@@ -11,7 +11,7 @@ from annodiff.knn import hierarchical_f1, prefix_counts, rank_by_similarity, vot
 from annodiff.labels import LEVEL_LABELS, LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, label_set
 from annodiff.simulation import vote_path
 from annodiff.textsim import SimilarityMetric, nsim
-from oracles import coerce_structure, hier_f1_direct, path_label_set
+from oracles import coerce_structure, hier_f1_direct, path_label_set, rank_full
 
 # truth paths as the grid holds them: (level1, level2, level3), NoLabel blanks
 PATHS = [
@@ -36,7 +36,7 @@ def predict(examples, query, k, seed, metric=SimilarityMetric.EDIT):
     """Predict a label path the way the grid does: rank the examples once,
     count the first min(k, n) labels per level, vote top-down."""
     sims = [nsim(query, words, metric) for words, _ in examples]
-    order = rank_by_similarity(sims, random.Random(stable_seed(seed, "order")))
+    order = rank_by_similarity(sims, random.Random(stable_seed(seed, "order")), k)
     _, counts = next(prefix_counts(order, level_rows(examples), [k]))
     return vote_path(counts, lambda level: random.Random(stable_seed(seed, "vote", level)))
 
@@ -161,14 +161,36 @@ def test_vote_path_matches_voting_every_level_then_coercing(counts, seed):
 
 def test_rank_by_similarity_orders_descending():
     sims = [0.2, 0.9, 0.4, 0.9, 0.1]
-    order = rank_by_similarity(sims, random.Random(3))
+    order = rank_by_similarity(sims, random.Random(3), len(sims))
     assert [sims[i] for i in order] == [0.9, 0.9, 0.4, 0.2, 0.1]
     assert set(order[:2]) == {1, 3}
 
 
 def test_rank_by_similarity_deterministic():
     sims = [0.5] * 6
-    assert rank_by_similarity(sims, random.Random(9)) == rank_by_similarity(sims, random.Random(9))
+    assert rank_by_similarity(sims, random.Random(9), 6) == rank_by_similarity(sims, random.Random(9), 6)
+
+
+def test_rank_by_similarity_draws_nothing_below_the_cut():
+    # the top group is one item, so the tie of the three below it is never shuffled
+    rng = random.Random(4)
+    state = rng.getstate()
+    assert rank_by_similarity([0.5, 1.0, 0.5, 0.5], rng, 1) == [1]
+    assert rng.getstate() == state
+    assert rank_by_similarity([0.5, 1.0, 0.5], rng, 0) == []
+    assert rng.getstate() == state
+
+
+# few distinct values, so ties often span the cut
+tied_sims = st.lists(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), max_size=12)
+
+
+@given(sims=tied_sims, seed=st.integers(0, 2**32), data=st.data())
+def test_rank_by_similarity_is_a_prefix_of_the_full_ranking(sims, seed, data):
+    n = len(sims)
+    depth = data.draw(st.sampled_from([0, 1, n // 2, max(n - 1, 0), n, n + 1, n + 5]) | st.integers(0, n + 2))
+    order = rank_by_similarity(sims, random.Random(seed), depth)
+    assert order == rank_full(sims, random.Random(seed))[: min(depth, n)]
 
 
 def _rng(seed):

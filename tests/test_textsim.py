@@ -10,6 +10,7 @@ from annodiff.textsim import (
     lcs_subsequence_words,
     lcs_substring_words,
     nsim,
+    similarity_rows,
     tokenize,
     word_masks,
 )
@@ -160,3 +161,41 @@ def test_pair_similarity_cache():
     # two empty word sequences count as identical rather than undefined
     assert sims.sim("t3", "t3") == 1.0
     assert sims.sim("t1", "t3") == 0.0
+
+
+@st.composite
+def queries_and_pool(draw):
+    """Queries and a pool over one vocabulary of 2 to 60 words, each
+    sequence empty or 0 to 150 words long."""
+    vocabulary = draw(st.integers(2, 60))
+    word = st.integers(0, vocabulary - 1).map(lambda i: f"w{i}")
+    sequence = st.just(()) | st.integers(0, 150).flatmap(lambda n: st.lists(word, min_size=n, max_size=n).map(tuple))
+    return draw(st.lists(sequence, max_size=3)), draw(st.lists(sequence, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=queries_and_pool())
+def test_similarity_rows_match_dynamic_programs(case):
+    queries, pool = case
+    oracles = {
+        SimilarityMetric.SUBSEQUENCE: lambda a, b, longest: lcs_subsequence_dp(a, b) / longest,
+        SimilarityMetric.SUBSTRING: lambda a, b, longest: lcs_substring_dp(a, b) / longest,
+        SimilarityMetric.EDIT: lambda a, b, longest: 1.0 - edit_distance_dp(a, b) / longest,
+    }
+    for metric, oracle in oracles.items():
+        rows = similarity_rows(queries, pool, metric)
+        assert len(rows) == len(queries)
+        for query, row in zip(queries, rows):
+            # two empty sequences count as identical, as in PairSimilarity
+            expected = [oracle(query, b, max(len(query), len(b))) if query or b else 1.0 for b in pool]
+            assert row == expected
+
+
+def test_similarity_rows_of_empty_sequences():
+    pool = [(), ("a", "b"), ("b", "a", "b")]
+    for metric in SimilarityMetric:
+        assert similarity_rows([()], pool, metric) == [[1.0, 0.0, 0.0]]
+        assert similarity_rows([("a", "b")], [()], metric) == [[0.0]]
+        assert similarity_rows([], pool, metric) == []
+        assert similarity_rows([("a",)], [], metric) == [[]]
+    assert similarity_rows([["a", "b", "x"]], pool, SimilarityMetric.SUBSTRING) == [[0.0, 2 / 3, 2 / 3]]
