@@ -175,7 +175,8 @@ def predictor_certainties(
             for level, pool in pools.items():
                 if not pool:
                     continue
-                sim_values = [sim_row[position] for position in pool]
+                # the level-1 pool holds every training position in order
+                sim_values = sim_row if len(pool) == len(sim_row) else [sim_row[position] for position in pool]
                 order_rng = random.Random(stable_seed(config.seed, "certainty-order", wid, tid, level))
                 order = rank_by_similarity(sim_values, order_rng, config.k_certainty)
                 _, (counts,) = next(prefix_counts(order, [pool_labels[level]], [config.k_certainty]))

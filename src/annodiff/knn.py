@@ -6,9 +6,10 @@ min(k, n) of them for each k, and vote picks the plurality label from those
 counts. One ranking serves every k and every hierarchy level. The grid
 predicts a whole label path this way over rows in which a blank level (below
 Irrelevant or Factual) counts as an explicit NoLabel class, voting top-down
-(simulation.vote_path), and hierarchical_f1 scores (truth, predicted) path
-tuples. The certainty component counts the labels of one level and turns
-them into smoothed certainties instead of a vote.
+(simulation.vote_path). It tallies its predictions as a table of (truth,
+predicted) path counts, one entry per distinct pair, and hierarchical_f1
+scores that table. The certainty component counts the labels of one level
+and turns them into smoothed certainties instead of a vote.
 """
 
 from __future__ import annotations
@@ -93,24 +94,26 @@ def vote(counts: Mapping[str, int], make_rng: Callable[[], random.Random]) -> st
     return make_rng().choice(tied)
 
 
-def hierarchical_f1(pairs: Sequence[tuple[tuple[str, ...], tuple[str, ...]]]) -> float:
-    """Micro-averaged hierarchical F1 over (truth, prediction) pairs.
+def hierarchical_f1(counts: Mapping[tuple[tuple[str, ...], tuple[str, ...]], int]) -> float:
+    """Micro-averaged hierarchical F1 over a table of (truth, prediction) counts.
 
-    Each side is a (level1, level2, level3) tuple whose blanks are NoLabel or
-    None, expanded to its ancestor-closed label set; precision and recall are
-    computed from the pooled intersection sizes. Returns 0 when both are 0.
+    counts maps each (truth, prediction) pair to how often it occurs, as a
+    Counter of the pairs does. Each side is a (level1, level2, level3) tuple
+    whose blanks are NoLabel or None, expanded to its ancestor-closed label
+    set; precision and recall are computed from the intersection sizes,
+    pooled over the pairs as integers. Returns 0 when both are 0.
     """
-    if not pairs:
+    if not counts:
         raise ValueError("cannot compute F1 over zero pairs")
     overlap = 0
     predicted_total = 0
     truth_total = 0
-    for truth, predicted in pairs:
+    for (truth, predicted), count in counts.items():
         truth_set = _path_set(truth)
         predicted_set = _path_set(predicted)
-        overlap += len(truth_set & predicted_set)
-        predicted_total += len(predicted_set)
-        truth_total += len(truth_set)
+        overlap += count * len(truth_set & predicted_set)
+        predicted_total += count * len(predicted_set)
+        truth_total += count * len(truth_set)
     precision = overlap / predicted_total if predicted_total else 0.0
     recall = overlap / truth_total if truth_total else 0.0
     if precision + recall == 0:

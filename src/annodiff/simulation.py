@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import random
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -149,54 +150,131 @@ def vote_path(
     return level1, level2, vote(counts[2], lambda: make_rng(3))
 
 
-def _arm_curve(
+def _arm_curves(
     ctx: SimulationContext,
     metric: SimilarityMetric,
     phase: str,
-    n: int,
     arm: str,
+    sizes: Sequence[int],
     k_grid: Sequence[int],
     seed: int,
-) -> tuple[F1Curve | None, int]:
-    """Pool predictions for one arm across workers. Returns (curve, skipped).
+) -> dict[int, tuple[F1Curve | None, int]]:
+    """Pool predictions for one arm across workers at every train size of
+    sizes (ascending). Returns {n: (curve, skipped)}.
 
-    Each query's neighbors are ranked once; every distinct k votes a path on
-    the prefix counts of that ranking. A level's tie rng is seeded on its own
-    (tweet, k, level) parts and derived only on a tie, so a level that
-    vote_path skips changes no other draw.
+    The training set of size n is the first n tweets of the arm's stratum,
+    so the sizes nest: a window tweet is a query for every n up to its
+    position in the stratum, and it gets one similarity row over that
+    prefix, of which size n reads the first n values. Where the first n
+    training paths are one path, every k predicts it and the query is
+    neither ranked nor voted; its order rng is seeded on its own parts, so
+    skipping it changes no other draw. Otherwise the query is ranked once
+    per n, and one path is voted per distinct prefix min(k, n): a larger k
+    on the same prefix reuses it unless that vote drew on a tie, since a
+    level's tie rng is seeded on its own (tweet, k, level) parts and derived
+    only on a tie. Predictions are tallied as (truth, predicted) counts per
+    (n, k).
     """
     sims = ctx.sims(metric)
     ks = sorted(set(k_grid))
-    pairs_per_k: dict[int, list[tuple[LabelTuple, LabelTuple]]] = {k: [] for k in ks}
-    used = 0
-    skipped = 0
+    tables = {n: {k: Counter() for k in ks} for n in sizes}
+    used = dict.fromkeys(sizes, 0)
     for wid in ctx.worker_ids:
-        training = ctx.strata[(wid, phase, arm)][:n]
-        if len(training) < n:
-            skipped += 1
+        stratum = ctx.strata[(wid, phase, arm)][: sizes[-1]]
+        fitting = [n for n in sizes if n <= len(stratum)]
+        for n in fitting:
+            used[n] += 1
+        if not fitting:
             continue
-        used += 1
-        train_ids = {tid for tid, _ in training}
-        level_rows = tuple(zip(*(path for _, path in training)))
+        paths = [path for _, path in stratum]
+        level_rows = tuple(zip(*paths))
+        agreeing = 1  # the first `agreeing` training paths are one path
+        while agreeing < len(paths) and paths[agreeing] == paths[0]:
+            agreeing += 1
+        position: dict[str, int] = {}
+        for i, (tid, _) in enumerate(stratum):
+            position.setdefault(tid, i)
         for tid, truth in ctx.windows[(wid, phase)]:
-            if tid in train_ids:
+            limit = position.get(tid, len(stratum))
+            if limit < fitting[0]:
                 continue
-            sim_values = [sims.sim(tid, train_tid) for train_tid, _ in training]
-            order_rng = random.Random(
-                stable_seed(seed, ctx.institution, metric.value, phase, n, wid, arm, "order", tid)
+            row = [sims.sim(tid, train_tid) for train_tid, _ in stratum[:limit]]
+            for n in fitting:
+                if n > limit:
+                    break
+                by_k = tables[n]
+                if n <= agreeing:
+                    pair = (truth, paths[0])
+                    for k in ks:
+                        by_k[k][pair] += 1
+                    continue
+                parts = (seed, ctx.institution, metric.value, phase, n, wid, arm)
+                order = rank_by_similarity(row[:n], random.Random(stable_seed(*parts, "order", tid)), ks[-1])
+                voted_end = -1
+                drew: list[int] = []  # the levels whose vote drew on a tie
+                for k, counts in prefix_counts(order, level_rows, ks):
+                    end = min(k, len(order))
+                    if end != voted_end or drew:
+                        voted_end = end
+                        drew = []
+                        predicted = vote_path(counts, lambda level: _tie_rng(drew, parts, tid, k, level))
+                    by_k[k][(truth, predicted)] += 1
+    return {
+        n: (
+            F1Curve(points={k: hierarchical_f1(tables[n][k]) for k in ks}, workers_used=used[n]) if used[n] else None,
+            len(ctx.worker_ids) - used[n],
+        )
+        for n in sizes
+    }
+
+
+def _tie_rng(drew: list[int], parts: tuple, tid: str, k: int, level: int) -> random.Random:
+    """The tie rng of one (query, k, level) vote, noted in drew."""
+    drew.append(level)
+    return random.Random(stable_seed(*parts, "vote", tid, k, level))
+
+
+def _phase_results(
+    ctx: SimulationContext,
+    metric: SimilarityMetric,
+    phase: str,
+    sizes: Sequence[int],
+    k_grid: Sequence[int],
+    seed: int,
+    epsilon: float,
+) -> list[ConfigResult]:
+    """The configurations of one (metric, phase) at the given train sizes,
+    from one pass per arm."""
+    if not k_grid:
+        raise ValueError("k_grid must not be empty")
+    if min(k_grid) < 1:
+        raise ValueError(f"k_grid must hold positive neighbor counts, got {tuple(k_grid)}")
+    easy = _arm_curves(ctx, metric, phase, EASY, sizes, k_grid, seed)
+    difficult = _arm_curves(ctx, metric, phase, DIFFICULT, sizes, k_grid, seed)
+    results = []
+    for n in sizes:
+        (curve_easy, skipped_easy), (curve_difficult, skipped_difficult) = easy[n], difficult[n]
+        if curve_easy is None or curve_difficult is None:
+            code = None
+            delta = None
+        else:
+            delta = mean_curve_delta(curve_easy, curve_difficult)
+            code = encode_outcome(delta, epsilon)
+        results.append(
+            ConfigResult(
+                institution=ctx.institution,
+                metric=metric.value,
+                phase=phase,
+                train_size=n,
+                curve_easy=curve_easy,
+                curve_difficult=curve_difficult,
+                skipped_easy=skipped_easy,
+                skipped_difficult=skipped_difficult,
+                code=code,
+                mean_delta=delta,
             )
-            order = rank_by_similarity(sim_values, order_rng, ks[-1])
-            for k, counts in prefix_counts(order, level_rows, ks):
-                predicted = vote_path(
-                    counts,
-                    lambda level: random.Random(
-                        stable_seed(seed, ctx.institution, metric.value, phase, n, wid, arm, "vote", tid, k, level)
-                    ),
-                )
-                pairs_per_k[k].append((truth, predicted))
-    if used == 0:
-        return None, skipped
-    return F1Curve(points={k: hierarchical_f1(pairs_per_k[k]) for k in ks}, workers_used=used), skipped
+        )
+    return results
 
 
 def run_config(
@@ -213,28 +291,8 @@ def run_config(
         raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
     if not TRAIN_SIZES[0] <= n <= TRAIN_SIZES[-1]:
         raise ValueError(f"train size must lie in [{TRAIN_SIZES[0]}, {TRAIN_SIZES[-1]}], got {n}")
-    if not k_grid:
-        raise ValueError("k_grid must not be empty")
-    curve_easy, skipped_easy = _arm_curve(ctx, metric, phase, n, EASY, k_grid, seed)
-    curve_difficult, skipped_difficult = _arm_curve(ctx, metric, phase, n, DIFFICULT, k_grid, seed)
-    if curve_easy is None or curve_difficult is None:
-        code = None
-        delta = None
-    else:
-        delta = mean_curve_delta(curve_easy, curve_difficult)
-        code = encode_outcome(delta, epsilon)
-    return ConfigResult(
-        institution=ctx.institution,
-        metric=metric.value,
-        phase=phase,
-        train_size=n,
-        curve_easy=curve_easy,
-        curve_difficult=curve_difficult,
-        skipped_easy=skipped_easy,
-        skipped_difficult=skipped_difficult,
-        code=code,
-        mean_delta=delta,
-    )
+    (result,) = _phase_results(ctx, metric, phase, (n,), k_grid, seed, epsilon)
+    return result
 
 
 def mean_curve_delta(curve_easy: F1Curve, curve_difficult: F1Curve) -> float:
@@ -262,10 +320,12 @@ def run_grid(ctx: SimulationContext, config: RunConfig) -> list[ConfigResult]:
     """All (metric, phase, train size) configurations for one institution,
     over config's metrics, k grid, seed and epsilon."""
     return [
-        run_config(ctx, SimilarityMetric(metric), phase, n, config.k_grid, config.seed, config.epsilon)
+        result
         for metric in config.metrics
         for phase in PHASES
-        for n in TRAIN_SIZES
+        for result in _phase_results(
+            ctx, SimilarityMetric(metric), phase, TRAIN_SIZES, config.k_grid, config.seed, config.epsilon
+        )
     ]
 
 

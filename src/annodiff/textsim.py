@@ -258,11 +258,14 @@ class PairSimilarity:
     """Memoized nsim over a fixed id -> words table: the simulation grid's
     similarity cache.
 
-    The grid compares the same pairs again for each nested training size,
-    so pair similarities are cached under a symmetric key, and each tweet's
-    word_masks are built once, on its first use. Two empty sequences are
-    treated as identical (similarity 1.0) to keep pipelines total. The
-    certainty kNN compares each pair once and reads similarity_rows instead.
+    The grid looks each (query, training tweet) pair up once per worker and
+    arm, but workers that share tweets meet the same pairs, and a pair of an
+    easy and a difficult tweet serves both arms, one tweet as the query in
+    each. So pair similarities are cached under a symmetric key, and each
+    tweet's word_masks are built once, on its first use. Two empty
+    sequences are treated as identical (similarity 1.0) to keep pipelines
+    total. The certainty kNN compares each pair once and reads
+    similarity_rows instead.
     """
 
     def __init__(self, words_by_id: Mapping[str, WordSequence], metric: SimilarityMetric):

@@ -237,3 +237,80 @@ def rank_full(sims, rng):
         out.extend(group)
         i = j
     return out
+
+
+def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
+    """One arm's (curve, skipped) at one train size, by the grid's per-size
+    route: every query is compared with each of the n training tweets,
+    ranked in full by rank_full, and voted at every k on every level from
+    direct counts of its first k neighbors, the votes repaired by
+    coerce_structure; F1 comes from explicit label sets of the pair list.
+    The seeds are those of the grid: (…, "order", tweet) for the ranking,
+    (…, "vote", tweet, k, level) for a tie at one level.
+    """
+    import random
+
+    from annodiff.config import stable_seed
+    from annodiff.knn import vote
+    from annodiff.simulation import F1Curve
+    from annodiff.textsim import nsim
+
+    def pair_sim(a, b):
+        return nsim(a, b, metric) if a or b else 1.0
+
+    ks = sorted(set(k_grid))
+    pairs_per_k = {k: [] for k in ks}
+    used = skipped = 0
+    for wid in ctx.worker_ids:
+        training = ctx.strata[(wid, phase, arm)][:n]
+        if len(training) < n:
+            skipped += 1
+            continue
+        used += 1
+        train_ids = {tid for tid, _ in training}
+        for tid, truth in ctx.windows[(wid, phase)]:
+            if tid in train_ids:
+                continue
+            sims = [pair_sim(ctx.words[tid], ctx.words[train_tid]) for train_tid, _ in training]
+            parts = (seed, ctx.institution, metric.value, phase, n, wid, arm)
+            order = rank_full(sims, random.Random(stable_seed(*parts, "order", tid)))
+            for k in ks:
+                neighbors = [training[i][1] for i in order[:k]]
+                votes = [
+                    vote(
+                        Counter(path[level - 1] for path in neighbors),
+                        lambda level=level: random.Random(stable_seed(*parts, "vote", tid, k, level)),
+                    )
+                    for level in (1, 2, 3)
+                ]
+                pairs_per_k[k].append((truth, coerce_structure(*votes)))
+    if used == 0:
+        return None, skipped
+    points = {
+        k: hier_f1_direct([(path_label_set(*t), path_label_set(*p)) for t, p in pairs_per_k[k]]) for k in ks
+    }
+    return F1Curve(points=points, workers_used=used), skipped
+
+
+def config_result(ctx, metric, phase, n, k_grid, seed, epsilon):
+    """One grid configuration from arm_curve_per_size for both arms."""
+    from annodiff.simulation import ConfigResult, encode_outcome, mean_curve_delta
+
+    curve_easy, skipped_easy = arm_curve_per_size(ctx, metric, phase, n, "easy", k_grid, seed)
+    curve_difficult, skipped_difficult = arm_curve_per_size(ctx, metric, phase, n, "difficult", k_grid, seed)
+    delta = code = None
+    if curve_easy is not None and curve_difficult is not None:
+        delta = mean_curve_delta(curve_easy, curve_difficult)
+        code = encode_outcome(delta, epsilon)
+    return ConfigResult(
+        institution=ctx.institution,
+        metric=metric.value,
+        phase=phase,
+        train_size=n,
+        curve_easy=curve_easy,
+        curve_difficult=curve_difficult,
+        skipped_easy=skipped_easy,
+        skipped_difficult=skipped_difficult,
+        code=code,
+        mean_delta=delta,
+    )

@@ -253,25 +253,25 @@ def test_duplicating_training_set_with_doubled_k_is_noop(examples, query, k, see
 
 def test_f1_perfect_predictions():
     pairs = [(p, p) for p in PATHS]
-    assert hierarchical_f1(pairs) == 1.0
+    assert hierarchical_f1(Counter(pairs)) == 1.0
 
 
 def test_f1_partial_overlap():
     truth = ("Relevant", "NonFactual", "Negative")
     predicted = ("Relevant", "Factual", NO_LABEL)
     # one of two predicted labels is right, one of three truth labels found
-    assert hierarchical_f1([(truth, predicted)]) == pytest.approx(0.4, abs=1e-12)
+    assert hierarchical_f1(Counter([(truth, predicted)])) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_f1_no_overlap_is_zero():
     truth = ("Irrelevant", NO_LABEL, NO_LABEL)
     predicted = ("Relevant", "Factual", NO_LABEL)
-    assert hierarchical_f1([(truth, predicted)]) == 0.0
+    assert hierarchical_f1(Counter([(truth, predicted)])) == 0.0
 
 
 def test_f1_rejects_empty():
     with pytest.raises(ValueError):
-        hierarchical_f1([])
+        hierarchical_f1(Counter())
 
 
 def test_f1_flat_case_equals_micro_f1():
@@ -280,7 +280,7 @@ def test_f1_flat_case_equals_micro_f1():
     truth = [("Irrelevant", NO_LABEL, NO_LABEL)] * 10
     predicted = [("Irrelevant", NO_LABEL, NO_LABEL)] * 7 + [("Relevant", NO_LABEL, NO_LABEL)] * 3
     pairs = list(zip(truth, predicted))
-    assert hierarchical_f1(pairs) == pytest.approx(0.7, abs=1e-12)
+    assert hierarchical_f1(Counter(pairs)) == pytest.approx(0.7, abs=1e-12)
 
 
 predicted_paths = st.sampled_from([*PATHS, ("Relevant", "NonFactual", NO_LABEL)])
@@ -290,19 +290,20 @@ pair_lists = st.lists(st.tuples(st.sampled_from(PATHS), predicted_paths), min_si
 @given(pairs=pair_lists)
 def test_f1_matches_direct_formula(pairs):
     expected = hier_f1_direct([(path_label_set(*t), path_label_set(*p)) for t, p in pairs])
-    value = hierarchical_f1(pairs)
-    assert value == pytest.approx(expected, abs=1e-12)
+    value = hierarchical_f1(Counter(pairs))
+    # the same integer sums through the same float formula
+    assert value == expected
     assert 0.0 <= value <= 1.0
 
 
 @given(pairs=pair_lists, data=st.data())
 def test_f1_permutation_invariant(pairs, data):
     shuffled = data.draw(st.permutations(pairs))
-    assert hierarchical_f1(shuffled) == pytest.approx(hierarchical_f1(pairs), abs=1e-12)
+    assert hierarchical_f1(Counter(shuffled)) == pytest.approx(hierarchical_f1(Counter(pairs)), abs=1e-12)
 
 
 @given(pairs=pair_lists, extra=st.sampled_from(PATHS))
 def test_f1_never_drops_when_perfect_pair_added(pairs, extra):
-    base = hierarchical_f1(pairs)
-    extended = hierarchical_f1(pairs + [(extra, extra)])
+    base = hierarchical_f1(Counter(pairs))
+    extended = hierarchical_f1(Counter(pairs + [(extra, extra)]))
     assert extended >= base - 1e-12

@@ -1,8 +1,13 @@
 """Strata construction, predictor comparison, outcome coding, aggregation."""
 
-import pytest
-from hypothesis import given, strategies as st
+import dataclasses
+from collections import Counter
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import oracles
+from annodiff import simulation
 from annodiff.config import RunConfig
 from annodiff.dataset import Annotation, Dataset, Worker
 from annodiff.errors import GridMismatchError
@@ -20,7 +25,8 @@ from annodiff.simulation import (
     run_grid,
 )
 from annodiff.simulation import test_proportions as proportions_p
-from annodiff.textsim import SimilarityMetric
+from annodiff.synth import SynthConfig, generate_dataset
+from annodiff.textsim import PairSimilarity, SimilarityMetric
 
 EASY_PATH = LabelPath("Relevant", "NonFactual", "Positive")
 DIFFICULT_PATH = LabelPath("Irrelevant")
@@ -165,6 +171,190 @@ def test_run_grid_covers_all_configurations():
     assert combos[0] == ("substring", "early", 2)
     assert combos[-1] == ("edit", "late", 10)
     assert len(set(combos)) == 36
+
+
+# --- one pass per arm against the per-size oracle ---
+
+ORACLE_PATHS = (
+    LabelPath("Irrelevant"),
+    LabelPath("Relevant", "Factual"),
+    LabelPath("Relevant", "NonFactual", "Positive"),
+    LabelPath("Relevant", "NonFactual", "Negative"),
+)
+ORACLE_WORDS = ("rain", "vote", "poll")
+N_POOL_TWEETS = 60
+
+
+@st.composite
+def small_contexts(draw):
+    """One institution of 1 to 3 workers over a shared pool of tweets.
+
+    Texts of up to 3 words from a 3-word vocabulary make similarity ties
+    common (an empty text too). Each worker labels from a palette of one
+    path (constant strata) to four (mixed), and a third of the tweets have
+    no class, so strata are often shorter than the train size.
+    """
+    texts = {
+        f"t{i:02d}": " ".join(draw(st.lists(st.sampled_from(ORACLE_WORDS), max_size=3)))
+        for i in range(N_POOL_TWEETS)
+    }
+    classes = {}
+    for tid in texts:
+        klass = draw(st.sampled_from(("easy", "difficult", None)))
+        if klass is not None:
+            classes[tid] = klass
+    workers = {}
+    for w in range(draw(st.integers(1, 3))):
+        wid = f"w{w}"
+        palette = draw(st.lists(st.sampled_from(ORACLE_PATHS), min_size=1, max_size=4, unique=True))
+        order = draw(st.permutations(sorted(texts)))[: draw(st.integers(50, 52))]
+        annotations = [
+            Annotation(wid, tid, draw(st.sampled_from(palette)), {1: 1.0}, i + 1) for i, tid in enumerate(order)
+        ]
+        workers[wid] = Worker(wid, "MD", "M", annotations)
+    return make_context(Dataset(workers=workers, texts=texts), "MD", classes)
+
+
+k_grids = st.lists(st.sampled_from((1, 2, 3, 5, 9, 10, 11, 15)), min_size=1, max_size=5)
+
+
+@settings(max_examples=25)
+@given(
+    ctx=small_contexts(),
+    metric=st.sampled_from(list(SimilarityMetric)),
+    k_grid=k_grids,
+    seed=st.integers(0, 3),
+    phase=st.sampled_from(PHASES),
+    n=st.sampled_from(TRAIN_SIZES),
+)
+def test_grid_matches_per_size_oracle(ctx, metric, k_grid, seed, phase, n):
+    config = RunConfig("a.jsonl", "t.jsonl", metrics=(metric.value,), k_grid=tuple(k_grid), seed=seed)
+    expected = [
+        oracles.config_result(ctx, metric, ph, size, config.k_grid, seed, config.epsilon)
+        for ph in PHASES
+        for size in TRAIN_SIZES
+    ]
+    assert run_grid(ctx, config) == expected
+    single = run_config(ctx, metric, phase, n, config.k_grid, seed, config.epsilon)
+    assert single == expected[PHASES.index(phase) * len(TRAIN_SIZES) + TRAIN_SIZES.index(n)]
+
+
+def test_run_config_refuses_non_positive_k():
+    ds, classes = _alternating_dataset(50)
+    ctx = make_context(ds, "MD", classes)
+    with pytest.raises(ValueError):
+        run_config(ctx, SimilarityMetric.EDIT, "early", 5, k_grid=(0, 3), seed=0, epsilon=0.01)
+
+
+# --- the grid's work counts ---
+
+
+def _planted_context():
+    """A planted set, split into classes by tweet id; its label noise makes
+    training paths disagree and votes tie."""
+    config = SynthConfig(n_workers=3, n_easy=30, n_difficult=30, difficult_label_noise=0.6, seed=3)
+    dataset = generate_dataset(config)
+    return make_context(dataset, "MD", {tid: "easy" if tid < "t030" else "difficult" for tid in dataset.texts})
+
+
+def test_grid_looks_each_pair_up_once_per_worker_and_arm(monkeypatch):
+    ctx = _planted_context()
+    assert len(ctx.worker_ids) == 3
+    lookups = Counter()
+    real_sim = PairSimilarity.sim
+
+    def counting_sim(self, id_a, id_b):
+        lookups[(id_a, id_b)] += 1
+        return real_sim(self, id_a, id_b)
+
+    monkeypatch.setattr(PairSimilarity, "sim", counting_sim)
+    config = RunConfig("a.jsonl", "t.jsonl", metrics=("edit",), k_grid=(1, 3, 15))
+    for wid in ctx.worker_ids:
+        # one worker at a time, so a pair that two workers share is seen once per run
+        lookups.clear()
+        run_grid(dataclasses.replace(ctx, worker_ids=[wid]), config)
+        expected = set()
+        for phase in PHASES:
+            window_ids = [tid for tid, _ in ctx.windows[(wid, phase)]]
+            for arm in ("easy", "difficult"):
+                train_ids = [tid for tid, _ in ctx.strata[(wid, phase, arm)][: TRAIN_SIZES[-1]]]
+                for tid in window_ids:
+                    # a query for every n up to its own position in the stratum
+                    limit = train_ids.index(tid) if tid in train_ids else len(train_ids)
+                    if limit >= TRAIN_SIZES[0]:
+                        expected.update((tid, train_tid) for train_tid in train_ids[:limit])
+        assert set(lookups) == expected
+        assert set(lookups.values()) == {1}
+
+
+def test_agreeing_training_paths_are_not_ranked(monkeypatch):
+    # the easy stratum of the early window is w1_t00, w1_t02, ...: relabel
+    # its fourth tweet so that exactly the first three training paths agree
+    ds, classes = _alternating_dataset(50)
+    annotations = ds.workers["w1"].annotations
+    annotations[6] = Annotation("w1", "w1_t06", DIFFICULT_PATH, {1: 1.0}, 7)
+    ctx = make_context(ds, "MD", classes)
+    ranked = []
+    real_rank = simulation.rank_by_similarity
+
+    def counting_rank(sims, rng, depth):
+        ranked.append(len(sims))
+        return real_rank(sims, rng, depth)
+
+    monkeypatch.setattr(simulation, "rank_by_similarity", counting_rank)
+    for n in TRAIN_SIZES:
+        ranked.clear()
+        run_config(ctx, SimilarityMetric.EDIT, "early", n, k_grid=(1, 3), seed=0, epsilon=0.01)
+        # the difficult stratum is one path throughout
+        assert ranked == ([] if n <= 3 else [n] * (25 - n)), n
+
+
+def test_vote_repeats_a_prefix_only_after_a_tie(monkeypatch):
+    ctx = _planted_context()
+    events = []
+    real_prefix_counts = simulation.prefix_counts
+    real_vote = simulation.vote
+
+    def recording_prefix_counts(order, rows, ks):
+        events.append(("query", None))
+        for k, counts in real_prefix_counts(order, rows, ks):
+            events.append(("prefix", min(k, len(order))))
+            yield k, counts
+
+    def recording_vote(counts, make_rng):
+        top = max(counts.values())
+        events.append(("vote", sum(1 for c in counts.values() if c == top) > 1))
+        return real_vote(counts, make_rng)
+
+    monkeypatch.setattr(simulation, "prefix_counts", recording_prefix_counts)
+    monkeypatch.setattr(simulation, "vote", recording_vote)
+    config = RunConfig("a.jsonl", "t.jsonl", metrics=("edit", "substring"), k_grid=(1, 3, 5, 7, 9, 11, 13, 15))
+    run_grid(ctx, config)
+
+    # per query, one [prefix, tied flags of the votes at that k] per k
+    queries = []
+    for kind, value in events:
+        if kind == "query":
+            queries.append([])
+        elif kind == "prefix":
+            queries[-1].append([value, []])
+        else:
+            queries[-1][-1][1].append(value)
+    revotes = reuses = 0
+    for steps in queries:
+        assert steps[0][1], "the first k always votes"
+        for (end_before, tied_before), (end, tied) in zip(steps, steps[1:]):
+            voted = bool(tied)
+            if end != end_before:
+                assert voted
+            elif any(tied_before):
+                assert voted
+                revotes += 1
+            else:
+                assert not voted
+                reuses += 1
+    # both branches happen on this set
+    assert revotes > 0 and reuses > 0
 
 
 # --- outcome coding ---
