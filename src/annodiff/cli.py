@@ -8,6 +8,8 @@ the ANNODIFF_SEED environment variable, then to 0.
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import math
 import os
 import sys
@@ -217,52 +219,72 @@ def _print_score_summary(summary: dict) -> None:
             print(f"  excluded from scoring: {len(info['tweets_excluded'])} tweet(s)")
 
 
+def _sha256(path) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _scores_sources(config: RunConfig) -> dict[str, Path]:
+    """The files a scores.csv stands for, by the key summary.json records
+    each one's sha256 under."""
+    return {
+        "annotations": Path(config.annotations),
+        "tweets": Path(config.tweets),
+        "scores.csv": Path(config.out) / "scores.csv",
+    }
+
+
+def _write_scores(config: RunConfig, scored: dict[str, list], summary: dict) -> None:
+    """Write scores.csv, then summary.json with the sha256 of both inputs
+    and of that scores.csv, which is what lets simulate reuse it."""
+    sources = _scores_sources(config)
+    write_scores_csv(str(sources["scores.csv"]), config.header_json(), scored)
+    summary["sha256"] = {key: _sha256(path) for key, path in sources.items()}
+    write_json(str(Path(config.out) / "summary.json"), summary)
+
+
+def _refuse_stale_scores(config: RunConfig) -> None:
+    """simulate reuses a scores.csv only when the summary.json that score
+    wrote beside it records this run's scoring configuration and the sha256
+    that the inputs and scores.csv have now. Anything else exits 1 naming
+    the file that differs."""
+    sources = _scores_sources(config)
+    scores_path = sources["scores.csv"]
+    summary_path = scores_path.with_name("summary.json")
+    if not summary_path.exists():
+        raise AnnodiffError(
+            f"{scores_path} has no {summary_path} beside it, so what it was scored from is unknown; "
+            "rerun score or remove the file"
+        )
+    summary = read_json(str(summary_path))
+    if _scoring_json(summary_path, summary.get("config")) != _scoring_json(None, config.to_dict()):
+        raise AnnodiffError(
+            f"{scores_path} was produced under a different scoring configuration; "
+            "rerun score or remove the file"
+        )
+    with _refuse_malformed(summary_path):
+        recorded = {key: summary["sha256"][key] for key in sources}
+    for key, path in sources.items():
+        if _sha256(path) != recorded[key]:
+            raise AnnodiffError(
+                f"{path} has changed since score wrote {scores_path} (its sha256 differs from the one in "
+                f"{summary_path}); rerun score or remove {scores_path}"
+            )
+
+
 def cmd_score(args) -> int:
     config = _make_run_config(args)
     dataset = load_dataset(config.annotations, config.tweets)
     scored, summary = _score_institutions(dataset, config)
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_scores_csv(str(out / "scores.csv"), config.header_json(), scored)
-    write_json(str(out / "summary.json"), summary)
+    _write_scores(config, scored, summary)
     _print_score_summary(summary)
     print(f"wrote {out / 'scores.csv'} and {out / 'summary.json'}")
     return 0
-
-
-def _refuse_lost_rows(scores_path: Path, by_institution: dict[str, dict], summary_path: Path) -> None:
-    """A scores.csv cut at a row boundary reads back as a shorter valid file.
-    When the summary.json that score wrote beside it is there, each
-    institution's row count must equal its tweets_scored."""
-    if not summary_path.exists():
-        return
-    summary = read_json(str(summary_path))
-    with _refuse_malformed(summary_path):
-        expected = {inst: info["tweets_scored"] for inst, info in summary["institutions"].items()}
-    for institution in sorted(set(expected) | set(by_institution)):
-        rows = len(by_institution.get(institution, {}))
-        scored = expected.get(institution, 0)
-        if rows != scored:
-            raise AnnodiffError(
-                f"{scores_path} holds {rows} {institution} rows but {summary_path} records {scored} tweets scored; "
-                "rerun score or remove both files"
-            )
-
-
-def _refuse_unlabeled_rows(scores_path: Path, by_institution: dict[str, dict], dataset: Dataset) -> None:
-    """Every row of a reused scores.csv must name a tweet that its
-    institution's annotations label; any other row would silently drop out
-    of every stratum."""
-    labeled: dict[str, set[str]] = {}
-    for worker in dataset.workers.values():
-        labeled.setdefault(worker.institution, set()).update(a.tweet_id for a in worker.annotations)
-    for institution, scores in sorted(by_institution.items()):
-        unknown = sorted(set(scores) - labeled.get(institution, set()))
-        if unknown:
-            raise AnnodiffError(
-                f"{scores_path} holds {len(unknown)} {institution} row(s) for tweets that no {institution} "
-                f"annotation labels, first {', '.join(unknown[:5])}; rerun score or remove the file"
-            )
 
 
 def cmd_simulate(args) -> int:
@@ -273,32 +295,13 @@ def cmd_simulate(args) -> int:
 
     scores_path = out / "scores.csv"
     if scores_path.exists():
-        embedded, by_institution = read_scores_csv(str(scores_path))
-        if embedded is None:
-            raise AnnodiffError(
-                f"{scores_path} has no embedded config line, so its scoring configuration is unknown; "
-                "rerun score or remove the file"
-            )
-        try:
-            theirs = RunConfig(**{k: tuple(v) if isinstance(v, list) else v for k, v in embedded.items()})
-        except TypeError as exc:
-            raise AnnodiffError(f"{scores_path}: malformed embedded config: {exc}") from exc
-        mistyped = [name for name in SCORING_FIELDS if type(getattr(theirs, name)) is not type(getattr(config, name))]
-        if mistyped:
-            raise AnnodiffError(f"{scores_path}: malformed embedded config: wrong type for {', '.join(mistyped)}")
-        if theirs.scoring_fields() != config.scoring_fields():
-            raise AnnodiffError(
-                f"{scores_path} was produced under a different scoring configuration; "
-                "rerun score or remove the file"
-            )
-        _refuse_lost_rows(scores_path, by_institution, out / "summary.json")
-        _refuse_unlabeled_rows(scores_path, by_institution, dataset)
+        _refuse_stale_scores(config)
+        _, by_institution = read_scores_csv(str(scores_path))
         scored = {inst: list(scores.values()) for inst, scores in sorted(by_institution.items())}
         print(f"loaded difficulty scores from {scores_path}")
     else:
         scored, summary = _score_institutions(dataset, config)
-        write_scores_csv(str(scores_path), config.header_json(), scored)
-        write_json(str(out / "summary.json"), summary)
+        _write_scores(config, scored, summary)
         print(f"wrote {scores_path}")
 
     results = []
@@ -350,17 +353,22 @@ def _refuse_malformed(path: Path):
         raise AnnodiffError(f"{path} is malformed ({type(exc).__name__}: {exc}); rerun score and simulate") from exc
 
 
+def _scoring_json(path: Path | None, config) -> str:
+    """The scoring fields of a config embedded in path, as canonical JSON:
+    two configs score alike only if these strings are equal, so true is not
+    1 and 1.0 is not 1."""
+    if not isinstance(config, dict):
+        raise AnnodiffError(f"{path} has no embedded config, so its run is unknown; rerun score and simulate")
+    with _refuse_malformed(path):
+        return json.dumps({name: config[name] for name in SCORING_FIELDS}, sort_keys=True)
+
+
 def _refuse_mixed_runs(configs: dict[Path, dict | None]) -> None:
     """report's inputs, summary.json, outcomes.csv and stats.json in that
     order, must come from one run: the same scoring configuration in all
     three, and the same full configuration in the last two, which one
     simulate writes together."""
-    scoring = {}
-    for path, config in configs.items():
-        if not isinstance(config, dict):
-            raise AnnodiffError(f"{path} has no embedded config, so its run is unknown; rerun score and simulate")
-        with _refuse_malformed(path):
-            scoring[path] = {name: config[name] for name in SCORING_FIELDS}
+    scoring = {path: _scoring_json(path, config) for path, config in configs.items()}
     paths = list(configs)
     disagree = [(a, b) for i, a in enumerate(paths) for b in paths[i + 1:] if scoring[a] != scoring[b]]
     if disagree:

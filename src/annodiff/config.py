@@ -26,7 +26,8 @@ def stable_seed(*parts) -> int:
 
 
 # the RunConfig fields that decide scores.csv; the rest only shape the grid,
-# the report and where outputs go
+# the report and where outputs go. Two runs score alike when these fields
+# are equal as canonical JSON (cli._scoring_json).
 SCORING_FIELDS = ("annotations", "tweets", "institutions", "smoothing", "k_certainty", "certainty_metric", "split_ratio", "seed")
 
 
@@ -52,11 +53,3 @@ class RunConfig:
     def header_json(self) -> str:
         """Canonical one-line JSON form embedded in output headers."""
         return json.dumps(self.to_dict(), sort_keys=True, separators=(", ", ": "))
-
-    def scoring_fields(self) -> dict:
-        """The fields named in SCORING_FIELDS, which determine difficulty scores.
-
-        Used to refuse mixing a scores file produced under one scoring
-        configuration with a simulation run under another.
-        """
-        return {name: getattr(self, name) for name in SCORING_FIELDS}

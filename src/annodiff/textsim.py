@@ -124,21 +124,6 @@ def _edit(a: WordSequence, masks: Mapping[str, int], n: int) -> int:
     return dist
 
 
-def lcs_subsequence_words(a: WordSequence, b: WordSequence) -> int:
-    """Length of the longest common subsequence of two word sequences."""
-    return _subsequence(a, word_masks(b), len(b))
-
-
-def lcs_substring_words(a: WordSequence, b: WordSequence) -> int:
-    """Length of the longest contiguous run of words shared by a and b."""
-    return _substring(a, word_masks(b))
-
-
-def edit_distance_words(a: WordSequence, b: WordSequence) -> int:
-    """Levenshtein distance over words (insert, delete, substitute)."""
-    return _edit(a, word_masks(b), len(b))
-
-
 def nsim(
     a: WordSequence, b: WordSequence, metric: SimilarityMetric, b_masks: Mapping[str, int] | None = None
 ) -> float:

@@ -161,21 +161,6 @@ def test_simulate_rejects_mismatched_scores(dataset_dir, tmp_path, capsys):
     assert "different scoring configuration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("key, value", [("bogus", 1), ("institutions", 5)])
-def test_simulate_rejects_malformed_embedded_config(dataset_dir, tmp_path, capsys, key, value):
-    out = tmp_path / "out"
-    assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0
-    capsys.readouterr()
-    scores = out / "scores.csv"
-    header, rest = scores.read_text().split("\n", 1)
-    embedded = json.loads(header[len(CONFIG_PREFIX):])
-    embedded[key] = value
-    scores.write_text(CONFIG_PREFIX + json.dumps(embedded) + "\n" + rest)
-    code = cli.main(_simulate_args(dataset_dir, out))
-    assert code == 1
-    assert f"{scores}: malformed embedded config" in capsys.readouterr().err
-
-
 def test_simulate_writes_stats_when_every_code_is_d(tmp_path, capsys):
     # equal durations leave only A and C to separate the classes; on this
     # planted set every comparison then favors the difficult arm, so the E and
@@ -251,6 +236,19 @@ def test_report_refuses_outcomes_and_stats_of_different_simulations(dataset_dir,
     (out / "stats.json").write_text(json.dumps(stats))
     assert cli.main(["report", "--out", str(out)]) == 1
     assert f"{out / 'outcomes.csv'} and {out / 'stats.json'} come from different simulate runs" in capsys.readouterr().err
+
+
+def test_report_refuses_a_scoring_field_of_another_json_type(simulated, tmp_path, capsys):
+    # false == 0 in Python, but the configs are compared as the JSON they are
+    out = tmp_path / "out"
+    shutil.copytree(simulated, out)
+    summary = read_json(str(out / "summary.json"))
+    assert summary["config"]["seed"] == 0
+    summary["config"]["seed"] = False
+    (out / "summary.json").write_text(json.dumps(summary))
+    assert cli.main(["report", "--out", str(out)]) == 1
+    assert f"{out / 'summary.json'} and {out / 'outcomes.csv'}" in capsys.readouterr().err
+    assert not (out / "report.md").exists()
 
 
 def test_report_requires_prior_outputs(tmp_path, capsys):
@@ -332,63 +330,75 @@ def test_seed_env_must_be_integer(dataset_dir, tmp_path, monkeypatch, capsys):
     assert SEED_ENV_VAR in capsys.readouterr().err
 
 
-def test_simulate_refuses_scores_that_lost_whole_rows(dataset_dir, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0
-    scores = out / "scores.csv"
-    lines = scores.read_text().splitlines(keepends=True)
-    scores.write_text("".join(lines[:-1]))  # cut at a row boundary
-    capsys.readouterr()
-    assert cli.main(_simulate_args(dataset_dir, out)) == 1
-    err = capsys.readouterr().err
-    rows = len(lines) - 2  # less the config and header lines
-    assert f"{scores} holds {rows - 1} MD rows but {out / 'summary.json'} records {rows} tweets scored" in err
-    assert not (out / "outcomes.csv").exists()
+def _with_embedded(text, key, value):
+    header, rest = text.split("\n", 1)
+    embedded = json.loads(header[len(CONFIG_PREFIX):])
+    embedded[key] = value
+    return CONFIG_PREFIX + json.dumps(embedded) + "\n" + rest
 
 
-def test_simulate_refuses_a_repeated_score_row(dataset_dir, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0
-    scores = out / "scores.csv"
-    text = scores.read_text()
+def _with_first_row_repeated(text):
+    # a copy of the first row with its class flipped: the count of distinct
+    # tweets still matches summary.json
     row = text.splitlines()[2].split(",")
     row[-1] = "difficult" if row[-1] == "easy" else "easy"
-    # a copy of the first row with its class flipped: the last row used to
-    # win, and the count of distinct tweets still matched summary.json
-    scores.write_text(text + ",".join(row) + "\n")
+    return text + ",".join(row) + "\n"
+
+
+def _without_worker(text, worker):
+    return "".join(line for line in text.splitlines(keepends=True) if json.loads(line)["worker_id"] != worker)
+
+
+# (file edited after score, edit of its text or None to delete it, file the
+# refusal names)
+STALE_SCORES = {
+    "lost rows": ("scores.csv", lambda t: "".join(t.splitlines(keepends=True)[:-1]), "scores.csv"),
+    "renamed tweet": ("scores.csv", lambda t: t.replace(",t000,", ",no_such_tweet,"), "scores.csv"),
+    "repeated row": ("scores.csv", _with_first_row_repeated, "scores.csv"),
+    "unstamped": ("scores.csv", lambda t: t.split("\n", 1)[1], "scores.csv"),
+    "unknown config key": ("scores.csv", lambda t: _with_embedded(t, "bogus", 1), "scores.csv"),
+    "mistyped config field": ("scores.csv", lambda t: _with_embedded(t, "institutions", 5), "scores.csv"),
+    "no summary beside it": ("summary.json", None, "scores.csv"),
+    # the row count and tweet ids of scores.csv still match: only the
+    # digests can tell that one of the two workers is gone
+    "worker deleted from annotations": ("annotations.jsonl", lambda t: _without_worker(t, "md_w01"), "annotations.jsonl"),
+    "tweet text edited": ("tweets.jsonl", lambda t: t.replace('"text": "', '"text": "edited ', 1), "tweets.jsonl"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STALE_SCORES))
+def test_simulate_refuses_stale_scores(dataset_dir, tmp_path, capsys, case):
+    name, edit, named = STALE_SCORES[case]
+    data, out = tmp_path / "data", tmp_path / "out"
+    shutil.copytree(dataset_dir, data)
+    assert cli.main(["score", *_dataset_args(data), "--out", str(out)]) == 0
+    paths = {
+        "scores.csv": out / "scores.csv",
+        "summary.json": out / "summary.json",
+        "annotations.jsonl": data / "annotations.jsonl",
+        "tweets.jsonl": data / "tweets.jsonl",
+    }
+    path = paths[name]
+    if edit is None:
+        path.unlink()
+    else:
+        text = path.read_text()
+        assert edit(text) != text
+        path.write_text(edit(text))
     capsys.readouterr()
-    assert cli.main(_simulate_args(dataset_dir, out)) == 1
+    assert cli.main(_simulate_args(data, out)) == 1
     err = capsys.readouterr().err
-    assert str(scores) in err
-    assert f"tweet {row[1]} has more than one row" in err
+    assert str(paths["scores.csv"]) in err
+    assert str(paths[named]) in err
     assert not (out / "outcomes.csv").exists()
 
 
-def test_simulate_refuses_scores_of_tweets_nobody_labeled(dataset_dir, tmp_path, capsys):
+def test_simulate_reuses_scores_of_moved_outputs(dataset_dir, simulated, tmp_path, capsys):
+    # the digests name no path of scores.csv, so a copied --out still matches
     out = tmp_path / "out"
-    assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0
-    scores = out / "scores.csv"
-    text = scores.read_text()
-    assert ",t000," in text
-    # the row count still matches summary.json, so only the ids can tell
-    scores.write_text(text.replace(",t000,", ",no_such_tweet,"))
-    capsys.readouterr()
-    assert cli.main(_simulate_args(dataset_dir, out)) == 1
-    err = capsys.readouterr().err
-    assert f"{scores} holds 1 MD row(s) for tweets that no MD annotation labels, first no_such_tweet" in err
-    assert not (out / "outcomes.csv").exists()
-
-
-def test_simulate_refuses_unstamped_scores(dataset_dir, tmp_path, capsys):
-    out = tmp_path / "out"
-    assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0
-    scores = out / "scores.csv"
-    scores.write_text(scores.read_text().split("\n", 1)[1])
-    capsys.readouterr()
-    code = cli.main(_simulate_args(dataset_dir, out, extra=["--seed", "99"]))
-    assert code == 1
-    assert f"{scores} has no embedded config line" in capsys.readouterr().err
-    assert not (out / "outcomes.csv").exists()
+    shutil.copytree(simulated, out)
+    assert cli.main(_simulate_args(dataset_dir, out)) == 0
+    assert "loaded difficulty scores" in capsys.readouterr().out
 
 
 @pytest.fixture(scope="module")

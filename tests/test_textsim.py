@@ -6,9 +6,6 @@ from hypothesis import given, settings, strategies as st
 from annodiff.textsim import (
     PairSimilarity,
     SimilarityMetric,
-    edit_distance_words,
-    lcs_subsequence_words,
-    lcs_substring_words,
     nsim,
     similarity_rows,
     tokenize,
@@ -42,19 +39,26 @@ def test_tokenize(text, expected):
     assert tokenize(text) == expected
 
 
-def test_raw_lengths():
+def test_pair_values_match_dynamic_programs():
     a = "the cat sat on the mat".split()
     b = "the dog sat on a mat".split()
-    assert lcs_subsequence_words(a, b) == 4  # the ... sat on ... mat
-    assert lcs_substring_words(a, b) == 2  # "sat on"
-    assert edit_distance_words(a, b) == 2
+    assert lcs_subsequence_dp(a, b) == 4  # the ... sat on ... mat
+    assert lcs_substring_dp(a, b) == 2  # "sat on"
+    assert edit_distance_dp(a, b) == 2
+    assert nsim(a, b, SimilarityMetric.SUBSEQUENCE) == 4 / 6
+    assert nsim(a, b, SimilarityMetric.SUBSTRING) == 2 / 6
+    assert nsim(a, b, SimilarityMetric.EDIT) == 1.0 - 2 / 6
 
 
-def test_raw_lengths_empty_side():
-    assert lcs_subsequence_words([], ["x"]) == 0
-    assert lcs_substring_words(["x"], []) == 0
-    assert edit_distance_words([], ["x", "y"]) == 2
-    assert edit_distance_words([], []) == 0
+def test_pair_values_with_an_empty_side():
+    assert lcs_subsequence_dp([], ["x"]) == 0
+    assert nsim([], ["x"], SimilarityMetric.SUBSEQUENCE) == 0.0
+    assert lcs_substring_dp(["x"], []) == 0
+    assert nsim(["x"], [], SimilarityMetric.SUBSTRING) == 0.0
+    assert edit_distance_dp([], ["x", "y"]) == 2
+    assert nsim([], ["x", "y"], SimilarityMetric.EDIT) == 1.0 - 2 / 2
+    assert edit_distance_dp(["x", "y"], []) == 2
+    assert nsim(["x", "y"], [], SimilarityMetric.EDIT) == 1.0 - 2 / 2
 
 
 NSIM_CASES = [
@@ -131,9 +135,6 @@ def test_kernels_match_dynamic_programs(pair):
     subsequence = lcs_subsequence_dp(a, b)
     substring = lcs_substring_dp(a, b)
     distance = edit_distance_dp(a, b)
-    assert lcs_subsequence_words(a, b) == subsequence
-    assert lcs_substring_words(a, b) == substring
-    assert edit_distance_words(a, b) == distance
     if not a and not b:
         return
     longest = max(len(a), len(b))
