@@ -16,7 +16,6 @@ from annodiff.simulation import (
     build_strata,
     encode_outcome,
     run_config,
-    test_proportions,
 )
 from annodiff.stats import fisher_exact_two_tailed, kmeans_1d
 from annodiff.textsim import SimilarityMetric, nsim, tokenize
@@ -46,6 +45,5 @@ __all__ = [
     "nsim",
     "parse_dataset",
     "run_config",
-    "test_proportions",
     "tokenize",
 ]

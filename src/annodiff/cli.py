@@ -25,7 +25,6 @@ from annodiff.outputs import (
     read_csv,
     read_json,
     read_scores_csv,
-    stats_payload,
     write_curves_csv,
     write_json,
     write_outcomes_csv,
@@ -37,7 +36,6 @@ from annodiff.simulation import (
     build_strata,
     make_context,
     run_grid,
-    test_proportions,
     TRAIN_SIZES,
 )
 from annodiff.textsim import SimilarityMetric
@@ -324,17 +322,16 @@ def cmd_simulate(args) -> int:
 
     valid = [(r.phase, r.code) for r in results if r.code is not None]
     undefined = sum(1 for r in results if r.code is None)
-    agg = aggregate(valid)
-    p_values = {name: test_proportions(table) for name, table in agg.tables.items()}
-    payload = stats_payload(agg, p_values, config.to_dict(), extra={"undefined_comparisons": undefined})
+    counts, tables = aggregate(valid)
+    payload = {"config": config.to_dict(), "outcome_counts": counts, "tables": tables, "undefined_comparisons": undefined}
     write_json(str(out / "stats.json"), payload)
 
     print(f"{len(results)} comparisons ({undefined} undefined)")
     for phase in PHASES:
-        row = agg.counts[phase]
+        row = counts[phase]
         print(f"  {phase:<5} T={row['T']} E={row['E']} D={row['D']}")
-    for name, table in agg.tables.items():
-        print(f"  {name}: {table.counts} {_format_p(p_values[name])}")
+    for name, table in tables.items():
+        print(f"  {name}: {table['counts']} {_format_p(table['p_value'])}")
     print(f"wrote {out / 'outcomes.csv'}, {out / 'curves.csv'}, {out / 'stats.json'}")
     return 0
 

@@ -10,15 +10,15 @@ from __future__ import annotations
 
 import json
 import math
-import random
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from annodiff.config import stable_seed
+# unused here, but perfbench/tracer.py wraps this name; it goes with the tracer (ROADMAP item 1)
+from annodiff.config import stable_seed  # noqa: F401
 from annodiff.errors import DatasetError
-from annodiff.labels import IRRELEVANT, LABEL_ORDER, LEVELS, LabelPath
+from annodiff.labels import IRRELEVANT, LEVELS, LabelPath
 from annodiff.textsim import tokenize
 
 INSTITUTIONS = ("MD", "SU")
@@ -257,64 +257,75 @@ def parse_dataset(
 
     for worker in workers.values():
         worker.annotations.sort(key=lambda a: a.order_index)
-        expected = list(range(1, len(worker.annotations) + 1))
-        actual = [a.order_index for a in worker.annotations]
-        if actual != expected:
-            raise DatasetError(
-                f"worker {worker.worker_id!r} has gaps in order_index (expected 1..{len(actual)})",
-                path=annotations_path,
-            )
+        for expected, ann in enumerate(worker.annotations, start=1):
+            if ann.order_index != expected:
+                raise DatasetError(
+                    f"worker {worker.worker_id!r} has gaps in order_index: {ann.order_index} where {expected} was expected",
+                    path=annotations_path,
+                    line=seen_orders[(worker.worker_id, ann.order_index)],
+                )
 
     return Dataset(workers=workers, texts=texts, pruned_label_count=pruned_total, missing_duration_count=missing_total)
 
 
+def _utf8_lines(fh: Iterable[str], path: str) -> Iterator[str]:
+    """The lines of a file opened with errors="surrogateescape", or a
+    DatasetError naming the first line that holds bytes that are not UTF-8
+    (they decode to lone surrogates, which do not encode back)."""
+    for line_no, line in enumerate(fh, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DatasetError(f"bytes that are not UTF-8 at character {exc.start + 1}", path=path, line=line_no) from None
+        yield line
+
+
 def load_dataset(annotations_path: str, tweets_path: str) -> Dataset:
-    with open(annotations_path, encoding="utf-8") as afh, open(tweets_path, encoding="utf-8") as tfh:
-        return parse_dataset(afh, tfh, annotations_path=str(annotations_path), tweets_path=str(tweets_path))
+    annotations_path, tweets_path = str(annotations_path), str(tweets_path)
+    with (
+        open(annotations_path, encoding="utf-8", errors="surrogateescape") as afh,
+        open(tweets_path, encoding="utf-8", errors="surrogateescape") as tfh,
+    ):
+        return parse_dataset(
+            _utf8_lines(afh, annotations_path),
+            _utf8_lines(tfh, tweets_path),
+            annotations_path=annotations_path,
+            tweets_path=tweets_path,
+        )
 
 
 @dataclass(frozen=True)
 class MajorityLevel:
-    label: str
     majority_count: int
     voter_count: int
-    tie: bool
+    tie: bool  # at least two labels share the top vote count
 
 
 @dataclass(frozen=True)
 class MajorityResult:
-    """Per-level majority labels for one tweet.
-
-    Levels nobody voted on are absent. The tie flag marks levels where two
-    labels drew the same top vote count; the reported label is then a seeded
-    draw among the tied labels.
-    """
+    """Per-level majority counts for one tweet; levels nobody voted on are
+    absent."""
 
     levels: dict[int, MajorityLevel]
 
 
-def majority_from_votes(votes: Mapping[int, Sequence[str]], rng_seed: int) -> MajorityResult:
-    """Majority label per level from raw per-level vote lists.
-
-    Deterministic under a fixed seed and invariant to the order votes are
-    listed in: counts come from a multiset and tied labels are sorted
-    canonically before the seeded draw.
-    """
+def majority_from_votes(votes: Mapping[int, Sequence[str]]) -> MajorityResult:
+    """Majority count, voter count and tie flag per level from raw per-level
+    vote lists. Counts come from a multiset, so the order votes are listed
+    in does not matter."""
     levels: dict[int, MajorityLevel] = {}
     for level in sorted(votes):
-        cast = list(votes[level])
-        if not cast:
+        if not votes[level]:
             continue
-        counts = Counter(cast)
+        counts = Counter(votes[level])
         top = max(counts.values())
-        tied = sorted((lab for lab, c in counts.items() if c == top), key=lambda lab: LABEL_ORDER.get(lab, len(LABEL_ORDER)))
-        tie = len(tied) > 1
-        label = tied[0] if not tie else random.Random(stable_seed(rng_seed, level)).choice(tied)
-        levels[level] = MajorityLevel(label=label, majority_count=top, voter_count=len(cast), tie=tie)
+        tie = sum(1 for c in counts.values() if c == top) > 1
+        levels[level] = MajorityLevel(majority_count=top, voter_count=len(votes[level]), tie=tie)
     return MajorityResult(levels=levels)
 
 
-def majority_labels(annotations: Sequence[Annotation], rng_seed: int) -> MajorityResult:
+def majority_labels(annotations: Sequence[Annotation]) -> MajorityResult:
     """Per-level majority over all annotations of one tweet."""
     if not annotations:
         raise ValueError("majority_labels needs at least one annotation")
@@ -325,4 +336,4 @@ def majority_labels(annotations: Sequence[Annotation], rng_seed: int) -> Majorit
     for ann in annotations:
         for level, label in ann.labels.labels().items():
             votes[level].append(label)
-    return majority_from_votes(votes, rng_seed)
+    return majority_from_votes(votes)

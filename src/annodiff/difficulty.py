@@ -244,8 +244,7 @@ def difficulty_scores(dataset: Dataset, config: RunConfig) -> ScoringResult:
     rows: list[tuple[str, float, float, float, float]] = []
     excluded: dict[str, str] = {}
     for tid in sorted(by_tweet):
-        majority = majority_labels(by_tweet[tid], stable_seed(config.seed, "majority", tid))
-        agreement = agreement_score(majority)
+        agreement = agreement_score(majority_labels(by_tweet[tid]))
         cert = certainty.values.get(tid)
         cost = costs.get(tid)
         if cert is None:

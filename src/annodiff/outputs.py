@@ -15,7 +15,7 @@ from typing import Iterable, Mapping, Sequence
 
 from annodiff.difficulty import DIFFICULT, EASY, DifficultyScore
 from annodiff.errors import AnnodiffError
-from annodiff.simulation import Aggregate, ConfigResult
+from annodiff.simulation import ConfigResult
 
 CONFIG_PREFIX = "# config: "
 
@@ -133,25 +133,6 @@ def write_curves_csv(path: str, header_json: str, results: Sequence[ConfigResult
                 )
             )
     _write_csv(path, header_json, CURVES_FIELDS, rows)
-
-
-def stats_payload(agg: Aggregate, p_values: Mapping[str, float], config: dict, extra: dict | None = None) -> dict:
-    payload = {
-        "config": config,
-        "outcome_counts": agg.counts,
-        "tables": {
-            name: {
-                "rows": list(table.row_labels),
-                "columns": list(table.col_labels),
-                "counts": [list(table.counts[0]), list(table.counts[1])],
-                "p_value": p_values[name],
-            }
-            for name, table in agg.tables.items()
-        },
-    }
-    if extra:
-        payload.update(extra)
-    return payload
 
 
 def write_json(path: str, payload: dict) -> None:

@@ -86,7 +86,6 @@ class SimulationContext:
     strata: dict[tuple[str, str, str], Window]  # (worker, phase, klass)
     windows: dict[tuple[str, str], Window]
     words: dict[str, tuple[str, ...]]
-    excluded_workers: list[str]
     _sims: dict[SimilarityMetric, PairSimilarity] = field(default_factory=dict)
 
     def sims(self, metric: SimilarityMetric) -> PairSimilarity:
@@ -104,7 +103,6 @@ def make_context(dataset: Dataset, institution: str, class_by_tweet: Mapping[str
         strata=built.strata,
         windows=built.windows,
         words=dataset.word_sequences(),
-        excluded_workers=built.excluded_workers,
     )
 
 
@@ -329,16 +327,6 @@ def run_grid(ctx: SimulationContext, config: RunConfig) -> list[ConfigResult]:
     ]
 
 
-@dataclass(frozen=True)
-class ContingencyTable2x2:
-    row_labels: tuple[str, str]
-    col_labels: tuple[str, str]
-    counts: tuple[tuple[int, int], tuple[int, int]]
-
-    def flat(self) -> tuple[int, int, int, int]:
-        return (self.counts[0][0], self.counts[0][1], self.counts[1][0], self.counts[1][1])
-
-
 # pairwise comparisons reported, with their row order
 TABLE_PAIRS = (
     ("E_vs_T", (CODE_TIE, CODE_EASY)),
@@ -347,18 +335,19 @@ TABLE_PAIRS = (
 )
 
 
-@dataclass
-class Aggregate:
-    counts: dict[str, dict[str, int]]  # phase -> code -> count
-    tables: dict[str, ContingencyTable2x2]
-
-
-def aggregate(outcomes: Iterable[tuple[str, str]]) -> Aggregate:
+def aggregate(outcomes: Iterable[tuple[str, str]]) -> tuple[dict[str, dict[str, int]], dict[str, dict]]:
     """Count outcome codes per phase and build the pairwise 2x2 tables.
 
     outcomes is an iterable of (phase, code) pairs; the result does not
-    depend on their order. Columns of every table are (early, late).
+    depend on their order. Returns (phase -> code -> count, name -> table),
+    each table in its stats.json form: its two codes as rows, (early, late)
+    as columns, the cell counts and the two-tailed exact p-value. A table
+    with no outcomes at all (neither code ever occurred) carries no evidence
+    and gets p = 1.0, as a table with a zero margin does.
     """
+    # imported at call time, so a wrapper installed on stats.fisher_exact_two_tailed sees every call
+    from annodiff.stats import fisher_exact_two_tailed
+
     counts: dict[str, dict[str, int]] = {
         phase: {code: 0 for code in OUTCOME_CODES} for phase in PHASES
     }
@@ -369,26 +358,13 @@ def aggregate(outcomes: Iterable[tuple[str, str]]) -> Aggregate:
             raise ValueError(f"unknown outcome code {code!r}")
         counts[phase][code] += 1
     tables = {}
-    for name, (row_a, row_b) in TABLE_PAIRS:
-        tables[name] = ContingencyTable2x2(
-            row_labels=(row_a, row_b),
-            col_labels=PHASES,
-            counts=(
-                (counts[EARLY][row_a], counts[LATE][row_a]),
-                (counts[EARLY][row_b], counts[LATE][row_b]),
-            ),
-        )
-    return Aggregate(counts=counts, tables=tables)
-
-
-def test_proportions(table: ContingencyTable2x2) -> float:
-    """Two-tailed exact p-value for one pairwise outcome table.
-
-    A table with no outcomes at all (neither code ever occurred) carries no
-    evidence and gets p = 1.0, as a table with a zero margin does.
-    """
-    from annodiff.stats import fisher_exact_two_tailed
-
-    if not any(table.flat()):
-        return 1.0
-    return fisher_exact_two_tailed(*table.flat())
+    for name, rows in TABLE_PAIRS:
+        cells = [[counts[phase][code] for phase in PHASES] for code in rows]
+        flat = cells[0] + cells[1]
+        tables[name] = {
+            "rows": list(rows),
+            "columns": list(PHASES),
+            "counts": cells,
+            "p_value": fisher_exact_two_tailed(*flat) if any(flat) else 1.0,
+        }
+    return counts, tables

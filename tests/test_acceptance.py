@@ -61,13 +61,13 @@ def test_c1_worked_agreement_and_aggregation_examples():
     start = time.perf_counter()
     # unanimous level 1 (4 voters), 3-of-4 level 2, unanimous level 3 (2)
     votes = {1: [RELEVANT] * 4, 2: [FACTUAL] * 3 + [NONFACTUAL], 3: [POSITIVE] * 2}
-    assert agreement_score(majority_from_votes(votes, rng_seed=0)) == pytest.approx(0.92, abs=TOL)
+    assert agreement_score(majority_from_votes(votes)) == pytest.approx(0.92, abs=TOL)
     assert time.perf_counter() - start < 1.0
 
     start = time.perf_counter()
     # same, but level 2 splits evenly: the tie costs one extra majority share
     votes_tied = {1: [RELEVANT] * 4, 2: [FACTUAL] * 2 + [NONFACTUAL] * 2, 3: [POSITIVE] * 2}
-    assert agreement_score(majority_from_votes(votes_tied, rng_seed=0)) == pytest.approx(0.78, abs=TOL)
+    assert agreement_score(majority_from_votes(votes_tied)) == pytest.approx(0.78, abs=TOL)
     assert time.perf_counter() - start < 1.0
 
     start = time.perf_counter()
@@ -213,7 +213,7 @@ def _check_family_agreement():
         votes = {1: [rng.choice(LEVEL_LABELS[1]) for _ in range(rng.randint(1, 5))]}
         for level in (2, 3):
             votes[level] = [rng.choice(LEVEL_LABELS[level]) for _ in range(rng.randint(0, 5))]
-        value = agreement_score(majority_from_votes(votes, rng_seed=rng.randint(0, 2**32)))
+        value = agreement_score(majority_from_votes(votes))
         assert 0.0 <= value <= 1.0, votes
         assert value == pytest.approx(oracles.agreement_direct(votes), abs=1e-12), votes
 
@@ -303,9 +303,9 @@ def test_c5_reference_corpus_reproduction():
 
         ctx = make_context(dataset, institution, classes)
         results = run_grid(ctx, config)
-        agg = aggregate([(r.phase, r.code) for r in results if r.code is not None])
+        counts, _ = aggregate([(r.phase, r.code) for r in results if r.code is not None])
         for phase in ("early", "late"):
-            for code, count in agg.counts[phase].items():
+            for code, count in counts[phase].items():
                 outcome_counts[(institution, phase, code)] = count
 
         gap_lo, gap_hi = REFERENCE_GAPS[institution]

@@ -61,6 +61,37 @@ def test_ingest_reports_line_of_bad_record(dataset_dir, tmp_path, capsys):
     assert "line 1" in err
 
 
+@pytest.mark.parametrize("name", ["annotations.jsonl", "tweets.jsonl"])
+def test_ingest_names_line_of_bytes_that_are_not_utf8(dataset_dir, tmp_path, capsys, name):
+    for source in ("annotations.jsonl", "tweets.jsonl"):
+        shutil.copy(dataset_dir / source, tmp_path / source)
+    lines = (tmp_path / name).read_bytes().count(b"\n")
+    with open(tmp_path / name, "ab") as fh:
+        fh.write(b"\xff\xfe\n")
+    code = cli.main(["ingest", *_dataset_args(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{tmp_path / name}, line {lines + 1}: bytes that are not UTF-8 at character 1" in err
+
+
+def test_ingest_names_line_of_order_index_gap(dataset_dir, tmp_path, capsys):
+    # the first worker's fifth annotation moves to order_index 6, leaving 5 empty
+    records = [json.loads(line) for line in (dataset_dir / "annotations.jsonl").read_text().splitlines()]
+    first = records[0]["worker_id"]
+    gap_line = None
+    for line_no, record in enumerate(records, start=1):
+        if record["worker_id"] == first and record["order_index"] >= 5:
+            record["order_index"] += 1
+            if record["order_index"] == 6:
+                gap_line = line_no
+    write_jsonl(records, str(tmp_path / "annotations.jsonl"))
+    shutil.copy(dataset_dir / "tweets.jsonl", tmp_path / "tweets.jsonl")
+    code = cli.main(["ingest", *_dataset_args(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"annotations.jsonl, line {gap_line}: worker {first!r} has gaps in order_index: 6 where 5 was expected" in err
+
+
 def test_ingest_empty_files(tmp_path, capsys):
     (tmp_path / "a.jsonl").write_text("")
     (tmp_path / "t.jsonl").write_text("")

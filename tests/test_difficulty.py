@@ -1,6 +1,7 @@
 """Agreement, certainty, and cost components plus end-to-end scoring."""
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -36,16 +37,16 @@ def _config(**settings):
     return RunConfig("annotations.jsonl", "tweets.jsonl", **settings)
 
 
-def level(label, majority, voters, tie=False):
-    return MajorityLevel(label=label, majority_count=majority, voter_count=voters, tie=tie)
+def level(majority, voters, tie=False):
+    return MajorityLevel(majority_count=majority, voter_count=voters, tie=tie)
 
 
 def test_agreement_three_levels():
     majority = MajorityResult(
         levels={
-            1: level("Relevant", 4, 4),
-            2: level("NonFactual", 3, 4),
-            3: level("Negative", 2, 2),
+            1: level(4, 4),
+            2: level(3, 4),
+            3: level(2, 2),
         }
     )
     assert agreement_score(majority) == pytest.approx(11 / 12, abs=1e-12)
@@ -55,16 +56,16 @@ def test_agreement_with_tie():
     # a tied level adds one to the weight denominator
     majority = MajorityResult(
         levels={
-            1: level("Relevant", 4, 4),
-            2: level("Factual", 2, 4, tie=True),
-            3: level("Negative", 2, 2),
+            1: level(4, 4),
+            2: level(2, 4, tie=True),
+            3: level(2, 2),
         }
     )
     assert agreement_score(majority) == pytest.approx(7 / 9, abs=1e-12)
 
 
 def test_agreement_single_annotator():
-    majority = MajorityResult(levels={1: level("Relevant", 1, 1), 2: level("Factual", 1, 1)})
+    majority = MajorityResult(levels={1: level(1, 1), 2: level(1, 1)})
     assert agreement_score(majority) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -81,29 +82,31 @@ level_votes = {
 binary_votes = st.fixed_dictionaries(level_votes)
 
 
-@given(votes=binary_votes, seed=st.integers(0, 2**32))
-def test_agreement_matches_direct_evaluation(votes, seed):
-    produced = agreement_score(majority_from_votes(votes, seed))
+@given(votes=binary_votes)
+def test_agreement_matches_direct_evaluation(votes):
+    produced = agreement_score(majority_from_votes(votes))
     assert produced == pytest.approx(agreement_direct(votes), abs=1e-12)
     assert 0.0 <= produced <= 1.0
 
 
-@given(votes=binary_votes, seed=st.integers(0, 2**32), data=st.data())
-def test_agreement_never_drops_when_vote_joins_majority(votes, seed, data):
-    majority = majority_from_votes(votes, seed)
-    flippable = [
-        (lvl, i)
-        for lvl, cast in votes.items()
-        for i, vote in enumerate(cast)
-        if lvl in majority.levels and vote != majority.levels[lvl].label
-    ]
+@given(votes=binary_votes, data=st.data())
+def test_agreement_never_drops_when_vote_joins_majority(votes, data):
+    majority = majority_from_votes(votes)
+    # per voted level, a label with the top count, drawn among tied ones
+    top_label = {}
+    for lvl, cast in votes.items():
+        if cast:
+            counts = Counter(cast)
+            top = max(counts.values())
+            top_label[lvl] = data.draw(st.sampled_from(sorted(lab for lab, c in counts.items() if c == top)))
+    flippable = [(lvl, i) for lvl, cast in votes.items() for i, vote in enumerate(cast) if vote != top_label[lvl]]
     if not flippable:
         return
     lvl, i = data.draw(st.sampled_from(flippable))
     flipped = {l: list(c) for l, c in votes.items()}
-    flipped[lvl][i] = majority.levels[lvl].label
+    flipped[lvl][i] = top_label[lvl]
     before = agreement_score(majority)
-    after = agreement_score(majority_from_votes(flipped, seed))
+    after = agreement_score(majority_from_votes(flipped))
     assert after >= before - 1e-12
 
 
@@ -341,6 +344,21 @@ def test_scoring_is_deterministic(small_synthetic):
     second = difficulty_scores(small_synthetic, config)
     assert first.scores == second.scores
     assert first.imputed_certainty == second.imputed_certainty
+
+
+def test_agreement_derives_no_seed(small_synthetic, monkeypatch):
+    # agreement reads only majority counts and tie flags, so it draws nothing
+    purposes = []
+    stable_seed = difficulty.stable_seed
+
+    def recording_seed(*parts):
+        purposes.append(parts)
+        return stable_seed(*parts)
+
+    monkeypatch.setattr(difficulty, "stable_seed", recording_seed)
+    difficulty_scores(small_synthetic, _config())
+    assert purposes, "the certainty split and order seeds are derived here"
+    assert not [parts for parts in purposes if "majority" in parts]
 
 
 def test_certainty_computes_one_row_per_test_tweet_and_each_pair_once(small_synthetic, monkeypatch):

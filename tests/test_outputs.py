@@ -14,13 +14,12 @@ from annodiff.outputs import (
     read_csv,
     read_json,
     read_scores_csv,
-    stats_payload,
     write_curves_csv,
     write_json,
     write_outcomes_csv,
     write_scores_csv,
 )
-from annodiff.simulation import ConfigResult, F1Curve, aggregate
+from annodiff.simulation import ConfigResult, F1Curve
 
 CONFIG = json.dumps({"seed": 7, "split": 0.4}, sort_keys=True)
 
@@ -122,20 +121,6 @@ def test_curves_csv_skips_undefined_and_sorts_k(tmp_path):
     # repr floats survive the round trip exactly
     assert float(rows[0]["hf1_easy"]) == 1 / 3
     assert float(rows[1]["hf1_difficult"]) == 0.75
-
-
-def test_stats_payload_shape():
-    agg = aggregate([("early", "E"), ("late", "T"), ("late", "D")])
-    p_values = {name: 0.5 for name in agg.tables}
-    payload = stats_payload(agg, p_values, {"seed": 1}, extra={"undefined_comparisons": 2})
-    assert payload["config"] == {"seed": 1}
-    assert payload["outcome_counts"]["late"] == {"T": 1, "E": 0, "D": 1}
-    table = payload["tables"]["E_vs_D"]
-    assert table["rows"] == ["E", "D"]
-    assert table["columns"] == ["early", "late"]
-    assert table["counts"] == [[1, 0], [0, 1]]
-    assert table["p_value"] == 0.5
-    assert payload["undefined_comparisons"] == 2
 
 
 def test_write_json_is_canonical(tmp_path):

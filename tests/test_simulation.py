@@ -24,7 +24,6 @@ from annodiff.simulation import (
     run_config,
     run_grid,
 )
-from annodiff.simulation import test_proportions as proportions_p
 from annodiff.synth import SynthConfig, generate_dataset
 from annodiff.textsim import PairSimilarity, SimilarityMetric
 
@@ -417,26 +416,41 @@ def test_aggregate_counts_and_table_layout():
         + [("late", "E")] * 36
         + [("late", "D")] * 6
     )
-    agg = aggregate(outcomes)
-    assert agg.counts == {
+    counts, tables = aggregate(outcomes)
+    assert counts == {
         "early": {"T": 31, "E": 13, "D": 10},
         "late": {"T": 12, "E": 36, "D": 6},
     }
-    assert agg.tables["E_vs_T"].row_labels == ("T", "E")
-    assert agg.tables["E_vs_T"].col_labels == ("early", "late")
-    assert agg.tables["E_vs_T"].flat() == (31, 12, 13, 36)
-    assert agg.tables["E_vs_D"].flat() == (13, 36, 10, 6)
-    assert agg.tables["T_vs_D"].flat() == (31, 12, 10, 6)
-    assert proportions_p(agg.tables["E_vs_T"]) < 1e-4
-    assert proportions_p(agg.tables["E_vs_D"]) < 0.02
-    assert proportions_p(agg.tables["T_vs_D"]) > 0.5
+    assert list(tables) == ["E_vs_T", "E_vs_D", "T_vs_D"]
+    assert {name: table["rows"] for name, table in tables.items()} == {
+        "E_vs_T": ["T", "E"],
+        "E_vs_D": ["E", "D"],
+        "T_vs_D": ["T", "D"],
+    }
+    assert all(table["columns"] == ["early", "late"] for table in tables.values())
+    assert tables["E_vs_T"]["counts"] == [[31, 12], [13, 36]]
+    assert tables["E_vs_D"]["counts"] == [[13, 36], [10, 6]]
+    assert tables["T_vs_D"]["counts"] == [[31, 12], [10, 6]]
+    assert tables["E_vs_T"]["p_value"] < 1e-4
+    assert tables["E_vs_D"]["p_value"] < 0.02
+    assert tables["T_vs_D"]["p_value"] > 0.5
+
+    # each table is already in its stats.json form
+    counts, tables = aggregate([("early", "E"), ("late", "T"), ("late", "D")])
+    assert counts["late"] == {"T": 1, "E": 0, "D": 1}
+    assert tables["E_vs_D"] == {
+        "rows": ["E", "D"],
+        "columns": ["early", "late"],
+        "counts": [[1, 0], [0, 1]],
+        "p_value": 1.0,
+    }
 
 
 def test_proportions_of_an_all_zero_table_is_one():
     # neither E nor T ever occurred: the table carries no evidence
-    agg = aggregate([("early", "D"), ("late", "D")])
-    assert agg.tables["E_vs_T"].flat() == (0, 0, 0, 0)
-    assert proportions_p(agg.tables["E_vs_T"]) == 1.0
+    _, tables = aggregate([("early", "D"), ("late", "D")])
+    assert tables["E_vs_T"]["counts"] == [[0, 0], [0, 0]]
+    assert tables["E_vs_T"]["p_value"] == 1.0
 
 
 def test_aggregate_rejects_unknown_inputs():
