@@ -15,7 +15,6 @@ from annodiff.simulation import (
     aggregate,
     build_strata,
     encode_outcome,
-    run_config,
 )
 from annodiff.stats import fisher_exact_two_tailed, kmeans_1d
 from annodiff.textsim import SimilarityMetric, nsim, tokenize
@@ -44,6 +43,5 @@ __all__ = [
     "majority_labels",
     "nsim",
     "parse_dataset",
-    "run_config",
     "tokenize",
 ]

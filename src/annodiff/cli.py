@@ -1,8 +1,8 @@
 """Command-line pipeline: ingest, score, simulate, report.
 
 Exit codes: 0 on success, 1 on invalid input or configuration, 2 on an
-internal invariant violation. The seed comes from --seed, falling back to
-the ANNODIFF_SEED environment variable, then to 0.
+internal invariant violation. The seed comes from --seed alone, and is 0
+when it is not given.
 """
 
 from __future__ import annotations
@@ -11,13 +11,12 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import traceback
 from contextlib import contextmanager
 from pathlib import Path
 
-from annodiff.config import SCORING_FIELDS, SEED_ENV_VAR, RunConfig
+from annodiff.config import SCORING_FIELDS, RunConfig
 from annodiff.dataset import GROUPS, INSTITUTIONS, Dataset, load_dataset
 from annodiff.difficulty import DIFFICULT, EASY, difficulty_scores
 from annodiff.errors import AnnodiffError
@@ -59,7 +58,7 @@ def _add_scoring_args(parser):
     parser.add_argument("--smoothing", type=float, default=RunConfig.smoothing, help="additive smoothing of certainty rows (default %(default)s)")
     parser.add_argument("--k-certainty", type=int, default=RunConfig.k_certainty, help="neighbors for the certainty predictors (default %(default)s)")
     parser.add_argument("--split", type=float, default=RunConfig.split_ratio, help="training share of each worker's tweets (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=None, help=f"master seed (default: ${SEED_ENV_VAR} or {RunConfig.seed})")
+    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="master seed (default %(default)s)")
     parser.add_argument("--out", default=RunConfig.out, help="output directory (default %(default)s)")
 
 
@@ -87,18 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None or env == "":
-        return RunConfig.seed
-    try:
-        return int(env)
-    except ValueError:
-        raise AnnodiffError(f"{SEED_ENV_VAR} must be an integer, got {env!r}")
-
-
 def _make_run_config(args) -> RunConfig:
     """RunConfig from the flags this subcommand has; every setting it has no
     flag for keeps its RunConfig default."""
@@ -108,9 +95,11 @@ def _make_run_config(args) -> RunConfig:
     if "metrics" in args:  # simulate's grid flags
         metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
         valid = {m.value for m in SimilarityMetric}
-        for m in metrics:
+        for i, m in enumerate(metrics):
             if m not in valid:
                 raise AnnodiffError(f"unknown metric {m!r}; choose from {sorted(valid)}")
+            if m in metrics[:i]:
+                raise AnnodiffError(f"--metrics names {m!r} more than once")
         if not metrics:
             raise AnnodiffError("at least one metric is required")
         try:
@@ -134,7 +123,7 @@ def _make_run_config(args) -> RunConfig:
         smoothing=args.smoothing,
         k_certainty=args.k_certainty,
         split_ratio=args.split,
-        seed=_resolve_seed(args.seed),
+        seed=args.seed,
         out=args.out,
         **given,
     )

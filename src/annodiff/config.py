@@ -12,8 +12,6 @@ import hashlib
 import json
 from dataclasses import asdict, dataclass
 
-SEED_ENV_VAR = "ANNODIFF_SEED"
-
 
 def stable_seed(*parts) -> int:
     """Derive a 64-bit seed from the given parts.

@@ -66,9 +66,6 @@ class Dataset:
     def worker_ids(self) -> list[str]:
         return sorted(self.workers)
 
-    def institutions(self) -> list[str]:
-        return sorted({w.institution for w in self.workers.values()})
-
     def annotations_by_tweet(self) -> dict[str, list[Annotation]]:
         out: dict[str, list[Annotation]] = {}
         for wid in self.worker_ids():

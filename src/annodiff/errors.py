@@ -28,7 +28,3 @@ class DatasetError(AnnodiffError):
 class DegenerateClusteringError(AnnodiffError):
     """Raised when 1-D k-means receives fewer than two distinct values, a
     value that is not finite, or values whose squared deviations overflow."""
-
-
-class GridMismatchError(AnnodiffError):
-    """Raised when two F1 curves do not share the same neighbor-count grid."""

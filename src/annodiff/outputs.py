@@ -120,18 +120,8 @@ def write_curves_csv(path: str, header_json: str, results: Sequence[ConfigResult
     for r in results:
         if r.curve_easy is None or r.curve_difficult is None:
             continue
-        for k in sorted(r.curve_easy.points):
-            rows.append(
-                (
-                    r.institution,
-                    r.metric,
-                    r.phase,
-                    r.train_size,
-                    k,
-                    r.curve_easy.points[k],
-                    r.curve_difficult.points[k],
-                )
-            )
+        for k in sorted(r.curve_easy):
+            rows.append((r.institution, r.metric, r.phase, r.train_size, k, r.curve_easy[k], r.curve_difficult[k]))
     _write_csv(path, header_json, CURVES_FIELDS, rows)
 
 

@@ -14,13 +14,12 @@ from __future__ import annotations
 import random
 import statistics
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping, Sequence
 
 from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Dataset
 from annodiff.difficulty import DIFFICULT, EASY
-from annodiff.errors import GridMismatchError
 from annodiff.knn import hierarchical_f1, prefix_counts, rank_by_similarity, vote
 from annodiff.labels import LEVELS, NO_LABEL, NONFACTUAL, RELEVANT
 from annodiff.textsim import PairSimilarity, SimilarityMetric
@@ -79,19 +78,14 @@ def build_strata(dataset: Dataset, class_by_tweet: Mapping[str, str]) -> StrataR
 
 @dataclass
 class SimulationContext:
-    """Everything run_config needs for one institution, precomputed once."""
+    """One institution's workers, strata, windows and word sequences, the
+    inputs run_grid reads, precomputed once."""
 
     institution: str
     worker_ids: list[str]
     strata: dict[tuple[str, str, str], Window]  # (worker, phase, klass)
     windows: dict[tuple[str, str], Window]
     words: dict[str, tuple[str, ...]]
-    _sims: dict[SimilarityMetric, PairSimilarity] = field(default_factory=dict)
-
-    def sims(self, metric: SimilarityMetric) -> PairSimilarity:
-        if metric not in self._sims:
-            self._sims[metric] = PairSimilarity(self.words, metric)
-        return self._sims[metric]
 
 
 def make_context(dataset: Dataset, institution: str, class_by_tweet: Mapping[str, str]) -> SimulationContext:
@@ -107,22 +101,15 @@ def make_context(dataset: Dataset, institution: str, class_by_tweet: Mapping[str
 
 
 @dataclass(frozen=True)
-class F1Curve:
-    """Micro-averaged hierarchical F1 per neighbor count for one arm of one
-    configuration, pooled over the workers it used."""
-
-    points: dict[int, float]
-    workers_used: int
-
-
-@dataclass(frozen=True)
 class ConfigResult:
     institution: str
     metric: str
     phase: str
     train_size: int
-    curve_easy: F1Curve | None
-    curve_difficult: F1Curve | None
+    # {k: micro-averaged hierarchical F1 pooled over the workers that fit},
+    # None when no worker's stratum holds train_size tweets
+    curve_easy: dict[int, float] | None
+    curve_difficult: dict[int, float] | None
     skipped_easy: int
     skipped_difficult: int
     code: str | None  # None when the comparison is undefined
@@ -150,15 +137,16 @@ def vote_path(
 
 def _arm_curves(
     ctx: SimulationContext,
+    sims: PairSimilarity,
     metric: SimilarityMetric,
     phase: str,
     arm: str,
-    sizes: Sequence[int],
-    k_grid: Sequence[int],
+    ks: Sequence[int],
     seed: int,
-) -> dict[int, tuple[F1Curve | None, int]]:
-    """Pool predictions for one arm across workers at every train size of
-    sizes (ascending). Returns {n: (curve, skipped)}.
+) -> dict[int, tuple[dict[int, float] | None, int]]:
+    """Pool predictions for one arm across workers at every train size, with
+    pair similarities from sims and the neighbor counts ks (ascending,
+    distinct). Returns {n: (curve, skipped)}.
 
     The training set of size n is the first n tweets of the arm's stratum,
     so the sizes nest: a window tweet is a query for every n up to its
@@ -173,13 +161,11 @@ def _arm_curves(
     only on a tie. Predictions are tallied as (truth, predicted) counts per
     (n, k).
     """
-    sims = ctx.sims(metric)
-    ks = sorted(set(k_grid))
-    tables = {n: {k: Counter() for k in ks} for n in sizes}
-    used = dict.fromkeys(sizes, 0)
+    tables = {n: {k: Counter() for k in ks} for n in TRAIN_SIZES}
+    used = dict.fromkeys(TRAIN_SIZES, 0)
     for wid in ctx.worker_ids:
-        stratum = ctx.strata[(wid, phase, arm)][: sizes[-1]]
-        fitting = [n for n in sizes if n <= len(stratum)]
+        stratum = ctx.strata[(wid, phase, arm)][: TRAIN_SIZES[-1]]
+        fitting = [n for n in TRAIN_SIZES if n <= len(stratum)]
         for n in fitting:
             used[n] += 1
         if not fitting:
@@ -218,11 +204,8 @@ def _arm_curves(
                         predicted = vote_path(counts, lambda level: _tie_rng(drew, parts, tid, k, level))
                     by_k[k][(truth, predicted)] += 1
     return {
-        n: (
-            F1Curve(points={k: hierarchical_f1(tables[n][k]) for k in ks}, workers_used=used[n]) if used[n] else None,
-            len(ctx.worker_ids) - used[n],
-        )
-        for n in sizes
+        n: ({k: hierarchical_f1(tables[n][k]) for k in ks} if used[n] else None, len(ctx.worker_ids) - used[n])
+        for n in TRAIN_SIZES
     }
 
 
@@ -232,74 +215,9 @@ def _tie_rng(drew: list[int], parts: tuple, tid: str, k: int, level: int) -> ran
     return random.Random(stable_seed(*parts, "vote", tid, k, level))
 
 
-def _phase_results(
-    ctx: SimulationContext,
-    metric: SimilarityMetric,
-    phase: str,
-    sizes: Sequence[int],
-    k_grid: Sequence[int],
-    seed: int,
-    epsilon: float,
-) -> list[ConfigResult]:
-    """The configurations of one (metric, phase) at the given train sizes,
-    from one pass per arm."""
-    if not k_grid:
-        raise ValueError("k_grid must not be empty")
-    if min(k_grid) < 1:
-        raise ValueError(f"k_grid must hold positive neighbor counts, got {tuple(k_grid)}")
-    easy = _arm_curves(ctx, metric, phase, EASY, sizes, k_grid, seed)
-    difficult = _arm_curves(ctx, metric, phase, DIFFICULT, sizes, k_grid, seed)
-    results = []
-    for n in sizes:
-        (curve_easy, skipped_easy), (curve_difficult, skipped_difficult) = easy[n], difficult[n]
-        if curve_easy is None or curve_difficult is None:
-            code = None
-            delta = None
-        else:
-            delta = mean_curve_delta(curve_easy, curve_difficult)
-            code = encode_outcome(delta, epsilon)
-        results.append(
-            ConfigResult(
-                institution=ctx.institution,
-                metric=metric.value,
-                phase=phase,
-                train_size=n,
-                curve_easy=curve_easy,
-                curve_difficult=curve_difficult,
-                skipped_easy=skipped_easy,
-                skipped_difficult=skipped_difficult,
-                code=code,
-                mean_delta=delta,
-            )
-        )
-    return results
-
-
-def run_config(
-    ctx: SimulationContext,
-    metric: SimilarityMetric,
-    phase: str,
-    n: int,
-    k_grid: Sequence[int],
-    seed: int,
-    epsilon: float,
-) -> ConfigResult:
-    """Run one (institution, metric, phase, train size) configuration."""
-    if phase not in PHASES:
-        raise ValueError(f"phase must be one of {PHASES}, got {phase!r}")
-    if not TRAIN_SIZES[0] <= n <= TRAIN_SIZES[-1]:
-        raise ValueError(f"train size must lie in [{TRAIN_SIZES[0]}, {TRAIN_SIZES[-1]}], got {n}")
-    (result,) = _phase_results(ctx, metric, phase, (n,), k_grid, seed, epsilon)
-    return result
-
-
-def mean_curve_delta(curve_easy: F1Curve, curve_difficult: F1Curve) -> float:
+def mean_curve_delta(curve_easy: dict[int, float], curve_difficult: dict[int, float]) -> float:
     """Mean over the k grid of (easy F1 - difficult F1)."""
-    if sorted(curve_easy.points) != sorted(curve_difficult.points):
-        raise GridMismatchError(
-            f"curves cover different k grids: {sorted(curve_easy.points)} vs {sorted(curve_difficult.points)}"
-        )
-    return statistics.fmean(curve_easy.points[k] - curve_difficult.points[k] for k in sorted(curve_easy.points))
+    return statistics.fmean(curve_easy[k] - curve_difficult[k] for k in sorted(curve_easy))
 
 
 def encode_outcome(delta: float, epsilon: float) -> str:
@@ -316,15 +234,48 @@ def encode_outcome(delta: float, epsilon: float) -> str:
 
 def run_grid(ctx: SimulationContext, config: RunConfig) -> list[ConfigResult]:
     """All (metric, phase, train size) configurations for one institution,
-    over config's metrics, k grid, seed and epsilon."""
-    return [
-        result
-        for metric in config.metrics
-        for phase in PHASES
-        for result in _phase_results(
-            ctx, SimilarityMetric(metric), phase, TRAIN_SIZES, config.k_grid, config.seed, config.epsilon
-        )
-    ]
+    over config's metrics, k grid, seed and epsilon, in that order.
+
+    Each metric gets one pair cache, which both phases and both arms share;
+    each (metric, phase, arm) is one pass over the workers at every train
+    size.
+    """
+    repeated = [m for i, m in enumerate(config.metrics) if m in config.metrics[:i]]
+    if repeated:
+        raise ValueError(f"metric {repeated[0]!r} is given more than once")
+    if not config.k_grid:
+        raise ValueError("k_grid must not be empty")
+    if min(config.k_grid) < 1:
+        raise ValueError(f"k_grid must hold positive neighbor counts, got {config.k_grid}")
+    ks = sorted(set(config.k_grid))
+    results = []
+    for name in config.metrics:
+        metric = SimilarityMetric(name)
+        sims = PairSimilarity(ctx.words, metric)
+        for phase in PHASES:
+            easy = _arm_curves(ctx, sims, metric, phase, EASY, ks, config.seed)
+            difficult = _arm_curves(ctx, sims, metric, phase, DIFFICULT, ks, config.seed)
+            for n in TRAIN_SIZES:
+                (curve_easy, skipped_easy), (curve_difficult, skipped_difficult) = easy[n], difficult[n]
+                delta = code = None
+                if curve_easy is not None and curve_difficult is not None:
+                    delta = mean_curve_delta(curve_easy, curve_difficult)
+                    code = encode_outcome(delta, config.epsilon)
+                results.append(
+                    ConfigResult(
+                        institution=ctx.institution,
+                        metric=metric.value,
+                        phase=phase,
+                        train_size=n,
+                        curve_easy=curve_easy,
+                        curve_difficult=curve_difficult,
+                        skipped_easy=skipped_easy,
+                        skipped_difficult=skipped_difficult,
+                        code=code,
+                        mean_delta=delta,
+                    )
+                )
+    return results
 
 
 # pairwise comparisons reported, with their row order

@@ -252,7 +252,6 @@ def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
 
     from annodiff.config import stable_seed
     from annodiff.knn import vote
-    from annodiff.simulation import F1Curve
     from annodiff.textsim import nsim
 
     def pair_sim(a, b):
@@ -260,13 +259,12 @@ def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
 
     ks = sorted(set(k_grid))
     pairs_per_k = {k: [] for k in ks}
-    used = skipped = 0
+    skipped = 0
     for wid in ctx.worker_ids:
         training = ctx.strata[(wid, phase, arm)][:n]
         if len(training) < n:
             skipped += 1
             continue
-        used += 1
         train_ids = {tid for tid, _ in training}
         for tid, truth in ctx.windows[(wid, phase)]:
             if tid in train_ids:
@@ -284,12 +282,12 @@ def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
                     for level in (1, 2, 3)
                 ]
                 pairs_per_k[k].append((truth, coerce_structure(*votes)))
-    if used == 0:
+    if skipped == len(ctx.worker_ids):
         return None, skipped
-    points = {
+    curve = {
         k: hier_f1_direct([(path_label_set(*t), path_label_set(*p)) for t, p in pairs_per_k[k]]) for k in ks
     }
-    return F1Curve(points=points, workers_used=used), skipped
+    return curve, skipped
 
 
 def config_result(ctx, metric, phase, n, k_grid, seed, epsilon):

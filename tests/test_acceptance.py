@@ -49,7 +49,7 @@ from annodiff.labels import (
     RELEVANT,
     LabelPath,
 )
-from annodiff.simulation import aggregate, build_strata, make_context, run_config, run_grid
+from annodiff.simulation import aggregate, build_strata, make_context, run_grid
 from annodiff.stats import fisher_exact_two_tailed, kmeans_1d
 from annodiff.synth import SynthConfig, generate_dataset, generate_records, write_jsonl
 from annodiff.textsim import SimilarityMetric, nsim
@@ -330,9 +330,9 @@ def test_c6_easy_training_class_beats_difficult():
 
     ctx = make_context(dataset, "MD", classes)
     for metric in SimilarityMetric:
-        run = run_config(ctx, metric, "late", 8, k_grid=(1, 3, 5, 7, 9, 11, 13, 15), seed=11, epsilon=0.01)
+        grid = run_grid(ctx, RunConfig("annotations.jsonl", "tweets.jsonl", metrics=(metric.value,), seed=11))
+        run = next(r for r in grid if r.phase == "late" and r.train_size == 8)
         assert run.curve_easy is not None and run.curve_difficult is not None, metric
-        assert run.curve_easy.workers_used == 8, metric
-        assert run.curve_difficult.workers_used == 8, metric
+        assert run.skipped_easy == 0 and run.skipped_difficult == 0, metric
         assert run.mean_delta is not None and run.mean_delta > 0.01, (metric, run.mean_delta)
         assert run.code == "E", metric

@@ -14,14 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annodiff import cli
-from annodiff.config import SEED_ENV_VAR
 from annodiff.outputs import CONFIG_PREFIX, read_csv, read_json, read_scores_csv
 from annodiff.synth import SynthConfig, generate_records, write_jsonl
-
-
-@pytest.fixture(autouse=True)
-def _no_seed_env(monkeypatch):
-    monkeypatch.delenv(SEED_ENV_VAR, raising=False)
 
 
 @pytest.fixture(scope="module")
@@ -343,22 +337,25 @@ def test_missing_required_argument_is_usage_error(capsys):
     assert "--tweets" in err
 
 
-def test_seed_env_fallback_and_override(dataset_dir, tmp_path, monkeypatch):
-    monkeypatch.setenv(SEED_ENV_VAR, "99")
-    out = tmp_path / "env"
+def test_seed_comes_from_the_flag_alone(dataset_dir, tmp_path, monkeypatch):
+    # the environment sets no seed: without --seed it is RunConfig's 0
+    monkeypatch.setenv("ANNODIFF_SEED", "99")
+    out = tmp_path / "default"
     assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out)]) == 0
-    assert read_json(str(out / "summary.json"))["config"]["seed"] == 99
+    assert read_json(str(out / "summary.json"))["config"]["seed"] == 0
 
     out2 = tmp_path / "flag"
     assert cli.main(["score", *_dataset_args(dataset_dir), "--out", str(out2), "--seed", "5"]) == 0
     assert read_json(str(out2 / "summary.json"))["config"]["seed"] == 5
 
 
-def test_seed_env_must_be_integer(dataset_dir, tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv(SEED_ENV_VAR, "not-a-number")
-    code = cli.main(["score", *_dataset_args(dataset_dir), "--out", str(tmp_path / "o")])
+def test_repeated_metric_exit_1(dataset_dir, tmp_path, capsys):
+    # a metric given twice would run and count each of its configurations twice
+    out = tmp_path / "o"
+    code = cli.main(["simulate", *_dataset_args(dataset_dir), "--out", str(out), "--metrics", "substring,edit,edit"])
     assert code == 1
-    assert SEED_ENV_VAR in capsys.readouterr().err
+    assert "'edit'" in capsys.readouterr().err
+    assert not (out / "outcomes.csv").exists()
 
 
 def _with_embedded(text, key, value):

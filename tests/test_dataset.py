@@ -50,7 +50,6 @@ def test_roundtrip_and_ordering():
     assert [a.tweet_id for a in ds.workers["w1"].annotations] == ["t1", "t2"]
     assert ds.workers["w2"].group == "S"
     assert ds.texts["t1"] == "some sample words"
-    assert ds.institutions() == ["MD"]
     by_tweet = ds.annotations_by_tweet()
     assert sorted(by_tweet) == ["t1", "t2"]
     assert len(by_tweet["t1"]) == 2

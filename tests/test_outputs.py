@@ -19,7 +19,7 @@ from annodiff.outputs import (
     write_outcomes_csv,
     write_scores_csv,
 )
-from annodiff.simulation import ConfigResult, F1Curve
+from annodiff.simulation import ConfigResult
 
 CONFIG = json.dumps({"seed": 7, "split": 0.4}, sort_keys=True)
 
@@ -84,7 +84,7 @@ def test_read_csv_without_config_line(tmp_path):
 
 def _result(code, delta, with_curves=True):
     def curve():
-        return F1Curve(points={3: 0.75, 1: 1 / 3}, workers_used=2)
+        return {3: 0.75, 1: 1 / 3}
 
     return ConfigResult(
         institution="MD",

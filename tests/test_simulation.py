@@ -7,21 +7,19 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from annodiff import simulation
+from annodiff import simulation, textsim
 from annodiff.config import RunConfig
 from annodiff.dataset import Annotation, Dataset, Worker
-from annodiff.errors import GridMismatchError
 from annodiff.labels import LabelPath
 from annodiff.simulation import (
     PHASES,
     TRAIN_SIZES,
-    F1Curve,
+    _arm_curves,
     aggregate,
     build_strata,
     encode_outcome,
     make_context,
     mean_curve_delta,
-    run_config,
     run_grid,
 )
 from annodiff.synth import SynthConfig, generate_dataset
@@ -104,34 +102,41 @@ def test_make_context_filters_institution():
     assert ctx.worker_ids == ["s1"]
 
 
-def test_run_config_hand_computed_f1():
+def _grid_row(ctx, metric, phase, n, k_grid, seed=0):
+    """The (phase, n) configuration of a one-metric run_grid."""
+    config = RunConfig("a.jsonl", "t.jsonl", metrics=(metric.value,), k_grid=k_grid, seed=seed)
+    return next(r for r in run_grid(ctx, config) if (r.phase, r.train_size) == (phase, n))
+
+
+def test_grid_hand_computed_f1():
     # within each class all texts are identical and across classes they are
     # disjoint, so every prediction copies the training class's label path,
     # for any k and any metric. The resulting pooled F1 values are exact.
     ds, classes = _alternating_dataset(50)
     ctx = make_context(ds, "MD", classes)
-    result = run_config(ctx, SimilarityMetric.SUBSTRING, "early", 2, k_grid=(1, 3, 5), seed=0, epsilon=0.01)
+    result = _grid_row(ctx, SimilarityMetric.SUBSTRING, "early", 2, k_grid=(1, 3, 5))
     # easy arm: 23 test tweets, 11 easy truths fully matched (3 labels each),
     # 12 difficult truths missed: F1 = 2*33/(69+45)
-    for value in result.curve_easy.points.values():
+    assert sorted(result.curve_easy) == [1, 3, 5]
+    for value in result.curve_easy.values():
         assert value == pytest.approx(66 / 114, abs=1e-12)
     # difficult arm: 13 easy truths missed, 10 difficult matched: F1 = 2*10/(23+49)
-    for value in result.curve_difficult.points.values():
+    for value in result.curve_difficult.values():
         assert value == pytest.approx(20 / 72, abs=1e-12)
     assert result.mean_delta == pytest.approx(66 / 114 - 20 / 72, abs=1e-12)
     assert result.code == "E"
     assert result.skipped_easy == 0
-    assert result.curve_easy.workers_used == 1
+    assert result.skipped_difficult == 0
 
 
-def test_run_config_skips_thin_strata():
+def test_grid_skips_thin_strata():
     ds, classes = _alternating_dataset(50)
     # leave only 3 easy tweets in the late window
     late_easy = [f"w1_t{i:02d}" for i in range(25, 50) if i % 2 == 0]
     for tid in late_easy[3:]:
         classes[tid] = "difficult"
     ctx = make_context(ds, "MD", classes)
-    result = run_config(ctx, SimilarityMetric.EDIT, "late", 5, k_grid=(1,), seed=0, epsilon=0.01)
+    result = _grid_row(ctx, SimilarityMetric.EDIT, "late", 5, k_grid=(1,))
     assert result.curve_easy is None
     assert result.skipped_easy == 1
     assert result.code is None
@@ -139,25 +144,25 @@ def test_run_config_skips_thin_strata():
     assert result.curve_difficult is not None
 
 
-def test_run_config_validation():
+def test_grid_refuses_empty_k_grid():
     ds, classes = _alternating_dataset(50)
     ctx = make_context(ds, "MD", classes)
-    grid = {"k_grid": (1, 3), "seed": 0, "epsilon": 0.01}
     with pytest.raises(ValueError):
-        run_config(ctx, SimilarityMetric.EDIT, "middle", 5, **grid)
-    with pytest.raises(ValueError):
-        run_config(ctx, SimilarityMetric.EDIT, "early", 1, **grid)
-    with pytest.raises(ValueError):
-        run_config(ctx, SimilarityMetric.EDIT, "early", 11, **grid)
-    with pytest.raises(ValueError):
-        run_config(ctx, SimilarityMetric.EDIT, "early", 5, **{**grid, "k_grid": ()})
+        run_grid(ctx, RunConfig("a.jsonl", "t.jsonl", metrics=("edit",), k_grid=()))
 
 
-def test_run_config_deterministic():
+def test_grid_deterministic():
     ds, classes = _alternating_dataset(50)
     ctx = make_context(ds, "MD", classes)
     args = (ctx, SimilarityMetric.SUBSEQUENCE, "late", 3, (1, 3, 5, 7, 9, 11, 13, 15))
-    assert run_config(*args, seed=5, epsilon=0.01) == run_config(*args, seed=5, epsilon=0.01)
+    assert _grid_row(*args, seed=5) == _grid_row(*args, seed=5)
+
+
+def test_grid_refuses_repeated_metric():
+    ds, classes = _alternating_dataset(50)
+    ctx = make_context(ds, "MD", classes)
+    with pytest.raises(ValueError, match="'substring' is given more than once"):
+        run_grid(ctx, RunConfig("a.jsonl", "t.jsonl", metrics=("edit", "substring", "substring")))
 
 
 def test_run_grid_covers_all_configurations():
@@ -223,10 +228,8 @@ k_grids = st.lists(st.sampled_from((1, 2, 3, 5, 9, 10, 11, 15)), min_size=1, max
     metric=st.sampled_from(list(SimilarityMetric)),
     k_grid=k_grids,
     seed=st.integers(0, 3),
-    phase=st.sampled_from(PHASES),
-    n=st.sampled_from(TRAIN_SIZES),
 )
-def test_grid_matches_per_size_oracle(ctx, metric, k_grid, seed, phase, n):
+def test_grid_matches_per_size_oracle(ctx, metric, k_grid, seed):
     config = RunConfig("a.jsonl", "t.jsonl", metrics=(metric.value,), k_grid=tuple(k_grid), seed=seed)
     expected = [
         oracles.config_result(ctx, metric, ph, size, config.k_grid, seed, config.epsilon)
@@ -234,15 +237,13 @@ def test_grid_matches_per_size_oracle(ctx, metric, k_grid, seed, phase, n):
         for size in TRAIN_SIZES
     ]
     assert run_grid(ctx, config) == expected
-    single = run_config(ctx, metric, phase, n, config.k_grid, seed, config.epsilon)
-    assert single == expected[PHASES.index(phase) * len(TRAIN_SIZES) + TRAIN_SIZES.index(n)]
 
 
-def test_run_config_refuses_non_positive_k():
+def test_grid_refuses_non_positive_k():
     ds, classes = _alternating_dataset(50)
     ctx = make_context(ds, "MD", classes)
     with pytest.raises(ValueError):
-        run_config(ctx, SimilarityMetric.EDIT, "early", 5, k_grid=(0, 3), seed=0, epsilon=0.01)
+        run_grid(ctx, RunConfig("a.jsonl", "t.jsonl", metrics=("edit",), k_grid=(0, 3)))
 
 
 # --- the grid's work counts ---
@@ -286,6 +287,26 @@ def test_grid_looks_each_pair_up_once_per_worker_and_arm(monkeypatch):
         assert set(lookups.values()) == {1}
 
 
+def test_grid_computes_each_pair_once_per_metric(monkeypatch):
+    # one pair cache per metric serves both phases and both arms: a pair of
+    # an easy and a difficult tweet is a query pair in each arm, and workers
+    # meet the same pairs in different phases
+    ctx = _planted_context()
+    words = [ctx.words[tid] for window in ctx.windows.values() for tid, _ in window]
+    assert len(set(words)) == len(ctx.words)  # a word sequence names its tweet
+    computed = Counter()
+    real_nsim = textsim.nsim
+
+    def counting_nsim(a, b, metric, *rest):
+        computed[(metric, min(a, b), max(a, b))] += 1
+        return real_nsim(a, b, metric, *rest)
+
+    monkeypatch.setattr(textsim, "nsim", counting_nsim)
+    run_grid(ctx, RunConfig("a.jsonl", "t.jsonl", metrics=("edit", "substring"), k_grid=(1, 3)))
+    assert {metric for metric, _, _ in computed} == {SimilarityMetric.EDIT, SimilarityMetric.SUBSTRING}
+    assert set(computed.values()) == {1}
+
+
 def test_agreeing_training_paths_are_not_ranked(monkeypatch):
     # the easy stratum of the early window is w1_t00, w1_t02, ...: relabel
     # its fourth tweet so that exactly the first three training paths agree
@@ -301,11 +322,15 @@ def test_agreeing_training_paths_are_not_ranked(monkeypatch):
         return real_rank(sims, rng, depth)
 
     monkeypatch.setattr(simulation, "rank_by_similarity", counting_rank)
-    for n in TRAIN_SIZES:
-        ranked.clear()
-        run_config(ctx, SimilarityMetric.EDIT, "early", n, k_grid=(1, 3), seed=0, epsilon=0.01)
-        # the difficult stratum is one path throughout
-        assert ranked == ([] if n <= 3 else [n] * (25 - n)), n
+    sims = PairSimilarity(ctx.words, SimilarityMetric.EDIT)
+    _arm_curves(ctx, sims, SimilarityMetric.EDIT, "early", "easy", (1, 3), seed=0)
+    # a query of size n is ranked over its first n similarities; the 25 - n
+    # window tweets outside the training set are queries of size n
+    assert Counter(ranked) == {n: 25 - n for n in TRAIN_SIZES if n > 3}
+    ranked.clear()
+    # the difficult stratum is one path throughout
+    _arm_curves(ctx, sims, SimilarityMetric.EDIT, "early", "difficult", (1, 3), seed=0)
+    assert ranked == []
 
 
 def test_vote_repeats_a_prefix_only_after_a_tie(monkeypatch):
@@ -359,19 +384,10 @@ def test_vote_repeats_a_prefix_only_after_a_tie(monkeypatch):
 # --- outcome coding ---
 
 
-def _curve(points):
-    return F1Curve(points=dict(points), workers_used=3)
-
-
 def test_mean_curve_delta():
-    easy = _curve({1: 0.6, 3: 0.7, 5: 0.8})
-    difficult = _curve({1: 0.5, 3: 0.7, 5: 0.6})
+    easy = {1: 0.6, 3: 0.7, 5: 0.8}
+    difficult = {1: 0.5, 3: 0.7, 5: 0.6}
     assert mean_curve_delta(easy, difficult) == pytest.approx(0.1, abs=1e-12)
-
-
-def test_mean_curve_delta_grid_mismatch():
-    with pytest.raises(GridMismatchError):
-        mean_curve_delta(_curve({1: 0.5}), _curve({1: 0.5, 3: 0.5}))
 
 
 def _code(curve_easy, curve_difficult, epsilon=0.01):
@@ -379,12 +395,12 @@ def _code(curve_easy, curve_difficult, epsilon=0.01):
 
 
 def test_encode_outcome_codes():
-    flat = _curve({1: 0.5, 3: 0.5})
-    assert _code(flat, _curve({1: 0.5, 3: 0.5})) == "T"
-    assert _code(_curve({1: 0.55, 3: 0.55}), flat) == "E"
-    assert _code(flat, _curve({1: 0.55, 3: 0.55})) == "D"
+    flat = {1: 0.5, 3: 0.5}
+    assert _code(flat, {1: 0.5, 3: 0.5}) == "T"
+    assert _code({1: 0.55, 3: 0.55}, flat) == "E"
+    assert _code(flat, {1: 0.55, 3: 0.55}) == "D"
     # a crossing pair whose mean difference stays inside the tolerance
-    assert _code(_curve({1: 0.504, 3: 0.5}), flat) == "T"
+    assert _code({1: 0.504, 3: 0.5}, flat) == "T"
 
 
 def test_encode_outcome_rejects_negative_epsilon():
@@ -397,8 +413,8 @@ grid_values = st.tuples(*(st.floats(0, 1) for _ in range(3)))
 
 @given(values_e=grid_values, values_d=grid_values, epsilon=st.floats(0, 0.2))
 def test_encode_outcome_antisymmetric(values_e, values_d, epsilon):
-    easy = _curve(dict(zip((1, 3, 5), values_e)))
-    difficult = _curve(dict(zip((1, 3, 5), values_d)))
+    easy = dict(zip((1, 3, 5), values_e))
+    difficult = dict(zip((1, 3, 5), values_d))
     forward = _code(easy, difficult, epsilon)
     backward = _code(difficult, easy, epsilon)
     assert backward == {"E": "D", "D": "E", "T": "T"}[forward]
