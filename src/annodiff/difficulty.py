@@ -12,13 +12,14 @@ import logging
 import math
 import random
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Dataset, MajorityResult, majority_labels
 from annodiff.errors import AnnodiffError
-from annodiff.knn import prefix_counts, rank_by_similarity
+from annodiff.knn import rank_by_similarity
 from annodiff.labels import LABEL_ORDER, LEVELS, LEVEL_LABELS
 from annodiff.stats import kmeans_1d
 from annodiff.textsim import SimilarityMetric, similarity_rows
@@ -179,7 +180,7 @@ def predictor_certainties(
                 sim_values = sim_row if len(pool) == len(sim_row) else [sim_row[position] for position in pool]
                 order_rng = random.Random(stable_seed(config.seed, "certainty-order", wid, tid, level))
                 order = rank_by_similarity(sim_values, order_rng, config.k_certainty)
-                _, (counts,) = next(prefix_counts(order, [pool_labels[level]], [config.k_certainty]))
+                counts = Counter(pool_labels[level][i] for i in order)
                 row[level] = knn_label_certainty(counts, config.smoothing, LEVEL_LABELS[level])
             if row:
                 rows_by_tweet.setdefault(tid, []).append(row)

@@ -1,11 +1,12 @@
 """Per-worker k-nearest-neighbor label prediction in three steps.
 
 rank_by_similarity orders a worker's labeled tweets by similarity to a query,
-as deep as the largest k needs, prefix_counts counts the labels of the first
-min(k, n) of them for each k, and vote picks the plurality label from those
-counts. One ranking serves every k and every hierarchy level. The grid
-predicts a whole label path this way over rows in which a blank level (below
-Irrelevant or Factual) counts as an explicit NoLabel class, voting top-down
+as deep as the largest k needs; the caller counts the labels of the first
+min(k, n) of them, and vote picks the plurality label from those counts. One
+ranking serves every k and every hierarchy level. The grid
+(simulation._arm_curves) grows one count per level over the ranking as k
+rises, in which a blank level (below Irrelevant or Factual) counts as an
+explicit NoLabel class, and predicts a whole label path by voting top-down
 (simulation.vote_path). It tallies its predictions as a table of (truth,
 predicted) path counts, one entry per distinct pair, and hierarchical_f1
 scores that table. The certainty component counts the labels of one level
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import random
 from functools import cache
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from annodiff.labels import LABEL_ORDER, label_set
 
@@ -51,32 +52,6 @@ def rank_by_similarity(sims: Sequence[float], rng: random.Random, depth: int) ->
     return order[:end]
 
 
-def prefix_counts(
-    order: Sequence[int], rows: Sequence[Sequence[str]], ks: Sequence[int]
-) -> Iterator[tuple[int, list[dict[str, int]]]]:
-    """Per-row label counts over growing prefixes of a neighbor ranking.
-
-    order is a ranking from rank_by_similarity; each row holds one label per
-    ranked item, indexed like the similarities that were ranked. For each
-    distinct k of ks in ascending order, yields (k, counts), where counts[r]
-    maps each label of rows[r] to how often it occurs among the first
-    min(k, len(order)) neighbors; a k below 1 counts none. The mappings grow
-    in place from one k to the next, so read them before advancing.
-    """
-    counts: list[dict[str, int]] = [{} for _ in rows]
-    tallies = list(zip(rows, counts))
-    depth = 0
-    for k in sorted(set(ks)):
-        end = min(k, len(order))
-        if end > depth:
-            for i in order[depth:end]:
-                for row, row_counts in tallies:
-                    label = row[i]
-                    row_counts[label] = row_counts.get(label, 0) + 1
-            depth = end
-        yield k, counts
-
-
 def vote(counts: Mapping[str, int], make_rng: Callable[[], random.Random]) -> str:
     """Unit-weight plurality vote over per-label neighbor counts.
 
@@ -84,6 +59,10 @@ def vote(counts: Mapping[str, int], make_rng: Callable[[], random.Random]) -> st
     in LABEL_ORDER, from the rng that make_rng() returns. make_rng is called
     only on a tie, so a vote with a unique winner derives no rng at all.
     """
+    if len(counts) == 1:
+        [(label, count)] = counts.items()
+        if count >= 1:
+            return label
     top = max(counts.values(), default=0)
     if top < 1:
         raise ValueError("cannot vote over zero labels")

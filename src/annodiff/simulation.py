@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Dataset
 from annodiff.difficulty import DIFFICULT, EASY
-from annodiff.knn import hierarchical_f1, prefix_counts, rank_by_similarity, vote
+from annodiff.knn import hierarchical_f1, rank_by_similarity, vote
 from annodiff.labels import LEVELS, NO_LABEL, NONFACTUAL, RELEVANT
 from annodiff.textsim import PairSimilarity, SimilarityMetric
 
@@ -116,23 +116,21 @@ class ConfigResult:
     mean_delta: float | None
 
 
-def vote_path(
-    counts: Sequence[Mapping[str, int]], make_rng: Callable[[int], random.Random]
-) -> LabelTuple:
+def vote_path(counts: Sequence[Mapping[str, int]], ties: Sequence[Callable[[], random.Random]]) -> LabelTuple:
     """Top-down plurality vote of a label path over per-level neighbor counts.
 
     Level 2 is voted only under Relevant and level 3 only under NonFactual,
     so the path is coherent without repair; a level not voted is NoLabel.
-    make_rng(level) is called only on a tie at a voted level.
+    ties[level - 1]() is called only on a tie at a voted level.
     """
     # through the module-level name, so a wrapper installed on simulation.vote sees every grid vote
-    level1 = vote(counts[0], lambda: make_rng(1))
+    level1 = vote(counts[0], ties[0])
     if level1 != RELEVANT:
         return level1, NO_LABEL, NO_LABEL
-    level2 = vote(counts[1], lambda: make_rng(2))
+    level2 = vote(counts[1], ties[1])
     if level2 != NONFACTUAL:
         return level1, level2, NO_LABEL
-    return level1, level2, vote(counts[2], lambda: make_rng(3))
+    return level1, level2, vote(counts[2], ties[2])
 
 
 def _arm_curves(
@@ -152,17 +150,36 @@ def _arm_curves(
     so the sizes nest: a window tweet is a query for every n up to its
     position in the stratum, and it gets one similarity row over that
     prefix, of which size n reads the first n values. Where the first n
-    training paths are one path, every k predicts it and the query is
-    neither ranked nor voted; its order rng is seeded on its own parts, so
-    skipping it changes no other draw. Otherwise the query is ranked once
-    per n, and one path is voted per distinct prefix min(k, n): a larger k
-    on the same prefix reuses it unless that vote drew on a tie, since a
-    level's tie rng is seeded on its own (tweet, k, level) parts and derived
-    only on a tie. Predictions are tallied as (truth, predicted) counts per
-    (n, k).
+    training paths are one path, every k predicts it: the query is neither
+    ranked nor voted, only tallied once for n and added to every k's table
+    at the end. Its order rng is seeded on its own parts, so skipping it
+    changes no other draw. Otherwise the query is ranked once per n, its
+    per-level label counts grow over the ranking as k rises, and one path is
+    voted per distinct prefix min(k, n): a larger k on the same prefix
+    reuses it unless that vote drew on a tie, since a level's tie rng is
+    seeded on its own (tweet, k, level) parts and derived only on a tie.
+    The pass holds one rng, reseeded for each order and each tie draw;
+    choice and shuffle draw only through getrandbits, so each draw is that
+    of a fresh rng on the same seed. Predictions are tallied as (truth,
+    predicted) counts per (n, k).
     """
     tables = {n: {k: Counter() for k in ks} for n in TRAIN_SIZES}
+    agreed = {n: Counter() for n in TRAIN_SIZES}
     used = dict.fromkeys(TRAIN_SIZES, 0)
+    rng = random.Random()
+    drew = False  # whether the last path vote drew on a tie
+
+    def tie(level: int) -> Callable[[], random.Random]:
+        # reads the (parts, tid, k) of the vote in progress
+        def reseeded() -> random.Random:
+            nonlocal drew
+            drew = True
+            rng.seed(stable_seed(*parts, "vote", tid, k, level))
+            return rng
+
+        return reseeded
+
+    ties = (tie(1), tie(2), tie(3))
     for wid in ctx.worker_ids:
         stratum = ctx.strata[(wid, phase, arm)][: TRAIN_SIZES[-1]]
         fitting = [n for n in TRAIN_SIZES if n <= len(stratum)]
@@ -171,13 +188,12 @@ def _arm_curves(
         if not fitting:
             continue
         paths = [path for _, path in stratum]
-        level_rows = tuple(zip(*paths))
         agreeing = 1  # the first `agreeing` training paths are one path
         while agreeing < len(paths) and paths[agreeing] == paths[0]:
             agreeing += 1
         position: dict[str, int] = {}
-        for i, (tid, _) in enumerate(stratum):
-            position.setdefault(tid, i)
+        for i, (train_tid, _) in enumerate(stratum):
+            position.setdefault(train_tid, i)
         for tid, truth in ctx.windows[(wid, phase)]:
             limit = position.get(tid, len(stratum))
             if limit < fitting[0]:
@@ -186,33 +202,40 @@ def _arm_curves(
             for n in fitting:
                 if n > limit:
                     break
-                by_k = tables[n]
                 if n <= agreeing:
-                    pair = (truth, paths[0])
-                    for k in ks:
-                        by_k[k][pair] += 1
+                    agreed[n][(truth, paths[0])] += 1
                     continue
+                by_k = tables[n]
                 parts = (seed, ctx.institution, metric.value, phase, n, wid, arm)
-                order = rank_by_similarity(row[:n], random.Random(stable_seed(*parts, "order", tid)), ks[-1])
-                voted_end = -1
-                drew: list[int] = []  # the levels whose vote drew on a tie
-                for k, counts in prefix_counts(order, level_rows, ks):
-                    end = min(k, len(order))
-                    if end != voted_end or drew:
-                        voted_end = end
-                        drew = []
-                        predicted = vote_path(counts, lambda level: _tie_rng(drew, parts, tid, k, level))
-                    by_k[k][(truth, predicted)] += 1
+                rng.seed(stable_seed(*parts, "order", tid))
+                order = rank_by_similarity(row[:n], rng, ks[-1])
+                depth = len(order)
+                counts = ({}, {}, {})
+                counts1, counts2, counts3 = counts
+                counted = 0
+                for k in ks:
+                    end = k if k < depth else depth
+                    if end > counted:
+                        for i in order[counted:end]:
+                            label1, label2, label3 = paths[i]
+                            counts1[label1] = counts1.get(label1, 0) + 1
+                            counts2[label2] = counts2.get(label2, 0) + 1
+                            counts3[label3] = counts3.get(label3, 0) + 1
+                        counted = end
+                    elif not drew:
+                        # the same prefix, whose vote drew on no tie
+                        by_k[k][pair] += 1
+                        continue
+                    drew = False
+                    pair = (truth, vote_path(counts, ties))
+                    by_k[k][pair] += 1
+    for n, by_k in tables.items():
+        for table in by_k.values():
+            table.update(agreed[n])
     return {
         n: ({k: hierarchical_f1(tables[n][k]) for k in ks} if used[n] else None, len(ctx.worker_ids) - used[n])
         for n in TRAIN_SIZES
     }
-
-
-def _tie_rng(drew: list[int], parts: tuple, tid: str, k: int, level: int) -> random.Random:
-    """The tie rng of one (query, k, level) vote, noted in drew."""
-    drew.append(level)
-    return random.Random(stable_seed(*parts, "vote", tid, k, level))
 
 
 def mean_curve_delta(curve_easy: dict[int, float], curve_difficult: dict[int, float]) -> float:

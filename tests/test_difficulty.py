@@ -27,7 +27,7 @@ from annodiff.difficulty import (
     predictor_certainties,
 )
 from annodiff.errors import AnnodiffError
-from annodiff.labels import LabelPath
+from annodiff.labels import LEVEL_LABELS, LabelPath
 from annodiff.synth import SynthConfig, generate_dataset
 from oracles import agreement_direct
 
@@ -221,6 +221,61 @@ def test_predictor_certainties_single_worker(k, expected):
     assert sorted(result.values) == [f"t{i}" for i in range(5)]
     for value in result.values.values():
         assert value == pytest.approx(expected, abs=1e-12)
+
+
+CERTAINTY_PATHS = (
+    LabelPath("Irrelevant"),
+    LabelPath("Relevant", "Factual"),
+    LabelPath("Relevant", "NonFactual", "Positive"),
+    LabelPath("Relevant", "NonFactual", "Negative"),
+)
+
+
+@given(
+    paths=st.lists(st.sampled_from(CERTAINTY_PATHS), min_size=2, max_size=12),
+    words=st.lists(st.lists(st.sampled_from(("rain", "vote", "poll")), max_size=3), min_size=12, max_size=12),
+    k=st.integers(0, 6),
+    seed=st.integers(0, 3),
+)
+def test_certainty_counts_the_first_k_ranked_neighbors(paths, words, k, seed):
+    # each text opens with its own tweet id, which names the tweet at a pool
+    # position; the shared words make similarity ties common
+    ids = [f"t{i:02d}" for i in range(len(paths))]
+    labels = dict(zip(ids, paths))
+    annotations = [Annotation("w1", tid, path, {1: 1.0}, i + 1) for i, (tid, path) in enumerate(labels.items())]
+    ds = _worker_dataset([Worker("w1", "MD", "M", annotations)], {tid: " ".join([tid, *w]) for tid, w in zip(ids, words)})
+    pools, ranked, counted = [], [], []
+    real_rank = difficulty.rank_by_similarity
+
+    def recording_rows(queries, pool, metric):
+        pools.append([sequence[0] for sequence in pool])
+        return textsim.similarity_rows(queries, pool, metric)
+
+    def recording_rank(sims, rng, depth):
+        ranked.append(real_rank(sims, rng, depth))
+        return ranked[-1]
+
+    def recording_certainty(counts, smoothing, candidates):
+        counted.append((dict(counts), candidates))
+        return knn_label_certainty(counts, smoothing, candidates)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(difficulty, "similarity_rows", recording_rows)
+        patch.setattr(difficulty, "rank_by_similarity", recording_rank)
+        patch.setattr(difficulty, "knn_label_certainty", recording_certainty)
+        if k < 1:
+            with pytest.raises(ValueError, match="at least one neighbor"):
+                predictor_certainties(ds, ds.word_sequences(), _config(k_certainty=k, seed=seed))
+            return
+        predictor_certainties(ds, ds.word_sequences(), _config(k_certainty=k, seed=seed))
+    [train] = pools
+    assert len(ranked) == len(counted) > 0
+    for order, (counts, candidates) in zip(ranked, counted):
+        level = next(level for level, level_labels in LEVEL_LABELS.items() if level_labels == candidates)
+        # a level's pool: the training tweets labeled at that level, in training order
+        pool_labels = [labels[tid].label(level) for tid in train if labels[tid].label(level)]
+        assert len(order) == min(k, len(pool_labels))
+        assert counts == Counter(pool_labels[i] for i in order)
 
 
 def test_predictor_certainties_imputes_training_only_tweets():

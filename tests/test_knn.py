@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from annodiff.config import stable_seed
-from annodiff.knn import hierarchical_f1, prefix_counts, rank_by_similarity, vote
+from annodiff.knn import hierarchical_f1, rank_by_similarity, vote
 from annodiff.labels import LEVEL_LABELS, LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, label_set
 from annodiff.simulation import vote_path
 from annodiff.textsim import SimilarityMetric, nsim
@@ -27,71 +27,24 @@ def test_label_set_closure():
     assert label_set(("Irrelevant", NO_LABEL, None)) == {"Irrelevant"}
 
 
-def level_rows(examples):
-    """Per-level label rows of (words, path) examples; blanks are NoLabel."""
-    return list(zip(*(path for _, path in examples)))
-
-
 def predict(examples, query, k, seed, metric=SimilarityMetric.EDIT):
-    """Predict a label path the way the grid does: rank the examples once,
-    count the first min(k, n) labels per level, vote top-down."""
+    """Predict a label path the way the grid's oracle does: rank the examples
+    once, count each level's labels among the first min(k, n), NoLabel
+    included, and vote top-down."""
     sims = [nsim(query, words, metric) for words, _ in examples]
     order = rank_by_similarity(sims, random.Random(stable_seed(seed, "order")), k)
-    _, counts = next(prefix_counts(order, level_rows(examples), [k]))
-    return vote_path(counts, lambda level: random.Random(stable_seed(seed, "vote", level)))
-
-
-def test_prefix_counts_cover_every_row():
-    examples = [(("w",) * (i + 1), PATHS[i % 4]) for i in range(5)]
-    [(k, counts)] = prefix_counts(range(5), level_rows(examples), [5])
-    assert k == 5
-    assert [sum(c.values()) for c in counts] == [5, 5, 5]
-    assert counts[0] == {"Irrelevant": 2, "Relevant": 3}
-    # blank levels are counted as an explicit class
-    assert counts[1] == {NO_LABEL: 2, "Factual": 1, "NonFactual": 2}
-    assert counts[2] == {NO_LABEL: 3, "Positive": 1, "Negative": 1}
-
-
-def test_prefix_counts_follow_the_ranking():
-    rows = [["a", "b", "b", "c"]]
-    order = [3, 1, 0, 2]
-    assert [(k, dict(c[0])) for k, c in prefix_counts(order, rows, [1, 2, 3])] == [
-        (1, {"c": 1}),
-        (2, {"c": 1, "b": 1}),
-        (3, {"c": 1, "b": 1, "a": 1}),
-    ]
-
-
-def test_prefix_counts_caps_k_at_ranking_length():
-    rows = [["Irrelevant"] * 5]
-    [(k, counts)] = prefix_counts(range(5), rows, [9])
-    assert k == 9
-    assert counts == [{"Irrelevant": 5}]
-
-
-def test_prefix_counts_yields_distinct_k_ascending():
-    rows = [["x", "y", "x"]]
-    assert [k for k, _ in prefix_counts([0, 1, 2], rows, [5, 1, 3, 3])] == [1, 3, 5]
+    counts = [Counter(examples[i][1][level - 1] for i in order) for level in LEVELS]
+    ties = [lambda level=level: random.Random(stable_seed(seed, "vote", level)) for level in LEVELS]
+    return vote_path(counts, ties)
 
 
 def test_empty_prefix_cannot_vote():
-    # no neighbors, or a k below 1, leave nothing to vote on
-    for order, k in (([], 3), ([0], 0)):
-        [(_, counts)] = prefix_counts(order, [["Irrelevant"]], [k])
-        assert counts == [{}]
+    # no neighbors, or a depth below 1, leave nothing to count or vote on
+    for sims, depth in (([], 3), ([0.5], 0)):
+        order = rank_by_similarity(sims, random.Random(0), depth)
+        assert order == []
         with pytest.raises(ValueError):
-            vote(counts[0], lambda: random.Random(0))
-
-
-@given(
-    labels=st.lists(st.sampled_from(["a", "b", "c"]), max_size=9),
-    ks=st.lists(st.integers(0, 12), min_size=1, max_size=5),
-    data=st.data(),
-)
-def test_prefix_counts_match_sliced_counters(labels, ks, data):
-    order = data.draw(st.permutations(range(len(labels))))
-    for k, counts in prefix_counts(order, [labels], ks):
-        assert counts[0] == Counter(labels[i] for i in order[: max(k, 0)])
+            vote(Counter(order), lambda: random.Random(0))
 
 
 def test_predict_exact_match_k1():
@@ -128,10 +81,10 @@ def test_predict_deterministic_under_seed():
     ],
 )
 def test_vote_path_blanks_levels_the_tree_forbids(raw, expected):
-    def make_rng(level):
-        raise AssertionError(f"make_rng({level}) called without a tie")
+    def no_draw():
+        raise AssertionError("a tie rng was derived without a tie")
 
-    assert vote_path([{label: 1} for label in raw], make_rng) == expected
+    assert vote_path([{label: 1} for label in raw], [no_draw] * 3) == expected
     assert coerce_structure(*raw) == expected
 
 
@@ -148,11 +101,14 @@ def test_vote_path_matches_voting_every_level_then_coercing(counts, seed):
 
     called = []
 
-    def make_rng(level):
-        called.append(level)
-        return rng(level)
+    def tie(level):
+        def make_rng():
+            called.append(level)
+            return rng(level)
 
-    path = vote_path(counts, make_rng)
+        return make_rng
+
+    path = vote_path(counts, [tie(level) for level in LEVELS])
     expected = coerce_structure(*(vote(c, lambda level=level: rng(level)) for level, c in zip(LEVELS, counts)))
     assert path == expected
     skipped = {2, 3} if path[0] != RELEVANT else {3} if path[1] != NONFACTUAL else set()

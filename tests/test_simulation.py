@@ -1,6 +1,7 @@
 """Strata construction, predictor comparison, outcome coding, aggregation."""
 
 import dataclasses
+import random
 from collections import Counter
 
 import pytest
@@ -10,7 +11,7 @@ import oracles
 from annodiff import simulation, textsim
 from annodiff.config import RunConfig
 from annodiff.dataset import Annotation, Dataset, Worker
-from annodiff.labels import LabelPath
+from annodiff.labels import LEVEL_LABELS, LabelPath
 from annodiff.simulation import (
     PHASES,
     TRAIN_SIZES,
@@ -335,50 +336,73 @@ def test_agreeing_training_paths_are_not_ranked(monkeypatch):
 
 def test_vote_repeats_a_prefix_only_after_a_tie(monkeypatch):
     ctx = _planted_context()
-    events = []
-    real_prefix_counts = simulation.prefix_counts
+    ks = (1, 3, 5, 7, 9, 11, 13, 15)
+    # per ranked query: its ranking depth, and per path vote [prefix, whether a level tied]
+    queries = []
+    real_rank = simulation.rank_by_similarity
     real_vote = simulation.vote
 
-    def recording_prefix_counts(order, rows, ks):
-        events.append(("query", None))
-        for k, counts in real_prefix_counts(order, rows, ks):
-            events.append(("prefix", min(k, len(order))))
-            yield k, counts
+    def recording_rank(sims, rng, depth):
+        order = real_rank(sims, rng, depth)
+        queries.append((len(order), []))
+        return order
 
     def recording_vote(counts, make_rng):
         top = max(counts.values())
-        events.append(("vote", sum(1 for c in counts.values() if c == top) > 1))
+        tied = sum(1 for c in counts.values() if c == top) > 1
+        votes = queries[-1][1]
+        if set(counts) <= set(LEVEL_LABELS[1]):
+            # a path vote starts at level 1, over the whole neighbor prefix
+            votes.append([sum(counts.values()), tied])
+        else:
+            # a lower level counts the same prefix, blanks as NoLabel
+            assert sum(counts.values()) == votes[-1][0]
+            votes[-1][1] |= tied
         return real_vote(counts, make_rng)
 
-    monkeypatch.setattr(simulation, "prefix_counts", recording_prefix_counts)
+    monkeypatch.setattr(simulation, "rank_by_similarity", recording_rank)
     monkeypatch.setattr(simulation, "vote", recording_vote)
-    config = RunConfig("a.jsonl", "t.jsonl", metrics=("edit", "substring"), k_grid=(1, 3, 5, 7, 9, 11, 13, 15))
-    run_grid(ctx, config)
+    run_grid(ctx, RunConfig("a.jsonl", "t.jsonl", metrics=("edit", "substring"), k_grid=ks))
 
-    # per query, one [prefix, tied flags of the votes at that k] per k
-    queries = []
-    for kind, value in events:
-        if kind == "query":
-            queries.append([])
-        elif kind == "prefix":
-            queries[-1].append([value, []])
-        else:
-            queries[-1][-1][1].append(value)
     revotes = reuses = 0
-    for steps in queries:
-        assert steps[0][1], "the first k always votes"
-        for (end_before, tied_before), (end, tied) in zip(steps, steps[1:]):
-            voted = bool(tied)
-            if end != end_before:
-                assert voted
-            elif any(tied_before):
-                assert voted
-                revotes += 1
+    for depth, votes in queries:
+        votes = iter(votes)
+        end_before = tied_before = None
+        for k in ks:
+            end = min(k, depth)
+            if end != end_before or tied_before:
+                prefix, tied_before = next(votes)
+                assert prefix == end
+                revotes += end == end_before
             else:
-                assert not voted
                 reuses += 1
+            end_before = end
+        assert next(votes, None) is None, "a query voted more paths than its distinct or tied prefixes"
     # both branches happen on this set
     assert revotes > 0 and reuses > 0
+
+
+@given(
+    earlier=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 64)), max_size=4),
+    seed=st.integers(0, 2**64 - 1),
+    items=st.lists(st.integers(), min_size=1, max_size=12),
+)
+def test_a_reseeded_rng_draws_as_a_fresh_one(earlier, seed, items):
+    # the grid keeps one rng per arm pass and reseeds it for every order and
+    # tie draw, which is only sound if nothing before the reseed shows after it
+    shared = random.Random()
+    for earlier_seed, bits in earlier:
+        shared.seed(earlier_seed)
+        shared.getrandbits(bits)
+        shared.random()
+        shared.shuffle(list(items))
+    shared.seed(seed)
+    fresh = random.Random(seed)
+    assert shared.choice(items) == fresh.choice(items)
+    shuffled, expected = list(items), list(items)
+    shared.shuffle(shuffled)
+    fresh.shuffle(expected)
+    assert shuffled == expected
 
 
 # --- outcome coding ---
