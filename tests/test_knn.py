@@ -6,10 +6,11 @@ from collections import Counter
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from annodiff.config import stable_seed
+from annodiff import simulation
+from annodiff.config import RunConfig, stable_seed
 from annodiff.knn import hierarchical_f1, rank_by_similarity, vote
 from annodiff.labels import LEVEL_LABELS, LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, label_set
-from annodiff.simulation import vote_path
+from annodiff.simulation import SimulationContext, run_grid, vote_path
 from annodiff.textsim import SimilarityMetric, nsim
 from oracles import coerce_structure, hier_f1_direct, path_label_set, rank_full
 
@@ -45,6 +46,136 @@ def test_empty_prefix_cannot_vote():
         assert order == []
         with pytest.raises(ValueError):
             vote(Counter(order), lambda: random.Random(0))
+
+
+# --- the grid's neighbor counts ---
+
+
+def grid_counts(stratum, query, k_grid, seed=0):
+    """Run the grid over one worker whose early easy stratum is the (words,
+    path) pairs of stratum and whose early window holds the one query, which
+    is not in the stratum. Returns the results and, per ranked train size,
+    (n, order, counts): counts holds, per path vote, its three level counts,
+    copied, since the grid grows them in place as k rises."""
+    ids = [f"t{i:02d}" for i in range(len(stratum))]
+    ctx = SimulationContext(
+        institution="MD",
+        worker_ids=["w1"],
+        strata={
+            ("w1", phase, arm): tuple(zip(ids, (path for _, path in stratum))) if (phase, arm) == ("early", "easy") else ()
+            for phase in simulation.PHASES
+            for arm in (simulation.EASY, simulation.DIFFICULT)
+        },
+        windows={("w1", "early"): (("q", PATHS[0]),), ("w1", "late"): ()},
+        words={**{tid: tuple(w) for tid, (w, _) in zip(ids, stratum)}, "q": tuple(query)},
+    )
+    rankings = []
+    real_rank = simulation.rank_by_similarity
+    real_vote_path = simulation.vote_path
+
+    def recording_rank(sims, rng, depth):
+        order = real_rank(sims, rng, depth)
+        rankings.append((len(sims), order, []))
+        return order
+
+    def recording_vote_path(counts, ties):
+        rankings[-1][2].append([dict(c) for c in counts])
+        return real_vote_path(counts, ties)
+
+    config = RunConfig("a.jsonl", "t.jsonl", metrics=("edit",), k_grid=tuple(k_grid), seed=seed)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "rank_by_similarity", recording_rank)
+        patch.setattr(simulation, "vote_path", recording_vote_path)
+        results = run_grid(ctx, config)
+    return results, rankings
+
+
+def test_grid_counts_cover_every_level():
+    stratum = [(("w",) * (i + 1), PATHS[i % 4]) for i in range(5)]
+    _, rankings = grid_counts(stratum, ("w",), [5])
+    # the first two paths differ, so every train size up to 5 is ranked
+    assert [n for n, _, _ in rankings] == [2, 3, 4, 5]
+    for n, order, votes in rankings:
+        assert [[sum(c.values()) for c in counts] for counts in votes] == [[n, n, n]]
+    [counts] = rankings[-1][2]
+    assert counts[0] == {"Irrelevant": 2, "Relevant": 3}
+    # blank levels are counted as an explicit class
+    assert counts[1] == {NO_LABEL: 2, "Factual": 1, "NonFactual": 2}
+    assert counts[2] == {NO_LABEL: 3, "Positive": 1, "Negative": 1}
+
+
+def test_grid_counts_follow_the_ranking():
+    # edit similarity to the query falls as fewer of its words stay in place
+    stratum = [
+        (("a", "b", "x", "y"), PATHS[0]),
+        (("a", "b", "c", "z"), PATHS[1]),
+        (("a", "x", "y", "z"), PATHS[1]),
+        (("a", "b", "c", "d"), PATHS[2]),
+        (("x", "y", "z", "w"), PATHS[3]),
+    ]
+    _, rankings = grid_counts(stratum, ("a", "b", "c", "d"), [1, 2, 3])
+    n, order, votes = rankings[-1]
+    assert (n, order) == (5, [3, 1, 0])
+    assert [counts[0] for counts in votes] == [
+        {"Relevant": 1},
+        {"Relevant": 2},
+        {"Relevant": 2, "Irrelevant": 1},
+    ]
+    assert [counts[1] for counts in votes] == [
+        {"NonFactual": 1},
+        {"NonFactual": 1, "Factual": 1},
+        {"NonFactual": 1, "Factual": 1, NO_LABEL: 1},
+    ]
+
+
+def test_grid_counts_cap_k_at_the_training_size():
+    # Irrelevant leads every prefix, so no vote ties
+    paths = [PATHS[0], PATHS[0], PATHS[1], PATHS[0], PATHS[2], PATHS[0], PATHS[0]]
+    stratum = [((f"w{i}", "shared"), path) for i, path in enumerate(paths)]
+    _, rankings = grid_counts(stratum, ("w1", "shared"), [9, 12])
+    assert [n for n, _, _ in rankings] == [3, 4, 5, 6, 7]
+    for n, order, votes in rankings:
+        # every training tweet is a neighbor, so each level counts them all,
+        # and both k share the prefix n, which is voted once
+        assert sorted(order) == list(range(n))
+        assert len(votes) == 1
+        for counts in votes:
+            for level, level_counts in zip(LEVELS, counts):
+                assert level_counts == Counter(path[level - 1] for _, path in stratum[:n])
+
+
+def test_grid_votes_distinct_prefixes_ascending():
+    stratum = [((f"w{i}", "shared", f"v{i % 3}"), PATHS[i % 4]) for i in range(8)]
+    results, rankings = grid_counts(stratum, ("w2", "shared", "v0"), [5, 1, 3, 3])
+    assert {tuple(sorted(r.curve_easy)) for r in results if r.curve_easy is not None} == {(1, 3, 5)}
+    assert rankings
+    for n, order, votes in rankings:
+        prefixes = [sum(counts[0].values()) for counts in votes]
+        assert prefixes == sorted(prefixes)
+        assert set(prefixes) == {min(k, n) for k in (1, 3, 5)}
+
+
+@given(
+    paths=st.lists(st.sampled_from(PATHS), min_size=2, max_size=10),
+    words=st.lists(st.lists(st.sampled_from(("rain", "vote", "poll")), max_size=3), min_size=10, max_size=10),
+    query=st.lists(st.sampled_from(("rain", "vote", "poll")), min_size=1, max_size=3),
+    k_grid=st.lists(st.integers(1, 12), min_size=1, max_size=5),
+    seed=st.integers(0, 3),
+)
+def test_grid_counts_match_sliced_counters(paths, words, query, k_grid, seed):
+    # each text opens with its own tweet index, so no two are empty; the
+    # shared words make similarity ties common
+    stratum = [((f"i{i}", *w), path) for i, (w, path) in enumerate(zip(words, paths))]
+    _, rankings = grid_counts(stratum, (*query,), k_grid, seed)
+    agreeing = next((i for i, path in enumerate(paths) if path != paths[0]), len(paths))
+    assert [n for n, _, _ in rankings] == [n for n in simulation.TRAIN_SIZES if agreeing < n <= len(paths)]
+    for n, order, votes in rankings:
+        assert len(order) == min(max(k_grid), n)
+        for counts in votes:
+            prefix = sum(counts[0].values())
+            assert prefix in {min(k, n) for k in k_grid}
+            for level, level_counts in zip(LEVELS, counts):
+                assert level_counts == Counter(paths[i][level - 1] for i in order[:prefix])
 
 
 def test_predict_exact_match_k1():
