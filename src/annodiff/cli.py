@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 import traceback
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 
 from annodiff.config import SCORING_FIELDS, RunConfig
@@ -30,14 +30,13 @@ from annodiff.outputs import (
     write_scores_csv,
 )
 from annodiff.simulation import (
+    MIN_WORKER_TWEETS,
     PHASES,
     aggregate,
     build_strata,
     make_context,
     run_grid,
-    TRAIN_SIZES,
 )
-from annodiff.textsim import SimilarityMetric
 
 
 class _Parser(argparse.ArgumentParser):
@@ -49,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_dataset_args(parser):
-    parser.add_argument("--dataset", required=True, help="annotations.jsonl path")
+    parser.add_argument("--dataset", dest="annotations", metavar="DATASET", required=True, help="annotations.jsonl path")
     parser.add_argument("--tweets", required=True, help="tweets.jsonl path")
 
 
@@ -57,9 +56,20 @@ def _add_scoring_args(parser):
     parser.add_argument("--institution", choices=INSTITUTIONS, help="restrict to one institution (default: both)")
     parser.add_argument("--smoothing", type=float, default=RunConfig.smoothing, help="additive smoothing of certainty rows (default %(default)s)")
     parser.add_argument("--k-certainty", type=int, default=RunConfig.k_certainty, help="neighbors for the certainty predictors (default %(default)s)")
-    parser.add_argument("--split", type=float, default=RunConfig.split_ratio, help="training share of each worker's tweets (default %(default)s)")
+    parser.add_argument("--split", dest="split_ratio", metavar="SPLIT", type=float, default=RunConfig.split_ratio, help="training share of each worker's tweets (default %(default)s)")
     parser.add_argument("--seed", type=int, default=RunConfig.seed, help="master seed (default %(default)s)")
     parser.add_argument("--out", default=RunConfig.out, help="output directory (default %(default)s)")
+
+
+def _comma_separated(text: str) -> tuple[str, ...]:
+    return tuple(part.strip() for part in text.split(",") if part.strip())
+
+
+def _comma_separated_ints(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(part) for part in _comma_separated(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be comma-separated integers, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -76,8 +86,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the easy/difficult predictor grid")
     _add_dataset_args(p_sim)
     _add_scoring_args(p_sim)
-    p_sim.add_argument("--metrics", default=",".join(RunConfig.metrics), help="comma-separated similarity metrics (default %(default)s)")
-    p_sim.add_argument("--k-grid", default=",".join(map(str, RunConfig.k_grid)), help="comma-separated neighbor counts (default %(default)s)")
+    p_sim.add_argument("--metrics", type=_comma_separated, default=",".join(RunConfig.metrics), help="comma-separated similarity metrics (default %(default)s)")
+    p_sim.add_argument("--k-grid", type=_comma_separated_ints, default=",".join(map(str, RunConfig.k_grid)), help="comma-separated neighbor counts (default %(default)s)")
     p_sim.add_argument("--epsilon", type=float, default=RunConfig.epsilon, help="dominance threshold for outcome coding (default %(default)s)")
 
     p_report = sub.add_parser("report", help="render a human-readable summary of prior outputs")
@@ -87,50 +97,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _make_run_config(args) -> RunConfig:
-    """RunConfig from the flags this subcommand has; every setting it has no
-    flag for keeps its RunConfig default."""
-    given = {}
+    """RunConfig from the flags this subcommand has, each stored under its
+    field's name; every setting it has no flag for keeps its default.
+    RunConfig refuses a bad value."""
+    names = {field.name for field in fields(RunConfig)}
+    given = {name: value for name, value in vars(args).items() if name in names}
     if args.institution:
         given["institutions"] = (args.institution,)
-    if "metrics" in args:  # simulate's grid flags
-        metrics = tuple(m.strip() for m in args.metrics.split(",") if m.strip())
-        valid = {m.value for m in SimilarityMetric}
-        for i, m in enumerate(metrics):
-            if m not in valid:
-                raise AnnodiffError(f"unknown metric {m!r}; choose from {sorted(valid)}")
-            if m in metrics[:i]:
-                raise AnnodiffError(f"--metrics names {m!r} more than once")
-        if not metrics:
-            raise AnnodiffError("at least one metric is required")
-        try:
-            k_grid = tuple(int(k.strip()) for k in args.k_grid.split(",") if k.strip())
-        except ValueError:
-            raise AnnodiffError(f"--k-grid must be comma-separated integers, got {args.k_grid!r}")
-        if not k_grid or any(k < 1 for k in k_grid):
-            raise AnnodiffError("--k-grid needs at least one positive integer")
-        if not math.isfinite(args.epsilon) or args.epsilon < 0:
-            raise AnnodiffError(f"--epsilon must be a finite non-negative number, got {args.epsilon}")
-        given.update(metrics=metrics, k_grid=k_grid, epsilon=args.epsilon)
-    if not 0 < args.split < 1:
-        raise AnnodiffError("--split must lie strictly between 0 and 1")
-    if args.k_certainty < 1:
-        raise AnnodiffError("--k-certainty must be at least 1")
-    if not math.isfinite(args.smoothing) or args.smoothing < 0:
-        raise AnnodiffError(f"--smoothing must be a finite non-negative number, got {args.smoothing}")
-    return RunConfig(
-        annotations=args.dataset,
-        tweets=args.tweets,
-        smoothing=args.smoothing,
-        k_certainty=args.k_certainty,
-        split_ratio=args.split,
-        seed=args.seed,
-        out=args.out,
-        **given,
-    )
+    return RunConfig(**given)
 
 
 def cmd_ingest(args) -> int:
-    dataset = load_dataset(args.dataset, args.tweets)
+    dataset = load_dataset(args.annotations, args.tweets)
     counts = {inst: {g: 0 for g in GROUPS} for inst in INSTITUTIONS}
     for worker in dataset.workers.values():
         counts[worker.institution][worker.group] += 1
@@ -281,25 +259,23 @@ def cmd_simulate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     scores_path = out / "scores.csv"
-    if scores_path.exists():
-        _refuse_stale_scores(config)
-        _, by_institution = read_scores_csv(str(scores_path))
-        scored = {inst: list(scores.values()) for inst, scores in sorted(by_institution.items())}
-        print(f"loaded difficulty scores from {scores_path}")
-    else:
-        scored, summary = _score_institutions(dataset, config)
-        _write_scores(config, scored, summary)
+    if not scores_path.exists():
+        _write_scores(config, *_score_institutions(dataset, config))
         print(f"wrote {scores_path}")
+    # the classes come from the file alone, whether it was written now or reused
+    _refuse_stale_scores(config)
+    _, scored = read_scores_csv(str(scores_path))
+    print(f"loaded difficulty scores from {scores_path}")
 
     results = []
     for institution in config.institutions:
         if institution not in scored:
             print(f"{institution}: no scores, skipped")
             continue
-        class_by_tweet = {s.tweet_id: s.klass for s in scored[institution]}
+        class_by_tweet = {tid: s.klass for tid, s in scored[institution].items()}
         ctx = make_context(dataset, institution, class_by_tweet)
         if not ctx.worker_ids:
-            print(f"{institution}: no worker has {TRAIN_SIZES[-1]} strata tweets, skipped")
+            print(f"{institution}: no worker has {MIN_WORKER_TWEETS} or more annotations, skipped")
             continue
         results.extend(run_grid(ctx, config))
 

@@ -1,7 +1,8 @@
 """Run configuration and deterministic seed derivation.
 
-RunConfig is the one home of every run setting and its default: the
-command line, the scorer and the simulation grid all read them from it.
+RunConfig is the one home of every run setting, its default and its
+validity: the command line, the scorer and the simulation grid all read
+them from it, and it refuses a bad value when it is built.
 Every output file written by the command line embeds the full RunConfig, so
 a run can be reproduced byte for byte from any of its artifacts.
 """
@@ -10,7 +11,11 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass
+
+from annodiff.errors import AnnodiffError
+from annodiff.textsim import SimilarityMetric
 
 
 def stable_seed(*parts) -> int:
@@ -44,6 +49,27 @@ class RunConfig:
     seed: int = 0
     alpha: float = 0.05
     out: str = "out"
+
+    def __post_init__(self):
+        """Refuse every bad setting, naming the command-line flag that sets
+        it, so a library caller meets the same refusal as the command line."""
+        known = [m.value for m in SimilarityMetric]
+        for i, m in enumerate(self.metrics):
+            if m not in known:
+                raise AnnodiffError(f"--metrics names unknown metric {m!r}; choose from {known}")
+            if m in self.metrics[:i]:
+                raise AnnodiffError(f"--metrics names {m!r} more than once")
+        if not self.metrics:
+            raise AnnodiffError("--metrics needs at least one metric")
+        if not self.k_grid or min(self.k_grid) < 1:
+            raise AnnodiffError(f"--k-grid needs at least one neighbor count, each at least 1, got {self.k_grid}")
+        if self.k_certainty < 1:
+            raise AnnodiffError("--k-certainty must be at least 1")
+        for flag, value in (("--smoothing", self.smoothing), ("--epsilon", self.epsilon)):
+            if not math.isfinite(value) or value < 0:
+                raise AnnodiffError(f"{flag} must be a finite non-negative number, got {value}")
+        if not 0 < self.split_ratio < 1:
+            raise AnnodiffError(f"--split must lie strictly between 0 and 1, got {self.split_ratio}")
 
     def to_dict(self) -> dict:
         return asdict(self)

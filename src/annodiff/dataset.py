@@ -299,18 +299,10 @@ class MajorityLevel:
     tie: bool  # at least two labels share the top vote count
 
 
-@dataclass(frozen=True)
-class MajorityResult:
-    """Per-level majority counts for one tweet; levels nobody voted on are
-    absent."""
-
-    levels: dict[int, MajorityLevel]
-
-
-def majority_from_votes(votes: Mapping[int, Sequence[str]]) -> MajorityResult:
+def majority_from_votes(votes: Mapping[int, Sequence[str]]) -> dict[int, MajorityLevel]:
     """Majority count, voter count and tie flag per level from raw per-level
-    vote lists. Counts come from a multiset, so the order votes are listed
-    in does not matter."""
+    vote lists; levels nobody voted on are absent. Counts come from a
+    multiset, so the order votes are listed in does not matter."""
     levels: dict[int, MajorityLevel] = {}
     for level in sorted(votes):
         if not votes[level]:
@@ -319,10 +311,10 @@ def majority_from_votes(votes: Mapping[int, Sequence[str]]) -> MajorityResult:
         top = max(counts.values())
         tie = sum(1 for c in counts.values() if c == top) > 1
         levels[level] = MajorityLevel(majority_count=top, voter_count=len(votes[level]), tie=tie)
-    return MajorityResult(levels=levels)
+    return levels
 
 
-def majority_labels(annotations: Sequence[Annotation]) -> MajorityResult:
+def majority_labels(annotations: Sequence[Annotation]) -> dict[int, MajorityLevel]:
     """Per-level majority over all annotations of one tweet."""
     if not annotations:
         raise ValueError("majority_labels needs at least one annotation")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from annodiff.config import RunConfig, stable_seed
-from annodiff.dataset import Dataset, MajorityResult, majority_labels
+from annodiff.dataset import Dataset, MajorityLevel, majority_labels
 from annodiff.errors import AnnodiffError
 from annodiff.knn import rank_by_similarity
 from annodiff.labels import LABEL_ORDER, LEVELS, LEVEL_LABELS
@@ -47,7 +47,7 @@ class ScoringResult:
     excluded: dict[str, str]  # tweet id -> reason it could not be scored
 
 
-def agreement_score(majority: MajorityResult) -> float:
+def agreement_score(levels: Mapping[int, MajorityLevel]) -> float:
     """Worker agreement for one tweet from its per-level majorities.
 
     Each level contributes the fraction of its voters that chose the majority
@@ -55,7 +55,6 @@ def agreement_score(majority: MajorityResult) -> float:
     levels. A tied level contributes one extra count to the weight
     denominator, reflecting the extra plausible reading of the tweet.
     """
-    levels = majority.levels
     if not levels:
         raise ValueError("agreement is undefined without any votes")
     total_maj = sum(lv.majority_count for lv in levels.values())
@@ -141,8 +140,6 @@ def predictor_certainties(
     Labeled tweets that land in no worker's test partition get the population
     mean certainty; their ids are reported in the result.
     """
-    if not 0 < config.split_ratio < 1:
-        raise ValueError("split_ratio must be strictly between 0 and 1")
     metric = SimilarityMetric(config.certainty_metric)
     rows_by_tweet: dict[str, list[dict[int, dict[str, float]]]] = {}
     for wid in dataset.worker_ids():

@@ -263,13 +263,6 @@ def run_grid(ctx: SimulationContext, config: RunConfig) -> list[ConfigResult]:
     each (metric, phase, arm) is one pass over the workers at every train
     size.
     """
-    repeated = [m for i, m in enumerate(config.metrics) if m in config.metrics[:i]]
-    if repeated:
-        raise ValueError(f"metric {repeated[0]!r} is given more than once")
-    if not config.k_grid:
-        raise ValueError("k_grid must not be empty")
-    if min(config.k_grid) < 1:
-        raise ValueError(f"k_grid must hold positive neighbor counts, got {config.k_grid}")
     ks = sorted(set(config.k_grid))
     results = []
     for name in config.metrics:

@@ -1,9 +1,11 @@
 """End-to-end command line behaviour through main()."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from annodiff import cli
+from annodiff.config import RunConfig
 from annodiff.outputs import CONFIG_PREFIX, read_csv, read_json, read_scores_csv
 from annodiff.synth import SynthConfig, generate_records, write_jsonl
 
@@ -356,6 +359,59 @@ def test_repeated_metric_exit_1(dataset_dir, tmp_path, capsys):
     assert code == 1
     assert "'edit'" in capsys.readouterr().err
     assert not (out / "outcomes.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["score", "simulate"])
+def test_every_run_flag_is_stored_under_its_field(command):
+    # the run config keeps only the flags stored under a RunConfig field's
+    # name, so a flag stored under any other name would be dropped unseen
+    args = cli.build_parser().parse_args([command, "--dataset", "a.jsonl", "--tweets", "t.jsonl"])
+    assert set(vars(args)) - {field.name for field in dataclasses.fields(RunConfig)} == {"command", "institution"}
+
+
+def test_flags_set_their_run_config_fields():
+    args = cli.build_parser().parse_args([
+        "simulate", "--dataset", "a.jsonl", "--tweets", "t.jsonl", "--institution", "SU",
+        "--smoothing", "0.5", "--k-certainty", "5", "--split", "0.6", "--seed", "7", "--out", "o",
+        "--metrics", "edit, substring", "--k-grid", "1, 4", "--epsilon", "0.2",
+    ])
+    assert cli._make_run_config(args) == RunConfig(
+        "a.jsonl", "t.jsonl", institutions=("SU",), metrics=("edit", "substring"), smoothing=0.5,
+        k_certainty=5, k_grid=(1, 4), epsilon=0.2, split_ratio=0.6, seed=7, out="o",
+    )
+
+
+def test_simulate_names_the_annotation_floor_when_no_worker_qualifies(tmp_path, capsys):
+    # SU's two workers stop at 40 annotations, short of the 50 that the two
+    # 25-tweet phases need, so SU has no worker to simulate
+    annotations, tweets = generate_records(SynthConfig(n_workers=4, seed=5))
+    short, _ = generate_records(SynthConfig(n_workers=2, institution="SU", seed=5))
+    write_jsonl(annotations + [r for r in short if r["order_index"] <= 40], str(tmp_path / "annotations.jsonl"))
+    write_jsonl(tweets, str(tmp_path / "tweets.jsonl"))
+    assert cli.main(_simulate_args(tmp_path, tmp_path / "out")) == 0
+    assert "SU: no worker has 50 or more annotations, skipped" in capsys.readouterr().out
+
+
+def test_input_line_order_does_not_change_outputs(tmp_path, capsys):
+    # label noise makes training paths disagree and votes tie, and two
+    # institutions interleave once the lines are shuffled
+    annotations, tweets = generate_records(SynthConfig(n_workers=2, difficult_label_noise=0.6, seed=3))
+    more, _ = generate_records(SynthConfig(n_workers=2, difficult_label_noise=0.6, institution="SU", seed=3))
+    paths = {"annotations.jsonl": annotations + more, "tweets.jsonl": tweets}
+    out = tmp_path / "out"
+    runs = []
+    for shuffle in (False, True):
+        for name, records in paths.items():
+            write_jsonl(records, str(tmp_path / name))
+            if shuffle:
+                lines = (tmp_path / name).read_text().splitlines(keepends=True)
+                random.Random(name).shuffle(lines)
+                (tmp_path / name).write_text("".join(lines))
+        shutil.rmtree(out, ignore_errors=True)
+        assert cli.main(["simulate", *_dataset_args(tmp_path), "--out", str(out)]) == 0
+        runs.append({name: (out / name).read_bytes() for name in ("scores.csv", "outcomes.csv", "curves.csv", "stats.json")})
+    capsys.readouterr()
+    assert runs[0] == runs[1]
 
 
 def _with_embedded(text, key, value):

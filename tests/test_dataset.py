@@ -183,22 +183,22 @@ def test_majority_counts():
         3: ["Negative", "Negative", "Positive"],
     }
     result = majority_from_votes(votes)
-    assert (result.levels[1].majority_count, result.levels[1].voter_count) == (4, 4)
-    assert (result.levels[2].majority_count, result.levels[2].voter_count) == (3, 4)
-    assert (result.levels[3].majority_count, result.levels[3].voter_count) == (2, 3)
-    assert not any(lv.tie for lv in result.levels.values())
+    assert (result[1].majority_count, result[1].voter_count) == (4, 4)
+    assert (result[2].majority_count, result[2].voter_count) == (3, 4)
+    assert (result[3].majority_count, result[3].voter_count) == (2, 3)
+    assert not any(lv.tie for lv in result.values())
 
 
 def test_majority_tie_flag():
     votes = {1: ["Relevant", "Irrelevant", "Relevant", "Irrelevant"]}
     result = majority_from_votes(votes)
-    assert result.levels[1].tie
-    assert (result.levels[1].majority_count, result.levels[1].voter_count) == (2, 4)
+    assert result[1].tie
+    assert (result[1].majority_count, result[1].voter_count) == (2, 4)
 
 
 def test_majority_skips_empty_levels():
     result = majority_from_votes({1: ["Relevant"], 2: [], 3: []})
-    assert sorted(result.levels) == [1]
+    assert sorted(result) == [1]
 
 
 LABELS = ["Relevant", "Irrelevant", "Factual", "NonFactual", "Positive", "Negative"]
@@ -224,8 +224,8 @@ def _annotation(worker, tweet, order, l1, l2=None, l3=None):
 
 def test_majority_labels_single_annotator():
     result = majority_labels([_annotation("w1", "t1", 1, "Relevant", "Factual")])
-    assert sorted(result.levels) == [1, 2]
-    assert (result.levels[2].majority_count, result.levels[2].voter_count) == (1, 1)
+    assert sorted(result) == [1, 2]
+    assert (result[2].majority_count, result[2].voter_count) == (1, 1)
 
 
 def test_majority_labels_rejects_bad_input():

@@ -12,7 +12,6 @@ from annodiff.dataset import (
     Annotation,
     Dataset,
     MajorityLevel,
-    MajorityResult,
     Worker,
     majority_from_votes,
 )
@@ -42,36 +41,32 @@ def level(majority, voters, tie=False):
 
 
 def test_agreement_three_levels():
-    majority = MajorityResult(
-        levels={
-            1: level(4, 4),
-            2: level(3, 4),
-            3: level(2, 2),
-        }
-    )
+    majority = {
+        1: level(4, 4),
+        2: level(3, 4),
+        3: level(2, 2),
+    }
     assert agreement_score(majority) == pytest.approx(11 / 12, abs=1e-12)
 
 
 def test_agreement_with_tie():
     # a tied level adds one to the weight denominator
-    majority = MajorityResult(
-        levels={
-            1: level(4, 4),
-            2: level(2, 4, tie=True),
-            3: level(2, 2),
-        }
-    )
+    majority = {
+        1: level(4, 4),
+        2: level(2, 4, tie=True),
+        3: level(2, 2),
+    }
     assert agreement_score(majority) == pytest.approx(7 / 9, abs=1e-12)
 
 
 def test_agreement_single_annotator():
-    majority = MajorityResult(levels={1: level(1, 1), 2: level(1, 1)})
+    majority = {1: level(1, 1), 2: level(1, 1)}
     assert agreement_score(majority) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_agreement_needs_votes():
     with pytest.raises(ValueError):
-        agreement_score(MajorityResult(levels={}))
+        agreement_score({})
 
 
 level_votes = {
@@ -244,6 +239,10 @@ def test_certainty_counts_the_first_k_ranked_neighbors(paths, words, k, seed):
     labels = dict(zip(ids, paths))
     annotations = [Annotation("w1", tid, path, {1: 1.0}, i + 1) for i, (tid, path) in enumerate(labels.items())]
     ds = _worker_dataset([Worker("w1", "MD", "M", annotations)], {tid: " ".join([tid, *w]) for tid, w in zip(ids, words)})
+    if k < 1:
+        with pytest.raises(AnnodiffError, match="--k-certainty"):
+            _config(k_certainty=k, seed=seed)
+        return
     pools, ranked, counted = [], [], []
     real_rank = difficulty.rank_by_similarity
 
@@ -263,10 +262,6 @@ def test_certainty_counts_the_first_k_ranked_neighbors(paths, words, k, seed):
         patch.setattr(difficulty, "similarity_rows", recording_rows)
         patch.setattr(difficulty, "rank_by_similarity", recording_rank)
         patch.setattr(difficulty, "knn_label_certainty", recording_certainty)
-        if k < 1:
-            with pytest.raises(ValueError, match="at least one neighbor"):
-                predictor_certainties(ds, ds.word_sequences(), _config(k_certainty=k, seed=seed))
-            return
         predictor_certainties(ds, ds.word_sequences(), _config(k_certainty=k, seed=seed))
     [train] = pools
     assert len(ranked) == len(counted) > 0
@@ -290,9 +285,9 @@ def test_predictor_certainties_imputes_training_only_tweets():
 
 
 def test_predictor_certainties_rejects_bad_split():
-    ds = _worker_dataset([Worker("w1", "MD", "M", [_full_path_annotation("w1", "t0", 1)])])
-    with pytest.raises(ValueError):
-        predictor_certainties(ds, ds.word_sequences(), _config(split_ratio=1.0))
+    # the certainty split is refused when the config is built, before scoring
+    with pytest.raises(AnnodiffError, match="--split"):
+        _config(split_ratio=1.0)
 
 
 # --- labeling cost ---

@@ -11,6 +11,7 @@ import oracles
 from annodiff import simulation, textsim
 from annodiff.config import RunConfig
 from annodiff.dataset import Annotation, Dataset, Worker
+from annodiff.errors import AnnodiffError
 from annodiff.labels import LEVEL_LABELS, LabelPath
 from annodiff.simulation import (
     PHASES,
@@ -146,10 +147,9 @@ def test_grid_skips_thin_strata():
 
 
 def test_grid_refuses_empty_k_grid():
-    ds, classes = _alternating_dataset(50)
-    ctx = make_context(ds, "MD", classes)
-    with pytest.raises(ValueError):
-        run_grid(ctx, RunConfig("a.jsonl", "t.jsonl", metrics=("edit",), k_grid=()))
+    # the grid's settings are refused when they are built, before any run
+    with pytest.raises(AnnodiffError, match="--k-grid"):
+        RunConfig("a.jsonl", "t.jsonl", metrics=("edit",), k_grid=())
 
 
 def test_grid_deterministic():
@@ -160,10 +160,8 @@ def test_grid_deterministic():
 
 
 def test_grid_refuses_repeated_metric():
-    ds, classes = _alternating_dataset(50)
-    ctx = make_context(ds, "MD", classes)
-    with pytest.raises(ValueError, match="'substring' is given more than once"):
-        run_grid(ctx, RunConfig("a.jsonl", "t.jsonl", metrics=("edit", "substring", "substring")))
+    with pytest.raises(AnnodiffError, match="--metrics names 'substring' more than once"):
+        RunConfig("a.jsonl", "t.jsonl", metrics=("edit", "substring", "substring"))
 
 
 def test_run_grid_covers_all_configurations():
@@ -241,10 +239,8 @@ def test_grid_matches_per_size_oracle(ctx, metric, k_grid, seed):
 
 
 def test_grid_refuses_non_positive_k():
-    ds, classes = _alternating_dataset(50)
-    ctx = make_context(ds, "MD", classes)
-    with pytest.raises(ValueError):
-        run_grid(ctx, RunConfig("a.jsonl", "t.jsonl", metrics=("edit",), k_grid=(0, 3)))
+    with pytest.raises(AnnodiffError, match="--k-grid"):
+        RunConfig("a.jsonl", "t.jsonl", metrics=("edit",), k_grid=(0, 3))
 
 
 # --- the grid's work counts ---
