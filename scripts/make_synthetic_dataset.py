@@ -2,7 +2,7 @@
 
 Run:
     python3 scripts/make_synthetic_dataset.py --out data/ --workers 8 \
-        --easy 40 --difficult 20 --noise 0.6 --seed 11
+        --easy 40 --difficult 30 --noise 0.6 --seed 11
 
 Writes annotations.jsonl and tweets.jsonl into --out. Easy tweets get
 consistent labels and short durations; difficult ones get noisy labels and

@@ -2,22 +2,23 @@
 
 rank_by_similarity orders a worker's labeled tweets by similarity to a query,
 as deep as the largest k needs; the caller counts the labels of the first
-min(k, n) of them, and vote picks the plurality label from those counts. One
-ranking serves every k and every hierarchy level. The grid
-(simulation._arm_curves) grows one count per level over the ranking as k
-rises, in which a blank level (below Irrelevant or Factual) counts as an
-explicit NoLabel class, and predicts a whole label path by voting top-down
-(simulation.vote_path). It tallies its predictions as a table of (truth,
-predicted) path counts, one entry per distinct pair, and hierarchical_f1
-scores that table. The certainty component counts the labels of one level
-and turns them into smoothed certainties instead of a vote.
+min(k, n) of them, and vote returns the labels that share the top count;
+the caller settles a tie by a seeded draw. One ranking serves every k and
+every hierarchy level. The grid (simulation._arm_curves) grows one count
+per level over the ranking as k rises, in which a blank level (below
+Irrelevant or Factual) counts as an explicit NoLabel class, and predicts a
+whole label path by voting top-down (simulation.vote_path). It tallies its
+predictions as a table of (truth, predicted) path counts, one entry per
+distinct pair, and hierarchical_f1 scores that table. The certainty
+component counts the labels of one level and turns them into smoothed
+certainties instead of a vote.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from annodiff.labels import LABEL_ORDER, label_set
 
@@ -52,25 +53,23 @@ def rank_by_similarity(sims: Sequence[float], rng: random.Random, depth: int) ->
     return order[:end]
 
 
-def vote(counts: Mapping[str, int], make_rng: Callable[[], random.Random]) -> str:
-    """Unit-weight plurality vote over per-label neighbor counts.
+def vote(counts: Mapping[str, int]) -> list[str]:
+    """The labels that share the top neighbor count, in LABEL_ORDER.
 
-    A tie for the top count is settled by a draw among the tied labels, taken
-    in LABEL_ORDER, from the rng that make_rng() returns. make_rng is called
-    only on a tie, so a vote with a unique winner derives no rng at all.
+    One label is a decided plurality vote; several are a tie, which the
+    caller settles by a seeded draw among them in this order.
     """
     if len(counts) == 1:
         [(label, count)] = counts.items()
         if count >= 1:
-            return label
+            return [label]
     top = max(counts.values(), default=0)
     if top < 1:
         raise ValueError("cannot vote over zero labels")
     tied = [lab for lab, c in counts.items() if c == top]
-    if len(tied) == 1:
-        return tied[0]
-    tied.sort(key=lambda lab: LABEL_ORDER.get(lab, len(LABEL_ORDER)))
-    return make_rng().choice(tied)
+    if len(tied) > 1:
+        tied.sort(key=lambda lab: LABEL_ORDER.get(lab, len(LABEL_ORDER)))
+    return tied
 
 
 def hierarchical_f1(counts: Mapping[tuple[tuple[str, ...], tuple[str, ...]], int]) -> float:

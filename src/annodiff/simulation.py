@@ -15,7 +15,7 @@ import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Dataset
@@ -116,21 +116,29 @@ class ConfigResult:
     mean_delta: float | None
 
 
-def vote_path(counts: Sequence[Mapping[str, int]], ties: Sequence[Callable[[], random.Random]]) -> LabelTuple:
-    """Top-down plurality vote of a label path over per-level neighbor counts.
+def vote_path(counts: Sequence[Mapping[str, int]], parts: tuple) -> tuple[LabelTuple, bool]:
+    """Top-down plurality vote of a label path over per-level neighbor
+    counts, and whether any voted level tied.
 
     Level 2 is voted only under Relevant and level 3 only under NonFactual,
-    so the path is coherent without repair; a level not voted is NoLabel.
-    ties[level - 1]() is called only on a tie at a voted level.
+    so the path is coherent without repair; a level not voted is NoLabel. A
+    tie at a voted level is settled by a draw among the tied labels, in
+    LABEL_ORDER, from a Random seeded on stable_seed(*parts, level); a
+    decided level derives no seed.
     """
-    # through the module-level name, so a wrapper installed on simulation.vote sees every grid vote
-    level1 = vote(counts[0], ties[0])
-    if level1 != RELEVANT:
-        return level1, NO_LABEL, NO_LABEL
-    level2 = vote(counts[1], ties[1])
-    if level2 != NONFACTUAL:
-        return level1, level2, NO_LABEL
-    return level1, level2, vote(counts[2], ties[2])
+    path = [NO_LABEL, NO_LABEL, NO_LABEL]
+    tied = False
+    for level in LEVELS:
+        # through the module-level names, so a wrapper installed on
+        # simulation.vote or simulation.stable_seed sees every grid call
+        labels = vote(counts[level - 1])
+        if len(labels) > 1:
+            tied = True
+            labels = [random.Random(stable_seed(*parts, level)).choice(labels)]
+        label = path[level - 1] = labels[0]
+        if label != RELEVANT and label != NONFACTUAL:  # the only labels with a level below
+            break
+    return tuple(path), tied
 
 
 def _arm_curves(
@@ -152,34 +160,17 @@ def _arm_curves(
     prefix, of which size n reads the first n values. Where the first n
     training paths are one path, every k predicts it: the query is neither
     ranked nor voted, only tallied once for n and added to every k's table
-    at the end. Its order rng is seeded on its own parts, so skipping it
+    at the end. Its ranking is seeded on its own parts, so skipping it
     changes no other draw. Otherwise the query is ranked once per n, its
     per-level label counts grow over the ranking as k rises, and one path is
     voted per distinct prefix min(k, n): a larger k on the same prefix
-    reuses it unless that vote drew on a tie, since a level's tie rng is
-    seeded on its own (tweet, k, level) parts and derived only on a tie.
-    The pass holds one rng, reseeded for each order and each tie draw;
-    choice and shuffle draw only through getrandbits, so each draw is that
-    of a fresh rng on the same seed. Predictions are tallied as (truth,
+    reuses it unless that vote tied, since a level's tie draw is seeded on
+    its own (tweet, k, level) parts. Predictions are tallied as (truth,
     predicted) counts per (n, k).
     """
     tables = {n: {k: Counter() for k in ks} for n in TRAIN_SIZES}
     agreed = {n: Counter() for n in TRAIN_SIZES}
     used = dict.fromkeys(TRAIN_SIZES, 0)
-    rng = random.Random()
-    drew = False  # whether the last path vote drew on a tie
-
-    def tie(level: int) -> Callable[[], random.Random]:
-        # reads the (parts, tid, k) of the vote in progress
-        def reseeded() -> random.Random:
-            nonlocal drew
-            drew = True
-            rng.seed(stable_seed(*parts, "vote", tid, k, level))
-            return rng
-
-        return reseeded
-
-    ties = (tie(1), tie(2), tie(3))
     for wid in ctx.worker_ids:
         stratum = ctx.strata[(wid, phase, arm)][: TRAIN_SIZES[-1]]
         fitting = [n for n in TRAIN_SIZES if n <= len(stratum)]
@@ -207,8 +198,7 @@ def _arm_curves(
                     continue
                 by_k = tables[n]
                 parts = (seed, ctx.institution, metric.value, phase, n, wid, arm)
-                rng.seed(stable_seed(*parts, "order", tid))
-                order = rank_by_similarity(row[:n], rng, ks[-1])
+                order = rank_by_similarity(row[:n], random.Random(stable_seed(*parts, "order", tid)), ks[-1])
                 depth = len(order)
                 counts = ({}, {}, {})
                 counts1, counts2, counts3 = counts
@@ -223,11 +213,11 @@ def _arm_curves(
                             counts3[label3] = counts3.get(label3, 0) + 1
                         counted = end
                     elif not drew:
-                        # the same prefix, whose vote drew on no tie
+                        # the same prefix, whose vote did not tie
                         by_k[k][pair] += 1
                         continue
-                    drew = False
-                    pair = (truth, vote_path(counts, ties))
+                    path, drew = vote_path(counts, (*parts, "vote", tid, k))
+                    pair = (truth, path)
                     by_k[k][pair] += 1
     for n, by_k in tables.items():
         for table in by_k.values():

@@ -46,6 +46,12 @@ SHARED_WORDS = ["#debate", "tonight", "watching"]
 
 WORDS_PER_TWEET = 7
 
+# every worker's group, and the range of an easy or a difficult tweet's
+# total labeling seconds
+GROUP = "M"
+EASY_SECONDS = (1.0, 2.0)
+DIFFICULT_SECONDS = (15.0, 20.0)
+
 
 @dataclass(frozen=True)
 class SynthConfig:
@@ -54,9 +60,6 @@ class SynthConfig:
     n_difficult: int = 30
     difficult_label_noise: float = 0.5
     institution: str = "MD"
-    group: str = "M"
-    easy_seconds: tuple[float, float] = (1.0, 2.0)
-    difficult_seconds: tuple[float, float] = (15.0, 20.0)
     seed: int = 0
 
 
@@ -131,13 +134,13 @@ def generate_records(config: SynthConfig = SynthConfig()) -> tuple[list[dict], l
                 path = _noisy_path(rng, true_index[tid])
             else:
                 path = TRUE_PATHS[true_index[tid]]
-            seconds = config.difficult_seconds if difficult else config.easy_seconds
+            seconds = DIFFICULT_SECONDS if difficult else EASY_SECONDS
             labels = {f"l{level}": label for level, label in path.labels().items()}
             annotations.append(
                 {
                     "worker_id": wid,
                     "institution": config.institution,
-                    "group": config.group,
+                    "group": GROUP,
                     "tweet_id": tid,
                     "order_index": position,
                     "labels": labels,

@@ -246,7 +246,7 @@ def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
     direct counts of its first k neighbors, the votes repaired by
     coerce_structure; F1 comes from explicit label sets of the pair list.
     The seeds are those of the grid: (…, "order", tweet) for the ranking,
-    (…, "vote", tweet, k, level) for a tie at one level.
+    (…, "vote", tweet, k, level) for a draw among one level's tied labels.
     """
     import random
 
@@ -274,13 +274,12 @@ def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
             order = rank_full(sims, random.Random(stable_seed(*parts, "order", tid)))
             for k in ks:
                 neighbors = [training[i][1] for i in order[:k]]
-                votes = [
-                    vote(
-                        Counter(path[level - 1] for path in neighbors),
-                        lambda level=level: random.Random(stable_seed(*parts, "vote", tid, k, level)),
-                    )
-                    for level in (1, 2, 3)
-                ]
+                votes = []
+                for level in (1, 2, 3):
+                    top = vote(Counter(path[level - 1] for path in neighbors))
+                    if len(top) > 1:
+                        top = [random.Random(stable_seed(*parts, "vote", tid, k, level)).choice(top)]
+                    votes.append(top[0])
                 pairs_per_k[k].append((truth, coerce_structure(*votes)))
     if skipped == len(ctx.worker_ids):
         return None, skipped

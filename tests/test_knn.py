@@ -9,7 +9,7 @@ from hypothesis import assume, given, strategies as st
 from annodiff import simulation
 from annodiff.config import RunConfig, stable_seed
 from annodiff.knn import hierarchical_f1, rank_by_similarity, vote
-from annodiff.labels import LEVEL_LABELS, LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, label_set
+from annodiff.labels import LABEL_ORDER, LEVEL_LABELS, LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, label_set
 from annodiff.simulation import SimulationContext, run_grid, vote_path
 from annodiff.textsim import SimilarityMetric, nsim
 from oracles import coerce_structure, hier_f1_direct, path_label_set, rank_full
@@ -35,8 +35,7 @@ def predict(examples, query, k, seed, metric=SimilarityMetric.EDIT):
     sims = [nsim(query, words, metric) for words, _ in examples]
     order = rank_by_similarity(sims, random.Random(stable_seed(seed, "order")), k)
     counts = [Counter(examples[i][1][level - 1] for i in order) for level in LEVELS]
-    ties = [lambda level=level: random.Random(stable_seed(seed, "vote", level)) for level in LEVELS]
-    return vote_path(counts, ties)
+    return vote_path(counts, (seed, "vote"))[0]
 
 
 def test_empty_prefix_cannot_vote():
@@ -45,7 +44,7 @@ def test_empty_prefix_cannot_vote():
         order = rank_by_similarity(sims, random.Random(0), depth)
         assert order == []
         with pytest.raises(ValueError):
-            vote(Counter(order), lambda: random.Random(0))
+            vote(Counter(order))
 
 
 # --- the grid's neighbor counts ---
@@ -78,9 +77,9 @@ def grid_counts(stratum, query, k_grid, seed=0):
         rankings.append((len(sims), order, []))
         return order
 
-    def recording_vote_path(counts, ties):
+    def recording_vote_path(counts, parts):
         rankings[-1][2].append([dict(c) for c in counts])
-        return real_vote_path(counts, ties)
+        return real_vote_path(counts, parts)
 
     config = RunConfig("a.jsonl", "t.jsonl", metrics=("edit",), k_grid=tuple(k_grid), seed=seed)
     with pytest.MonkeyPatch.context() as patch:
@@ -211,11 +210,12 @@ def test_predict_deterministic_under_seed():
         (("Relevant", "NonFactual", "Negative"), ("Relevant", "NonFactual", "Negative")),
     ],
 )
-def test_vote_path_blanks_levels_the_tree_forbids(raw, expected):
-    def no_draw():
-        raise AssertionError("a tie rng was derived without a tie")
+def test_vote_path_blanks_levels_the_tree_forbids(raw, expected, monkeypatch):
+    def no_draw(*parts):
+        raise AssertionError("a tie seed was derived without a tie")
 
-    assert vote_path([{label: 1} for label in raw], [no_draw] * 3) == expected
+    monkeypatch.setattr(simulation, "stable_seed", no_draw)
+    assert vote_path([{label: 1} for label in raw], (0, "vote")) == (expected, False)
     assert coerce_structure(*raw) == expected
 
 
@@ -225,25 +225,36 @@ LEVEL_COUNTS = [
 ]
 
 
+def _voted_levels(path):
+    # a coherent path has NonFactual at level 2 only under Relevant
+    return [1, 2, 3][: 1 + (path[0] == RELEVANT) + (path[1] == NONFACTUAL)]
+
+
 @given(counts=st.tuples(*LEVEL_COUNTS), seed=st.integers(0, 2**32))
 def test_vote_path_matches_voting_every_level_then_coercing(counts, seed):
-    def rng(level):
-        return random.Random(stable_seed(seed, "vote", level))
+    def settle(labels, level):
+        return labels[0] if len(labels) == 1 else random.Random(stable_seed(seed, "vote", level)).choice(labels)
 
-    called = []
-
-    def tie(level):
-        def make_rng():
-            called.append(level)
-            return rng(level)
-
-        return make_rng
-
-    path = vote_path(counts, [tie(level) for level in LEVELS])
-    expected = coerce_structure(*(vote(c, lambda level=level: rng(level)) for level, c in zip(LEVELS, counts)))
+    path, tied = vote_path(counts, (seed, "vote"))
+    expected = coerce_structure(*(settle(vote(c), level) for level, c in zip(LEVELS, counts)))
     assert path == expected
-    skipped = {2, 3} if path[0] != RELEVANT else {3} if path[1] != NONFACTUAL else set()
-    assert not skipped & set(called)
+    assert tied == any(len(vote(counts[level - 1])) > 1 for level in _voted_levels(path))
+
+
+@given(counts=st.tuples(*LEVEL_COUNTS), parts=st.tuples(st.integers(0, 9), st.sampled_from(("vote", "x"))))
+def test_vote_path_seeds_each_tied_voted_level_once(counts, parts):
+    seeds = []
+
+    def recording_seed(*args):
+        seeds.append(args)
+        return stable_seed(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "stable_seed", recording_seed)
+        path, _ = vote_path(counts, parts)
+    # a decided level and a level below the voted path derive no seed
+    tied_levels = [level for level in _voted_levels(path) if len(vote(counts[level - 1])) > 1]
+    assert seeds == [(*parts, level) for level in tied_levels]
 
 
 def test_rank_by_similarity_orders_descending():
@@ -280,41 +291,44 @@ def test_rank_by_similarity_is_a_prefix_of_the_full_ranking(sims, seed, data):
     assert order == rank_full(sims, random.Random(seed))[: min(depth, n)]
 
 
-def _rng(seed):
-    return lambda: random.Random(seed)
-
-
 def test_vote_plurality():
-    assert vote({"Positive": 2, "Negative": 1}, _rng(0)) == "Positive"
+    assert vote({"Positive": 2, "Negative": 1}) == ["Positive"]
 
 
-def test_vote_unique_winner_derives_no_rng():
-    def make_rng():
-        raise AssertionError("make_rng called without a tie")
-
-    assert vote(Counter(["Positive", "Positive", "Negative"]), make_rng) == "Positive"
-    assert vote({"Irrelevant": 3}, make_rng) == "Irrelevant"
+def test_vote_unique_winner_is_one_label():
+    assert vote(Counter(["Positive", "Positive", "Negative"])) == ["Positive"]
+    assert vote({"Irrelevant": 3}) == ["Irrelevant"]
 
 
 def test_vote_tie_breaks_within_tied_set():
-    winners = {vote({"Positive": 1, "Negative": 1}, _rng(seed)) for seed in range(20)}
+    assert vote({"Positive": 1, "Negative": 1}) == ["Positive", "Negative"]
+    level3 = ({RELEVANT: 1}, {NONFACTUAL: 1}, {"Negative": 1, "Positive": 1})
+    winners = {vote_path(level3, (seed,))[0][2] for seed in range(20)}
     assert winners == {"Positive", "Negative"}
 
 
 def test_vote_tie_draws_in_label_order():
-    # the draw sees the tied labels in LABEL_ORDER, whatever order the counts
-    # mapping holds them in, so it matches a seeded choice over that order
+    # the tied labels come in LABEL_ORDER, whatever order the counts mapping
+    # holds them in, so the draw matches a seeded choice over that order
+    counts = {NO_LABEL: 2, "NonFactual": 2, "Positive": 1, "Factual": 2}
+    assert vote(counts) == ["Factual", "NonFactual", NO_LABEL]
     for seed in range(20):
-        expected = random.Random(seed).choice(["Factual", "NonFactual", NO_LABEL])
-        counts = {NO_LABEL: 2, "NonFactual": 2, "Positive": 1, "Factual": 2}
-        assert vote(counts, _rng(seed)) == expected
+        expected = random.Random(stable_seed(seed, 2)).choice(["Factual", "NonFactual", NO_LABEL])
+        assert vote_path(({RELEVANT: 1}, counts, {"Positive": 1}), (seed,))[0][1] == expected
 
 
 def test_vote_rejects_empty():
     with pytest.raises(ValueError):
-        vote({}, _rng(0))
+        vote({})
     with pytest.raises(ValueError):
-        vote({"Positive": 0}, _rng(0))
+        vote({"Positive": 0})
+
+
+@given(counts=st.dictionaries(st.sampled_from(sorted(LABEL_ORDER)), st.integers(0, 4), min_size=1))
+def test_vote_returns_the_top_count_labels_in_label_order(counts):
+    top = max(counts.values())
+    assume(top >= 1)
+    assert vote(counts) == sorted((lab for lab, c in counts.items() if c == top), key=LABEL_ORDER.__getitem__)
 
 
 words = st.lists(st.sampled_from([f"w{i}" for i in range(8)]), min_size=1, max_size=5).map(tuple)

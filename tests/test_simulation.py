@@ -1,7 +1,6 @@
 """Strata construction, predictor comparison, outcome coding, aggregation."""
 
 import dataclasses
-import random
 from collections import Counter
 
 import pytest
@@ -343,7 +342,7 @@ def test_vote_repeats_a_prefix_only_after_a_tie(monkeypatch):
         queries.append((len(order), []))
         return order
 
-    def recording_vote(counts, make_rng):
+    def recording_vote(counts):
         top = max(counts.values())
         tied = sum(1 for c in counts.values() if c == top) > 1
         votes = queries[-1][1]
@@ -354,7 +353,7 @@ def test_vote_repeats_a_prefix_only_after_a_tie(monkeypatch):
             # a lower level counts the same prefix, blanks as NoLabel
             assert sum(counts.values()) == votes[-1][0]
             votes[-1][1] |= tied
-        return real_vote(counts, make_rng)
+        return real_vote(counts)
 
     monkeypatch.setattr(simulation, "rank_by_similarity", recording_rank)
     monkeypatch.setattr(simulation, "vote", recording_vote)
@@ -376,29 +375,6 @@ def test_vote_repeats_a_prefix_only_after_a_tie(monkeypatch):
         assert next(votes, None) is None, "a query voted more paths than its distinct or tied prefixes"
     # both branches happen on this set
     assert revotes > 0 and reuses > 0
-
-
-@given(
-    earlier=st.lists(st.tuples(st.integers(0, 2**64 - 1), st.integers(1, 64)), max_size=4),
-    seed=st.integers(0, 2**64 - 1),
-    items=st.lists(st.integers(), min_size=1, max_size=12),
-)
-def test_a_reseeded_rng_draws_as_a_fresh_one(earlier, seed, items):
-    # the grid keeps one rng per arm pass and reseeds it for every order and
-    # tie draw, which is only sound if nothing before the reseed shows after it
-    shared = random.Random()
-    for earlier_seed, bits in earlier:
-        shared.seed(earlier_seed)
-        shared.getrandbits(bits)
-        shared.random()
-        shared.shuffle(list(items))
-    shared.seed(seed)
-    fresh = random.Random(seed)
-    assert shared.choice(items) == fresh.choice(items)
-    shuffled, expected = list(items), list(items)
-    shared.shuffle(shuffled)
-    fresh.shuffle(expected)
-    assert shuffled == expected
 
 
 # --- outcome coding ---
