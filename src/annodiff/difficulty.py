@@ -179,8 +179,7 @@ def predictor_certainties(
                 order = rank_by_similarity(sim_values, order_rng, config.k_certainty)
                 counts = Counter(pool_labels[level][i] for i in order)
                 row[level] = knn_label_certainty(counts, config.smoothing, LEVEL_LABELS[level])
-            if row:
-                rows_by_tweet.setdefault(tid, []).append(row)
+            rows_by_tweet.setdefault(tid, []).append(row)
 
     values = {tid: aggregate_certainties(rows_by_tweet[tid]) for tid in sorted(rows_by_tweet)}
     labeled = sorted(dataset.annotations_by_tweet())

@@ -4,14 +4,15 @@ Texts are compared as word sequences, not character strings. All similarity
 values are normalized to [0, 1] by the length of the longer sequence. nsim
 compares one pair; similarity_rows compares many queries with one pool and
 gives the same floats, and PairSimilarity caches pairs over an id table. The
-functions here are pure and safe to call from multiple threads.
+functions here are pure and safe to call from multiple threads; a
+PairSimilarity fills its caches as it is read, so each thread needs its own.
 """
 
 from __future__ import annotations
 
 import string
 from enum import Enum
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 # characters stripped from both ends of each token; '#' and '@' survive so
 # hashtags and mentions keep their marker
@@ -153,76 +154,53 @@ def nsim(
     raise ValueError(f"unknown metric: {metric!r}")
 
 
-def _gram_levels(pool: Sequence[WordSequence]) -> Callable[[int], dict[WordSequence, list[int]]]:
-    """Lazy r-gram index of a pool: level(r) maps each run of r consecutive
-    words to the ascending pool positions whose sequence holds it, built on
-    the first request for that r."""
-    levels: list[dict[WordSequence, list[int]]] = []
-
-    def level(r: int) -> dict[WordSequence, list[int]]:
-        while len(levels) < r:
-            n = len(levels) + 1
-            grams: dict[WordSequence, list[int]] = {}
-            for position, words in enumerate(pool):
-                for j in range(len(words) - n + 1):
-                    holders = grams.setdefault(words[j : j + n], [])
-                    if not holders or holders[-1] != position:
-                        holders.append(position)
-            levels.append(grams)
-        return levels[r - 1]
-
-    return level
-
-
-def _substring_lengths(query: WordSequence, level: Callable[[int], Mapping[WordSequence, list[int]]]) -> dict[int, int]:
-    """Longest common run of the query with each pool sequence that shares
-    a word with it, by pool position. A run of r words starting at query
-    position i exists only if the run of r - 1 words there does, so each
-    length looks up only the starts that hit at the length before, and the
-    search stops at the first length with no hit."""
-    longest: dict[int, int] = {}
-    starts = range(len(query))
-    r = 1
-    while starts:
-        grams = level(r)
-        hit = []
-        for i in starts:
-            if i + r > len(query):
-                break
-            holders = grams.get(query[i : i + r])
-            if holders:
-                hit.append(i)
-                for position in holders:
-                    longest[position] = r
-        starts = hit
-        r += 1
-    return longest
-
-
 def similarity_rows(
     queries: Sequence[WordSequence], pool: Sequence[WordSequence], metric: SimilarityMetric
 ) -> list[list[float]]:
     """Each query's similarity to every pool sequence, by pool position.
 
     The floats are those of nsim(query, pool[j], metric), except that two
-    empty sequences give 1.0, as in PairSimilarity. substring reads one r-gram
-    index of the pool, shared by all queries; subsequence and edit build each
-    query's word_masks once and run the pair kernels with the pool sequence
-    as the first argument, which gives the same integers because all three
-    measures are symmetric.
+    empty sequences give 1.0, as in PairSimilarity. substring indexes the
+    pool once, by word and by adjacent word pair, and scans each query once:
+    every pool sequence that shares a word starts at a run of 1, and each
+    query pair extends the runs that the previous pair ended just before
+    it in the pool. subsequence and edit build each query's word_masks once
+    and run the pair kernels with the pool sequence as the first argument,
+    which gives the same integers because all three measures are symmetric.
     """
     lengths = [len(words) for words in pool]
     rows: list[list[float]] = []
     if metric is SimilarityMetric.SUBSTRING:
-        level = _gram_levels([tuple(words) for words in pool])
+        # holders: word -> pool positions whose sequence holds it; follows:
+        # adjacent word pair -> (cell, position) where the pair ends, where
+        # cells number all the pool's words in order
+        holders: dict[str, set[int]] = {}
+        follows: dict[tuple[str, str], list[tuple[int, int]]] = {}
+        cell = 0
+        for position, words in enumerate(pool):
+            for j, word in enumerate(words):
+                holders.setdefault(word, set()).add(position)
+                if j:
+                    follows.setdefault((words[j - 1], word), []).append((cell, position))
+                cell += 1
         for query in queries:
-            query = tuple(query)  # its runs are looked up as dict keys
             n = len(query)
             if not n:
                 rows.append([0.0 if m else 1.0 for m in lengths])
                 continue
+            longest = dict.fromkeys(set().union(*(holders.get(word, ()) for word in set(query))), 1)
+            # runs[cell]: length of the common run that ends at cell and at
+            # the query word just read; only the previous word's runs extend
+            runs: dict[int, int] = {}
+            for pair in zip(query, query[1:]):
+                ending = {}
+                for cell, position in follows.get(pair, ()):
+                    run = ending[cell] = runs.get(cell - 1, 1) + 1
+                    if run > longest[position]:
+                        longest[position] = run
+                runs = ending
             row = [0.0] * len(pool)
-            for position, run in _substring_lengths(query, level).items():
+            for position, run in longest.items():
                 row[position] = run / max(n, lengths[position])
             rows.append(row)
         return rows

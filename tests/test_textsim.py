@@ -166,12 +166,27 @@ def test_pair_similarity_cache():
 
 @st.composite
 def queries_and_pool(draw):
-    """Queries and a pool over one vocabulary of 2 to 60 words, each
-    sequence empty or 0 to 150 words long."""
-    vocabulary = draw(st.integers(2, 60))
-    word = st.integers(0, vocabulary - 1).map(lambda i: f"w{i}")
-    sequence = st.just(()) | st.integers(0, 150).flatmap(lambda n: st.lists(word, min_size=n, max_size=n).map(tuple))
-    return draw(st.lists(sequence, max_size=3)), draw(st.lists(sequence, max_size=4))
+    """Queries and a pool from one of two families.
+
+    Uniform: one vocabulary of 2 to 60 words, each sequence empty or 0 to
+    150 words long. Repeated: a stopword-heavy vocabulary of 2 to 200 words
+    where word i is drawn about 1 / (i + 1) as often as w0, pool sequences
+    of 20 to 100 words, some of them held twice, and queries of which some
+    copy a pool sequence."""
+    if draw(st.booleans()):
+        vocabulary = draw(st.integers(2, 60))
+        word = st.integers(0, vocabulary - 1).map(lambda i: f"w{i}")
+        sequence = st.just(()) | st.integers(0, 150).flatmap(
+            lambda n: st.lists(word, min_size=n, max_size=n).map(tuple)
+        )
+        return draw(st.lists(sequence, max_size=3)), draw(st.lists(sequence, max_size=4))
+    vocabulary = draw(st.integers(2, 200))
+    word = st.sampled_from([f"w{i}" for i in range(vocabulary) for _ in range(vocabulary // (i + 1))])
+    sequence = st.integers(20, 100).flatmap(lambda n: st.lists(word, min_size=n, max_size=n).map(tuple))
+    distinct = draw(st.lists(sequence, min_size=1, max_size=3))
+    pool = draw(st.permutations(distinct + draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=2))))
+    queries = draw(st.lists(sequence, max_size=2)) + draw(st.lists(st.sampled_from(distinct), min_size=1, max_size=2))
+    return draw(st.permutations(queries)), pool
 
 
 @settings(max_examples=60, deadline=None)
