@@ -12,10 +12,11 @@ import sys
 
 # metric -> value it must equal on panel, seed 1
 EXACT = {
-    # the grid's pair path (PairSimilarity -> textsim.nsim) counts its
-    # computed pairs here; the certainty kNN reads similarity rows instead,
-    # so a grid lookup that bypasses textsim.nsim, or a pair cache that
-    # lives shorter than one metric's grid, moves this count
+    # one textsim.nsim call per pair that the grid's PairSimilarity cache
+    # misses, pairs of two empty sequences included; the certainty kNN reads
+    # similarity rows instead, so a grid lookup that bypasses textsim.nsim,
+    # or a pair cache that lives shorter than one metric's grid, moves this
+    # count
     "textsim.pairs_computed": 4464,
     # the grid looks each (query, training tweet) pair up once per worker and arm
     "textsim.lookups": 6984,

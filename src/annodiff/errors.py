@@ -8,21 +8,14 @@ class AnnodiffError(Exception):
 class DatasetError(AnnodiffError):
     """Invalid dataset content.
 
-    Carries the offending file and 1-based line number when known so that
-    command-line diagnostics can point at the exact record.
+    Carries the offending file and 1-based line number so that command-line
+    diagnostics can point at the exact record.
     """
 
-    def __init__(self, message: str, *, path: str | None = None, line: int | None = None):
+    def __init__(self, message: str, *, path: str, line: int):
         self.path = path
         self.line = line
-        where = ""
-        if path is not None and line is not None:
-            where = f"{path}, line {line}: "
-        elif path is not None:
-            where = f"{path}: "
-        elif line is not None:
-            where = f"line {line}: "
-        super().__init__(where + message)
+        super().__init__(f"{path}, line {line}: {message}")
 
 
 class DegenerateClusteringError(AnnodiffError):

@@ -298,9 +298,7 @@ def aggregate(outcomes: Iterable[tuple[str, str]]) -> tuple[dict[str, dict[str, 
     outcomes is an iterable of (phase, code) pairs; the result does not
     depend on their order. Returns (phase -> code -> count, name -> table),
     each table in its stats.json form: its two codes as rows, (early, late)
-    as columns, the cell counts and the two-tailed exact p-value. A table
-    with no outcomes at all (neither code ever occurred) carries no evidence
-    and gets p = 1.0, as a table with a zero margin does.
+    as columns, the cell counts and the two-tailed exact p-value.
     """
     # imported at call time, so a wrapper installed on stats.fisher_exact_two_tailed sees every call
     from annodiff.stats import fisher_exact_two_tailed
@@ -317,11 +315,10 @@ def aggregate(outcomes: Iterable[tuple[str, str]]) -> tuple[dict[str, dict[str, 
     tables = {}
     for name, rows in TABLE_PAIRS:
         cells = [[counts[phase][code] for phase in PHASES] for code in rows]
-        flat = cells[0] + cells[1]
         tables[name] = {
             "rows": list(rows),
             "columns": list(PHASES),
             "counts": cells,
-            "p_value": fisher_exact_two_tailed(*flat) if any(flat) else 1.0,
+            "p_value": fisher_exact_two_tailed(*cells[0], *cells[1]),
         }
     return counts, tables

@@ -1,11 +1,12 @@
 """Word-level similarity between short texts.
 
 Texts are compared as word sequences, not character strings. All similarity
-values are normalized to [0, 1] by the length of the longer sequence. nsim
-compares one pair; similarity_rows compares many queries with one pool and
-gives the same floats, and PairSimilarity caches pairs over an id table. The
-functions here are pure and safe to call from multiple threads; a
-PairSimilarity fills its caches as it is read, so each thread needs its own.
+values are normalized to [0, 1] by the length of the longer sequence, and
+two empty sequences score 1.0. nsim compares one pair; similarity_rows
+compares many queries with one pool and gives the same floats, and
+PairSimilarity memoizes nsim over an id table. The functions here are pure
+and safe to call from multiple threads; a PairSimilarity fills its cache as
+it is read, so each thread needs its own.
 """
 
 from __future__ import annotations
@@ -125,32 +126,24 @@ def _edit(a: WordSequence, masks: Mapping[str, int], n: int) -> int:
     return dist
 
 
-def nsim(
-    a: WordSequence, b: WordSequence, metric: SimilarityMetric, b_masks: Mapping[str, int] | None = None
-) -> float:
+def nsim(a: WordSequence, b: WordSequence, metric: SimilarityMetric) -> float:
     """Normalized word-level similarity in [0, 1].
 
     Common-subsequence and common-substring lengths are divided by the longer
     sequence length. Edit distance is mapped through 1 - distance / longer
     length so that identical sequences score 1 and disjoint ones score 0.
-
-    b_masks, when given, is word_masks(b), built once by a caller that
-    compares b many times; otherwise it is built here.
-
-    Raises ValueError when both sequences are empty, where similarity is
-    undefined.
+    Two empty sequences are identical and score 1.0 under every metric.
     """
     if not a and not b:
-        raise ValueError("similarity is undefined for two empty word sequences")
-    if b_masks is None:
-        b_masks = word_masks(b)
+        return 1.0
+    masks = word_masks(b)
     longest = max(len(a), len(b))
     if metric is SimilarityMetric.SUBSEQUENCE:
-        return _subsequence(a, b_masks, len(b)) / longest
+        return _subsequence(a, masks, len(b)) / longest
     if metric is SimilarityMetric.SUBSTRING:
-        return _substring(a, b_masks) / longest
+        return _substring(a, masks) / longest
     if metric is SimilarityMetric.EDIT:
-        return 1.0 - _edit(a, b_masks, len(b)) / longest
+        return 1.0 - _edit(a, masks, len(b)) / longest
     raise ValueError(f"unknown metric: {metric!r}")
 
 
@@ -159,14 +152,14 @@ def similarity_rows(
 ) -> list[list[float]]:
     """Each query's similarity to every pool sequence, by pool position.
 
-    The floats are those of nsim(query, pool[j], metric), except that two
-    empty sequences give 1.0, as in PairSimilarity. substring indexes the
-    pool once, by word and by adjacent word pair, and scans each query once:
-    every pool sequence that shares a word starts at a run of 1, and each
-    query pair extends the runs that the previous pair ended just before
-    it in the pool. subsequence and edit build each query's word_masks once
-    and run the pair kernels with the pool sequence as the first argument,
-    which gives the same integers because all three measures are symmetric.
+    The floats are those of nsim(query, pool[j], metric), two empty
+    sequences included. substring indexes the pool once, by word and by
+    adjacent word pair, and scans each query once: every pool sequence that
+    shares a word starts at a run of 1, and each query pair extends the runs
+    that the previous pair ended just before it in the pool. subsequence
+    and edit build each query's word_masks once and run the pair kernels
+    with the pool sequence as the first argument, which gives the same
+    integers because all three measures are symmetric.
     """
     lengths = [len(words) for words in pool]
     rows: list[list[float]] = []
@@ -224,34 +217,20 @@ class PairSimilarity:
     The grid looks each (query, training tweet) pair up once per worker and
     arm, but workers that share tweets meet the same pairs, and a pair of an
     easy and a difficult tweet serves both arms, one tweet as the query in
-    each. So pair similarities are cached under a symmetric key, and each
-    tweet's word_masks are built once, on its first use. Two empty
-    sequences are treated as identical (similarity 1.0) to keep pipelines
-    total. The certainty kNN compares each pair once and reads
-    similarity_rows instead.
+    each. So pair similarities are cached under a symmetric key. The
+    certainty kNN compares each pair once and reads similarity_rows instead.
     """
 
     def __init__(self, words_by_id: Mapping[str, WordSequence], metric: SimilarityMetric):
         self._words = words_by_id
         self._metric = metric
         self._cache: dict[tuple[str, str], float] = {}
-        self._masks: dict[str, dict[str, int]] = {}
 
     def sim(self, id_a: str, id_b: str) -> float:
         key = (id_a, id_b) if id_a <= id_b else (id_b, id_a)
         hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        a = self._words[id_a]
-        b = self._words[id_b]
-        if not a and not b:
-            value = 1.0
-        else:
-            masks = self._masks.get(id_b)
-            if masks is None:
-                masks = self._masks[id_b] = word_masks(b)
+        if hit is None:
             # through the module-level name, so a wrapper installed on
             # textsim.nsim sees every computed pair
-            value = nsim(a, b, self._metric, masks)
-        self._cache[key] = value
-        return value
+            hit = self._cache[key] = nsim(self._words[id_a], self._words[id_b], self._metric)
+        return hit

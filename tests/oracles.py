@@ -254,9 +254,6 @@ def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
     from annodiff.knn import vote
     from annodiff.textsim import nsim
 
-    def pair_sim(a, b):
-        return nsim(a, b, metric) if a or b else 1.0
-
     ks = sorted(set(k_grid))
     pairs_per_k = {k: [] for k in ks}
     skipped = 0
@@ -269,7 +266,7 @@ def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
         for tid, truth in ctx.windows[(wid, phase)]:
             if tid in train_ids:
                 continue
-            sims = [pair_sim(ctx.words[tid], ctx.words[train_tid]) for train_tid, _ in training]
+            sims = [nsim(ctx.words[tid], ctx.words[train_tid], metric) for train_tid, _ in training]
             parts = (seed, ctx.institution, metric.value, phase, n, wid, arm)
             order = rank_full(sims, random.Random(stable_seed(*parts, "order", tid)))
             for k in ks:

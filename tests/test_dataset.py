@@ -149,6 +149,8 @@ def test_annotation_validation_errors(annotation_text, tweet_lines, fragment):
     with pytest.raises(DatasetError) as exc:
         parse_dataset(annotation_text.split("\n"), tweet_lines)
     assert fragment in str(exc.value)
+    assert exc.value.path == "annotations.jsonl" and exc.value.line >= 1
+    assert str(exc.value).startswith(f"{exc.value.path}, line {exc.value.line}: ")
 
 
 TWEET_ERROR_CASES = [
@@ -165,6 +167,8 @@ def test_tweet_validation_errors(tweet_lines, fragment):
     with pytest.raises(DatasetError) as exc:
         parse_dataset([], tweet_lines)
     assert fragment in str(exc.value)
+    assert exc.value.path == "tweets.jsonl" and exc.value.line >= 1
+    assert str(exc.value).startswith(f"{exc.value.path}, line {exc.value.line}: ")
 
 
 def test_error_message_carries_path():

@@ -296,9 +296,9 @@ def test_grid_computes_each_pair_once_per_metric(monkeypatch):
     computed = Counter()
     real_nsim = textsim.nsim
 
-    def counting_nsim(a, b, metric, *rest):
+    def counting_nsim(a, b, metric):
         computed[(metric, min(a, b), max(a, b))] += 1
-        return real_nsim(a, b, metric, *rest)
+        return real_nsim(a, b, metric)
 
     monkeypatch.setattr(textsim, "nsim", counting_nsim)
     run_grid(ctx, RunConfig("a.jsonl", "t.jsonl", metrics=("edit", "substring"), k_grid=(1, 3)))
