@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -25,6 +26,9 @@ INSTITUTIONS = ("MD", "SU")
 GROUPS = ("S", "M", "L")
 
 _LEVEL_KEYS = {"l1": 1, "l2": 2, "l3": 3}
+
+# a JSON escape such as "\ud800" decodes to a lone surrogate, which does not encode as UTF-8 (stable_seed encodes ids)
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -113,10 +117,11 @@ def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[Annota
     tweet_id = record["tweet_id"]
     institution = record["institution"]
     group = record["group"]
-    if not isinstance(worker_id, str) or not worker_id:
-        fail("worker_id must be a non-empty string")
-    if not isinstance(tweet_id, str) or not tweet_id:
-        fail("tweet_id must be a non-empty string")
+    for key in ("worker_id", "tweet_id"):
+        if not isinstance(record[key], str) or not record[key]:
+            fail(f"{key} must be a non-empty string")
+        if _SURROGATE.search(record[key]):
+            fail(f"{key} holds a lone surrogate, which is not valid Unicode")
     if institution not in INSTITUTIONS:
         fail(f"institution must be one of {INSTITUTIONS}, got {institution!r}")
     if group not in GROUPS:
@@ -194,9 +199,13 @@ def parse_dataset(
             record = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"invalid JSON: {exc.msg}", path=tweets_path, line=line_no)
+        except RecursionError:
+            raise DatasetError("invalid JSON: nested too deeply", path=tweets_path, line=line_no) from None
         if not isinstance(record, dict) or not isinstance(record.get("tweet_id"), str) or not isinstance(record.get("text"), str):
             raise DatasetError("expected an object with string 'tweet_id' and 'text'", path=tweets_path, line=line_no)
         tid = record["tweet_id"]
+        if _SURROGATE.search(tid):
+            raise DatasetError("tweet_id holds a lone surrogate, which is not valid Unicode", path=tweets_path, line=line_no)
         if tid in texts:
             raise DatasetError(f"duplicate tweet_id {tid!r} (first seen on line {text_lines[tid]})", path=tweets_path, line=line_no)
         texts[tid] = record["text"]
@@ -215,6 +224,8 @@ def parse_dataset(
             record = json.loads(raw)
         except json.JSONDecodeError as exc:
             raise DatasetError(f"invalid JSON: {exc.msg}", path=annotations_path, line=line_no)
+        except RecursionError:
+            raise DatasetError("invalid JSON: nested too deeply", path=annotations_path, line=line_no) from None
         if not isinstance(record, dict):
             raise DatasetError("expected a JSON object", path=annotations_path, line=line_no)
         ann, institution, group, pruned, missing_duration = _parse_annotation_record(record, annotations_path, line_no)

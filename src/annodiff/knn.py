@@ -7,11 +7,11 @@ the caller settles a tie by a seeded draw. One ranking serves every k and
 every hierarchy level. The grid (simulation._arm_curves) grows one count
 per level over the ranking as k rises, in which a blank level (below
 Irrelevant or Factual) counts as an explicit NoLabel class, and predicts a
-whole label path by voting top-down (simulation.vote_path). It tallies its
-predictions as a table of (truth, predicted) path counts, one entry per
-distinct pair, and hierarchical_f1 scores that table. The certainty
-component counts the labels of one level and turns them into smoothed
-certainties instead of a vote.
+whole label path by voting top-down (simulation.vote_path). It sums the
+path_triple of each (truth, predicted) pair it scores into one (overlap,
+predicted size, truth size) triple per neighbor count, and hierarchical_f1
+scores that sum. The certainty component counts the labels of one level and
+turns them into smoothed certainties instead of a vote.
 """
 
 from __future__ import annotations
@@ -21,9 +21,6 @@ from functools import cache
 from typing import Mapping, Sequence
 
 from annodiff.labels import LABEL_ORDER, label_set
-
-# a path's ancestor-closed label set; the grid scores only a handful of paths
-_path_set = cache(label_set)
 
 
 def rank_by_similarity(sims: Sequence[float], rng: random.Random, depth: int) -> list[int]:
@@ -72,28 +69,27 @@ def vote(counts: Mapping[str, int]) -> list[str]:
     return tied
 
 
-def hierarchical_f1(counts: Mapping[tuple[tuple[str, ...], tuple[str, ...]], int]) -> float:
-    """Micro-averaged hierarchical F1 over a table of (truth, prediction) counts.
+@cache  # the grid scores only a handful of distinct pairs
+def path_triple(truth: tuple[str, ...], predicted: tuple[str, ...]) -> tuple[int, int, int]:
+    """(overlap, predicted size, truth size) of one (truth, prediction) pair,
+    each side a (level1, level2, level3) tuple whose blanks are NoLabel or
+    None, expanded to its ancestor-closed label set."""
+    truth_set, predicted_set = label_set(truth), label_set(predicted)
+    return len(truth_set & predicted_set), len(predicted_set), len(truth_set)
 
-    counts maps each (truth, prediction) pair to how often it occurs, as a
-    Counter of the pairs does. Each side is a (level1, level2, level3) tuple
-    whose blanks are NoLabel or None, expanded to its ancestor-closed label
-    set; precision and recall are computed from the intersection sizes,
-    pooled over the pairs as integers. Returns 0 when both are 0.
+
+def hierarchical_f1(triple: Sequence[int]) -> float:
+    """Micro-averaged hierarchical F1 of one summed (overlap, predicted size,
+    truth size) triple, the path_triple sums over the scored pairs.
+
+    Precision and recall are the overlap over each integer total, so a sum
+    taken in any grouping gives the same float. Returns 0 when both are 0.
     """
-    if not counts:
+    overlap, predicted_total, truth_total = triple
+    if not truth_total:
         raise ValueError("cannot compute F1 over zero pairs")
-    overlap = 0
-    predicted_total = 0
-    truth_total = 0
-    for (truth, predicted), count in counts.items():
-        truth_set = _path_set(truth)
-        predicted_set = _path_set(predicted)
-        overlap += count * len(truth_set & predicted_set)
-        predicted_total += count * len(predicted_set)
-        truth_total += count * len(truth_set)
     precision = overlap / predicted_total if predicted_total else 0.0
-    recall = overlap / truth_total if truth_total else 0.0
+    recall = overlap / truth_total
     if precision + recall == 0:
         return 0.0
     return 2 * precision * recall / (precision + recall)

@@ -63,7 +63,7 @@ def _json_object(path: str, text: str) -> dict:
     """Parse text read from path as a JSON object, or say why not."""
     try:
         value = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise AnnodiffError(f"{path} holds malformed JSON: {exc}") from exc
     if not isinstance(value, dict):
         raise AnnodiffError(f"{path} holds JSON that is not an object")

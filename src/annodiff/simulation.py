@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import random
 import statistics
-from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
 from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Dataset
 from annodiff.difficulty import DIFFICULT, EASY
-from annodiff.knn import hierarchical_f1, rank_by_similarity, vote
+from annodiff.knn import hierarchical_f1, path_triple, rank_by_similarity, vote
 from annodiff.labels import LEVELS, NO_LABEL, NONFACTUAL, RELEVANT
 from annodiff.textsim import PairSimilarity, SimilarityMetric
 
@@ -159,17 +158,18 @@ def _arm_curves(
     position in the stratum, and it gets one similarity row over that
     prefix, of which size n reads the first n values. Where the first n
     training paths are one path, every k predicts it: the query is neither
-    ranked nor voted, only tallied once for n and added to every k's table
-    at the end. Its ranking is seeded on its own parts, so skipping it
+    ranked nor voted, only tallied once for n and added to every k's sum at
+    the end. Its ranking is seeded on its own parts, so skipping it
     changes no other draw. Otherwise the query is ranked once per n, its
     per-level label counts grow over the ranking as k rises, and one path is
     voted per distinct prefix min(k, n): a larger k on the same prefix
     reuses it unless that vote tied, since a level's tie draw is seeded on
-    its own (tweet, k, level) parts. Predictions are tallied as (truth,
-    predicted) counts per (n, k).
+    its own (tweet, k, level) parts. Each prediction adds the path_triple
+    of its (truth, predicted) pair to one [overlap, predicted size, truth
+    size] sum per (n, k), which hierarchical_f1 scores.
     """
-    tables = {n: {k: Counter() for k in ks} for n in TRAIN_SIZES}
-    agreed = {n: Counter() for n in TRAIN_SIZES}
+    sums = {n: {k: [0, 0, 0] for k in ks} for n in TRAIN_SIZES}
+    agreed = {n: [0, 0, 0] for n in TRAIN_SIZES}
     used = dict.fromkeys(TRAIN_SIZES, 0)
     for wid in ctx.worker_ids:
         stratum = ctx.strata[(wid, phase, arm)][: TRAIN_SIZES[-1]]
@@ -194,36 +194,35 @@ def _arm_curves(
                 if n > limit:
                     break
                 if n <= agreeing:
-                    agreed[n][(truth, paths[0])] += 1
+                    agreed[n] = [a + b for a, b in zip(agreed[n], path_triple(truth, paths[0]))]
                     continue
-                by_k = tables[n]
                 parts = (seed, ctx.institution, metric.value, phase, n, wid, arm)
                 order = rank_by_similarity(row[:n], random.Random(stable_seed(*parts, "order", tid)), ks[-1])
                 depth = len(order)
                 counts = ({}, {}, {})
                 counts1, counts2, counts3 = counts
-                counted = 0
+                counted, drew = 0, True
                 for k in ks:
                     end = k if k < depth else depth
-                    if end > counted:
+                    # a vote on the same prefix as the last one is reused unless it tied
+                    if end > counted or drew:
                         for i in order[counted:end]:
                             label1, label2, label3 = paths[i]
                             counts1[label1] = counts1.get(label1, 0) + 1
                             counts2[label2] = counts2.get(label2, 0) + 1
                             counts3[label3] = counts3.get(label3, 0) + 1
                         counted = end
-                    elif not drew:
-                        # the same prefix, whose vote did not tie
-                        by_k[k][pair] += 1
-                        continue
-                    path, drew = vote_path(counts, (*parts, "vote", tid, k))
-                    pair = (truth, path)
-                    by_k[k][pair] += 1
-    for n, by_k in tables.items():
-        for table in by_k.values():
-            table.update(agreed[n])
+                        path, drew = vote_path(counts, (*parts, "vote", tid, k))
+                        overlap, predicted, size = path_triple(truth, path)
+                    total = sums[n][k]
+                    total[0] += overlap
+                    total[1] += predicted
+                    total[2] += size
+    for n, by_k in sums.items():
+        for total in by_k.values():
+            total[:] = [a + b for a, b in zip(total, agreed[n])]
     return {
-        n: ({k: hierarchical_f1(tables[n][k]) for k in ks} if used[n] else None, len(ctx.worker_ids) - used[n])
+        n: ({k: hierarchical_f1(sums[n][k]) for k in ks} if used[n] else None, len(ctx.worker_ids) - used[n])
         for n in TRAIN_SIZES
     }
 

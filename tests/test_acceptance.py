@@ -37,7 +37,7 @@ from annodiff.difficulty import (
     knn_label_certainty,
     labeling_costs,
 )
-from annodiff.knn import hierarchical_f1
+from annodiff.knn import hierarchical_f1, path_triple
 from annodiff.labels import (
     FACTUAL,
     IRRELEVANT,
@@ -199,12 +199,12 @@ def _check_family_hierarchical_f1():
                 rng.choice((POSITIVE, NEGATIVE, NO_LABEL)),
             )
             pairs.append((truth, predicted))
-        value = hierarchical_f1(Counter(pairs))
+        value = hierarchical_f1([sum(column) for column in zip(*(path_triple(t, p) for t, p in pairs))])
         assert 0.0 <= value <= 1.0
         sets = [(oracles.path_label_set(*t), oracles.path_label_set(*p)) for t, p in pairs]
         assert value == pytest.approx(oracles.hier_f1_direct(sets), abs=1e-12)
         perfect = [(t, t) for t, _ in pairs]
-        assert hierarchical_f1(Counter(perfect)) == 1.0
+        assert hierarchical_f1([sum(column) for column in zip(*(path_triple(t, p) for t, p in perfect))]) == 1.0
 
 
 def _check_family_agreement():

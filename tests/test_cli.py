@@ -71,6 +71,21 @@ def test_ingest_names_line_of_bytes_that_are_not_utf8(dataset_dir, tmp_path, cap
     assert f"{tmp_path / name}, line {lines + 1}: bytes that are not UTF-8 at character 1" in err
 
 
+def test_score_names_line_of_id_with_lone_surrogate(dataset_dir, tmp_path, capsys):
+    # a valid JSON escape, but the id does not encode as UTF-8 to seed a draw
+    records = [json.loads(line) for line in (dataset_dir / "annotations.jsonl").read_text().splitlines()]
+    first = records[0]["worker_id"]
+    for record in records:
+        if record["worker_id"] == first:
+            record["worker_id"] = first + "\udc00"
+    write_jsonl(records, str(tmp_path / "annotations.jsonl"))
+    shutil.copy(dataset_dir / "tweets.jsonl", tmp_path / "tweets.jsonl")
+    code = cli.main(["score", *_dataset_args(tmp_path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"{tmp_path / 'annotations.jsonl'}, line 1: worker_id holds a lone surrogate" in err
+
+
 def test_ingest_names_line_of_order_index_gap(dataset_dir, tmp_path, capsys):
     # the first worker's fifth annotation moves to order_index 6, leaving 5 empty
     records = [json.loads(line) for line in (dataset_dir / "annotations.jsonl").read_text().splitlines()]
@@ -510,9 +525,13 @@ def _drop_csv_column(text, column):
 CORRUPTIONS = {
     "config line not json": ("scores.csv", lambda t: _replace_line(t, 0, CONFIG_PREFIX + "{oops"), "simulate"),
     "config line not an object": ("scores.csv", lambda t: _replace_line(t, 0, CONFIG_PREFIX + "[1, 2]"), "simulate"),
+    "config line nested too deeply": (
+        "scores.csv", lambda t: _replace_line(t, 0, CONFIG_PREFIX + "[" * 200000 + "]" * 200000), "simulate"
+    ),
     "unknown class": ("scores.csv", lambda t: t.replace(",easy\n", ",medium\n", 1), "simulate"),
     "truncated stats": ("stats.json", lambda t: t[: len(t) // 2], "report"),
     "stats not an object": ("stats.json", lambda t: "[1, 2]\n", "report"),
+    "stats nested too deeply": ("stats.json", lambda t: "[" * 200000 + "]" * 200000 + "\n", "report"),
     "summary without phases": ("summary.json", lambda t: t.replace('"phases"', '"no_phases"'), "report"),
     "outcomes without n": ("outcomes.csv", lambda t: _drop_csv_column(t, "n"), "report"),
     "outcomes not utf-8": ("outcomes.csv", lambda t: t.encode() + b"\xff\xfe,\n", "report"),
@@ -527,6 +546,11 @@ def test_corrupt_output_exits_1_naming_it(dataset_dir, simulated, tmp_path, caps
     path = out / name
     corrupted = corrupt(path.read_text())
     path.write_bytes(corrupted if isinstance(corrupted, bytes) else corrupted.encode())
+    if name == "scores.csv":
+        # record the edited file's sha256, so simulate reads it instead of refusing it as stale
+        summary = json.loads((out / "summary.json").read_text())
+        summary["sha256"]["scores.csv"] = cli._sha256(path)
+        (out / "summary.json").write_text(json.dumps(summary))
     argv = _simulate_args(dataset_dir, out) if command == "simulate" else ["report", "--out", str(out)]
     capsys.readouterr()
     assert cli.main(argv) == 1

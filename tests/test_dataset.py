@@ -107,10 +107,14 @@ def test_no_durations_at_all():
 
 ERROR_CASES = [
     ("{not json", [tw("t1")], "line 1"),
+    ("[" * 200000 + "]" * 200000, [tw("t1")], "line 1: invalid JSON: nested too deeply"),
     (ann("w1", "t1", 1, FULL, FULL_D) + "\n[1, 2]", [tw("t1")], "line 2"),
     ('{"tweet_id": "t1"}', [tw("t1")], "missing field"),
     (ann("", "t1", 1, FULL), [tw("t1")], "worker_id"),
     (ann("w1", "", 1, FULL), [tw("t1")], "tweet_id"),
+    # valid JSON escapes of lone surrogates, which no UTF-8 text can hold
+    (ann("md_w\udc0000", "t1", 1, FULL), [tw("t1")], "line 1: worker_id holds a lone surrogate"),
+    (ann("w1", "t\ud800", 1, FULL), [tw("t1")], "line 1: tweet_id holds a lone surrogate"),
     (ann("w1", "t1", 1, FULL, institution="XX"), [tw("t1")], "institution"),
     (ann("w1", "t1", 1, FULL, group="XL"), [tw("t1")], "group"),
     (ann("w1", "t1", 0, FULL), [tw("t1")], "order_index"),
@@ -159,6 +163,8 @@ TWEET_ERROR_CASES = [
     (['{"tweet_id": 5, "text": "x"}'], "tweet_id"),
     ([tw("t1"), tw("t1")], "duplicate tweet_id"),
     (["[]"], "expected an object"),
+    (["[" * 200000 + "]" * 200000], "line 1: invalid JSON: nested too deeply"),
+    ([tw("t1"), tw("t\ud800")], "line 2: tweet_id holds a lone surrogate"),
 ]
 
 
@@ -169,6 +175,13 @@ def test_tweet_validation_errors(tweet_lines, fragment):
     assert fragment in str(exc.value)
     assert exc.value.path == "tweets.jsonl" and exc.value.line >= 1
     assert str(exc.value).startswith(f"{exc.value.path}, line {exc.value.line}: ")
+
+
+def test_ids_may_hold_characters_beyond_the_basic_plane():
+    # an escaped surrogate pair decodes to one character, which is valid Unicode
+    tid, wid = "t\U0001F600", "w\U0001F600"
+    ds = parse_dataset([ann(wid, tid, 1, FULL)], [tw(tid)])
+    assert [a.tweet_id for a in ds.workers[wid].annotations] == [tid]
 
 
 def test_error_message_carries_path():

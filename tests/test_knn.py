@@ -8,7 +8,7 @@ from hypothesis import assume, given, strategies as st
 
 from annodiff import simulation
 from annodiff.config import RunConfig, stable_seed
-from annodiff.knn import hierarchical_f1, rank_by_similarity, vote
+from annodiff.knn import hierarchical_f1, path_triple, rank_by_similarity, vote
 from annodiff.labels import LABEL_ORDER, LEVEL_LABELS, LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, label_set
 from annodiff.simulation import SimulationContext, run_grid, vote_path
 from annodiff.textsim import SimilarityMetric, nsim
@@ -352,27 +352,32 @@ def test_duplicating_training_set_with_doubled_k_is_noop(examples, query, k, see
 # --- hierarchical F1 ---
 
 
+def summed_triple(pairs):
+    """path_triple summed over (truth, predicted) pairs, as the grid pools them."""
+    return [sum(column) for column in zip((0, 0, 0), *(path_triple(t, p) for t, p in pairs))]
+
+
 def test_f1_perfect_predictions():
     pairs = [(p, p) for p in PATHS]
-    assert hierarchical_f1(Counter(pairs)) == 1.0
+    assert hierarchical_f1(summed_triple(pairs)) == 1.0
 
 
 def test_f1_partial_overlap():
     truth = ("Relevant", "NonFactual", "Negative")
     predicted = ("Relevant", "Factual", NO_LABEL)
     # one of two predicted labels is right, one of three truth labels found
-    assert hierarchical_f1(Counter([(truth, predicted)])) == pytest.approx(0.4, abs=1e-12)
+    assert hierarchical_f1(summed_triple([(truth, predicted)])) == pytest.approx(0.4, abs=1e-12)
 
 
 def test_f1_no_overlap_is_zero():
     truth = ("Irrelevant", NO_LABEL, NO_LABEL)
     predicted = ("Relevant", "Factual", NO_LABEL)
-    assert hierarchical_f1(Counter([(truth, predicted)])) == 0.0
+    assert hierarchical_f1(summed_triple([(truth, predicted)])) == 0.0
 
 
 def test_f1_rejects_empty():
     with pytest.raises(ValueError):
-        hierarchical_f1(Counter())
+        hierarchical_f1(summed_triple([]))
 
 
 def test_f1_flat_case_equals_micro_f1():
@@ -381,7 +386,7 @@ def test_f1_flat_case_equals_micro_f1():
     truth = [("Irrelevant", NO_LABEL, NO_LABEL)] * 10
     predicted = [("Irrelevant", NO_LABEL, NO_LABEL)] * 7 + [("Relevant", NO_LABEL, NO_LABEL)] * 3
     pairs = list(zip(truth, predicted))
-    assert hierarchical_f1(Counter(pairs)) == pytest.approx(0.7, abs=1e-12)
+    assert hierarchical_f1(summed_triple(pairs)) == pytest.approx(0.7, abs=1e-12)
 
 
 predicted_paths = st.sampled_from([*PATHS, ("Relevant", "NonFactual", NO_LABEL)])
@@ -391,7 +396,7 @@ pair_lists = st.lists(st.tuples(st.sampled_from(PATHS), predicted_paths), min_si
 @given(pairs=pair_lists)
 def test_f1_matches_direct_formula(pairs):
     expected = hier_f1_direct([(path_label_set(*t), path_label_set(*p)) for t, p in pairs])
-    value = hierarchical_f1(Counter(pairs))
+    value = hierarchical_f1(summed_triple(pairs))
     # the same integer sums through the same float formula
     assert value == expected
     assert 0.0 <= value <= 1.0
@@ -400,11 +405,25 @@ def test_f1_matches_direct_formula(pairs):
 @given(pairs=pair_lists, data=st.data())
 def test_f1_permutation_invariant(pairs, data):
     shuffled = data.draw(st.permutations(pairs))
-    assert hierarchical_f1(Counter(shuffled)) == pytest.approx(hierarchical_f1(Counter(pairs)), abs=1e-12)
+    assert hierarchical_f1(summed_triple(shuffled)) == pytest.approx(hierarchical_f1(summed_triple(pairs)), abs=1e-12)
 
 
 @given(pairs=pair_lists, extra=st.sampled_from(PATHS))
 def test_f1_never_drops_when_perfect_pair_added(pairs, extra):
-    base = hierarchical_f1(Counter(pairs))
-    extended = hierarchical_f1(Counter(pairs + [(extra, extra)]))
+    base = hierarchical_f1(summed_triple(pairs))
+    extended = hierarchical_f1(summed_triple(pairs + [(extra, extra)]))
     assert extended >= base - 1e-12
+
+
+@given(pairs=pair_lists, data=st.data())
+def test_f1_of_summed_group_triples_equals_pooled_f1(pairs, data):
+    # groups stand in for workers: their triples sum to the pooled triple, so
+    # a pooled F1 may be summed per worker first
+    owners = data.draw(st.lists(st.integers(0, 4), min_size=len(pairs), max_size=len(pairs)))
+    groups = {}
+    for owner, pair in zip(owners, pairs):
+        groups.setdefault(owner, []).append(pair)
+    summed = [sum(column) for column in zip((0, 0, 0), *(summed_triple(group) for group in groups.values()))]
+    value = hierarchical_f1(summed)
+    assert value == hierarchical_f1(summed_triple(pairs))
+    assert value == hier_f1_direct([(path_label_set(*t), path_label_set(*p)) for t, p in pairs])
