@@ -13,8 +13,8 @@ from annodiff.knn import hierarchical_f1
 from annodiff.labels import LabelPath, label_set
 from annodiff.simulation import (
     aggregate,
-    build_strata,
     encode_outcome,
+    phase_windows,
 )
 from annodiff.stats import fisher_exact_two_tailed, kmeans_1d
 from annodiff.textsim import SimilarityMetric, nsim, tokenize
@@ -31,7 +31,6 @@ __all__ = [
     "Worker",
     "agreement_score",
     "aggregate",
-    "build_strata",
     "difficulty_scores",
     "encode_outcome",
     "fisher_exact_two_tailed",
@@ -43,5 +42,6 @@ __all__ = [
     "majority_labels",
     "nsim",
     "parse_dataset",
+    "phase_windows",
     "tokenize",
 ]

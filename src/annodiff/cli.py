@@ -33,8 +33,8 @@ from annodiff.simulation import (
     MIN_WORKER_TWEETS,
     PHASES,
     aggregate,
-    build_strata,
     make_context,
+    phase_windows,
     run_grid,
 )
 
@@ -139,12 +139,12 @@ def _score_institutions(dataset: Dataset, config: RunConfig):
         result = difficulty_scores(subset, config)
         scored[institution] = result.scores
         class_by_tweet = {s.tweet_id: s.klass for s in result.scores}
-        built = build_strata(subset, class_by_tweet)
+        windows, excluded = phase_windows(subset)
         phases = {}
         for phase in PHASES:
             population = {
                 tid
-                for (wid, ph), window in built.windows.items()
+                for (_, ph), window in windows.items()
                 if ph == phase
                 for tid, _ in window
             }
@@ -154,7 +154,7 @@ def _score_institutions(dataset: Dataset, config: RunConfig):
             }
         summary[institution] = {
             "workers": len(subset.workers),
-            "workers_excluded_under_50": sorted(built.excluded_workers),
+            "workers_excluded_under_50": sorted(excluded),
             "tweets_scored": len(result.scores),
             "certainty_imputed": len(result.imputed_certainty),
             "tweets_excluded": result.excluded,

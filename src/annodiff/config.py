@@ -52,8 +52,11 @@ class RunConfig:
 
     def __post_init__(self):
         """Refuse every bad setting, naming the command-line flag that sets
-        it, so a library caller meets the same refusal as the command line."""
+        it, so a library caller meets the same refusal as the command line;
+        certainty_metric, which no flag sets, is named by its field."""
         known = [m.value for m in SimilarityMetric]
+        if self.certainty_metric not in known:
+            raise AnnodiffError(f"certainty_metric names unknown metric {self.certainty_metric!r}; choose from {known}")
         for i, m in enumerate(self.metrics):
             if m not in known:
                 raise AnnodiffError(f"--metrics names unknown metric {m!r}; choose from {known}")

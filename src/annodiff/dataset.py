@@ -175,6 +175,29 @@ def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[Annota
     return ann, institution, group, pruned, missing_duration
 
 
+def _records(lines: Iterable[str], path: str) -> Iterator[tuple[int, object]]:
+    """(line number, decoded JSON value) for each non-blank line, or a
+    DatasetError naming the line. A file opened with errors="surrogateescape"
+    turns bytes that are not UTF-8 into lone surrogates, which do not encode
+    back, so such a line is refused before it is decoded."""
+    for line_no, line in enumerate(lines, start=1):
+        if not line.isascii():
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DatasetError(f"bytes that are not UTF-8 at character {exc.start + 1}", path=path, line=line_no) from None
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"invalid JSON: {exc.msg}", path=path, line=line_no)
+        except RecursionError:
+            raise DatasetError("invalid JSON: nested too deeply", path=path, line=line_no) from None
+        yield line_no, value
+
+
 def parse_dataset(
     annotation_lines: Iterable[str],
     tweet_lines: Iterable[str],
@@ -191,16 +214,7 @@ def parse_dataset(
     """
     texts: dict[str, str] = {}
     text_lines: dict[str, int] = {}
-    for line_no, raw in enumerate(tweet_lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"invalid JSON: {exc.msg}", path=tweets_path, line=line_no)
-        except RecursionError:
-            raise DatasetError("invalid JSON: nested too deeply", path=tweets_path, line=line_no) from None
+    for line_no, record in _records(tweet_lines, tweets_path):
         if not isinstance(record, dict) or not isinstance(record.get("tweet_id"), str) or not isinstance(record.get("text"), str):
             raise DatasetError("expected an object with string 'tweet_id' and 'text'", path=tweets_path, line=line_no)
         tid = record["tweet_id"]
@@ -216,16 +230,7 @@ def parse_dataset(
     seen_orders: dict[tuple[str, int], int] = {}
     pruned_total = 0
     missing_total = 0
-    for line_no, raw in enumerate(annotation_lines, start=1):
-        raw = raw.strip()
-        if not raw:
-            continue
-        try:
-            record = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"invalid JSON: {exc.msg}", path=annotations_path, line=line_no)
-        except RecursionError:
-            raise DatasetError("invalid JSON: nested too deeply", path=annotations_path, line=line_no) from None
+    for line_no, record in _records(annotation_lines, annotations_path):
         if not isinstance(record, dict):
             raise DatasetError("expected a JSON object", path=annotations_path, line=line_no)
         ann, institution, group, pruned, missing_duration = _parse_annotation_record(record, annotations_path, line_no)
@@ -276,31 +281,13 @@ def parse_dataset(
     return Dataset(workers=workers, texts=texts, pruned_label_count=pruned_total, missing_duration_count=missing_total)
 
 
-def _utf8_lines(fh: Iterable[str], path: str) -> Iterator[str]:
-    """The lines of a file opened with errors="surrogateescape", or a
-    DatasetError naming the first line that holds bytes that are not UTF-8
-    (they decode to lone surrogates, which do not encode back)."""
-    for line_no, line in enumerate(fh, start=1):
-        if not line.isascii():
-            try:
-                line.encode("utf-8")
-            except UnicodeEncodeError as exc:
-                raise DatasetError(f"bytes that are not UTF-8 at character {exc.start + 1}", path=path, line=line_no) from None
-        yield line
-
-
 def load_dataset(annotations_path: str, tweets_path: str) -> Dataset:
     annotations_path, tweets_path = str(annotations_path), str(tweets_path)
     with (
         open(annotations_path, encoding="utf-8", errors="surrogateescape") as afh,
         open(tweets_path, encoding="utf-8", errors="surrogateescape") as tfh,
     ):
-        return parse_dataset(
-            _utf8_lines(afh, annotations_path),
-            _utf8_lines(tfh, tweets_path),
-            annotations_path=annotations_path,
-            tweets_path=tweets_path,
-        )
+        return parse_dataset(afh, tfh, annotations_path=annotations_path, tweets_path=tweets_path)
 
 
 @dataclass(frozen=True)

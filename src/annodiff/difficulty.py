@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import random
 import statistics
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence
 
 from annodiff.config import RunConfig, stable_seed
@@ -59,9 +61,12 @@ def agreement_score(levels: Mapping[int, MajorityLevel]) -> float:
         raise ValueError("agreement is undefined without any votes")
     total_maj = sum(lv.majority_count for lv in levels.values())
     total_maj += sum(1 for lv in levels.values() if lv.tie)
-    return sum(
-        (lv.majority_count / lv.voter_count) * (lv.majority_count / total_maj)
-        for lv in levels.values()
+    # float sums run left to right: sum() compensates them from Python 3.12
+    # on, which would make the outputs depend on the Python version
+    return reduce(
+        operator.add,
+        ((lv.majority_count / lv.voter_count) * (lv.majority_count / total_maj) for lv in levels.values()),
+        0.0,
     )
 
 
@@ -103,7 +108,8 @@ def aggregate_certainties(worker_rows: Sequence[Mapping[int, Mapping[str, float]
         if not rows:
             continue
         labels = sorted({lab for r in rows for lab in r}, key=lambda lab: LABEL_ORDER.get(lab, len(LABEL_ORDER)))
-        avg = {lab: sum(r.get(lab, 0.0) for r in rows) / len(rows) for lab in labels}
+        # left to right, as in agreement_score
+        avg = {lab: reduce(operator.add, (r.get(lab, 0.0) for r in rows), 0.0) / len(rows) for lab in labels}
         predicted = set()
         for r in rows:
             best = max(r.values())

@@ -1,12 +1,13 @@
 """Label-reliability simulation over worker phases and difficulty classes.
 
-Each qualifying worker contributes four strata: the easy and the difficult
-tweets among their first 25 annotations (early phase) and among annotations
-26 to 50 (late phase). For a train size n, one predictor is trained on the
-first n easy tweets of the phase and one on the first n difficult ones; both
-are evaluated on the rest of the worker's 25-tweet phase window. F1 scores
-are pooled across workers per neighbor count k, and each configuration is
-encoded by which predictor dominated on average.
+Each qualifying worker contributes two phase windows: their first 25
+annotations (early phase) and annotations 26 to 50 (late phase). A window's
+stratum for a difficulty class is its tweets of that class, in window order.
+For a train size n, one predictor is trained on the first n easy tweets of
+the window and one on the first n difficult ones; both are evaluated on the
+rest of the window. F1 scores are pooled across workers per neighbor count
+k, and each configuration is encoded by which predictor dominated on
+average.
 """
 
 from __future__ import annotations
@@ -40,23 +41,14 @@ LabelTuple = tuple[str, str, str]  # (level1, level2, level3), NoLabel where bla
 Window = tuple[tuple[str, LabelTuple], ...]  # (tweet id, labels) in annotation order
 
 
-@dataclass
-class StrataResult:
-    strata: dict[tuple[str, str, str], Window]  # (worker, phase, klass) -> that class's window tweets
-    windows: dict[tuple[str, str], Window]  # (worker, phase) -> window
-    excluded_workers: list[str]  # workers with fewer than 50 annotations
+def phase_windows(dataset: Dataset) -> tuple[dict[tuple[str, str], Window], list[str]]:
+    """Slice each worker's first 50 annotations into their two phase windows.
 
-
-def build_strata(dataset: Dataset, class_by_tweet: Mapping[str, str]) -> StrataResult:
-    """Slice each worker's first 50 annotations into the four strata.
-
-    Workers with fewer than 50 annotations are excluded and reported;
-    annotations beyond the 50th are discarded. Window tweets without a
-    difficulty class belong to no stratum but stay in the phase window.
+    Returns ((worker, phase) -> window, the workers excluded for having
+    fewer than 50 annotations). Annotations beyond the 50th are discarded.
     Each tweet's labels become a (level1, level2, level3) tuple with NoLabel
     blanks, the form the grid votes and scores.
     """
-    strata: dict[tuple[str, str, str], Window] = {}
     windows: dict[tuple[str, str], Window] = {}
     excluded: list[str] = []
     for wid in dataset.worker_ids():
@@ -65,36 +57,32 @@ def build_strata(dataset: Dataset, class_by_tweet: Mapping[str, str]) -> StrataR
             excluded.append(wid)
             continue
         for phase, start in ((EARLY, 0), (LATE, PHASE_LENGTH)):
-            window = tuple(
+            windows[(wid, phase)] = tuple(
                 (a.tweet_id, tuple(a.labels.label(level) or NO_LABEL for level in LEVELS))
                 for a in annotations[start : start + PHASE_LENGTH]
             )
-            windows[(wid, phase)] = window
-            for klass in (EASY, DIFFICULT):
-                strata[(wid, phase, klass)] = tuple(t for t in window if class_by_tweet.get(t[0]) == klass)
-    return StrataResult(strata=strata, windows=windows, excluded_workers=excluded)
+    return windows, excluded
 
 
 @dataclass
 class SimulationContext:
-    """One institution's workers, strata, windows and word sequences, the
-    inputs run_grid reads, precomputed once."""
+    """One institution's workers, phase windows, difficulty classes and word
+    sequences, the inputs run_grid reads, precomputed once."""
 
     institution: str
     worker_ids: list[str]
-    strata: dict[tuple[str, str, str], Window]  # (worker, phase, klass)
-    windows: dict[tuple[str, str], Window]
+    windows: dict[tuple[str, str], Window]  # (worker, phase) -> window
+    classes: Mapping[str, str]  # tweet id -> easy or difficult; a tweet without one is in no stratum
     words: dict[str, tuple[str, ...]]
 
 
 def make_context(dataset: Dataset, institution: str, class_by_tweet: Mapping[str, str]) -> SimulationContext:
-    subset = dataset.filter_institution(institution)
-    built = build_strata(subset, class_by_tweet)
+    windows, _ = phase_windows(dataset.filter_institution(institution))
     return SimulationContext(
         institution=institution,
-        worker_ids=sorted({wid for wid, _ in built.windows}),
-        strata=built.strata,
-        windows=built.windows,
+        worker_ids=sorted({wid for wid, _ in windows}),
+        windows=windows,
+        classes=class_by_tweet,
         words=dataset.word_sequences(),
     )
 
@@ -154,43 +142,46 @@ def _arm_curves(
     distinct). Returns {n: (curve, skipped)}.
 
     The training set of size n is the first n tweets of the arm's stratum,
-    so the sizes nest: a window tweet is a query for every n up to its
-    position in the stratum, and it gets one similarity row over that
-    prefix, of which size n reads the first n values. Where the first n
-    training paths are one path, every k predicts it: the query is neither
-    ranked nor voted, only tallied once for n and added to every k's sum at
-    the end. Its ranking is seeded on its own parts, so skipping it
-    changes no other draw. Otherwise the query is ranked once per n, its
-    per-level label counts grow over the ranking as k rises, and one path is
-    voted per distinct prefix min(k, n): a larger k on the same prefix
-    reuses it unless that vote tied, since a level's tie draw is seeded on
-    its own (tweet, k, level) parts. Each prediction adds the path_triple
-    of its (truth, predicted) pair to one [overlap, predicted size, truth
-    size] sum per (n, k), which hierarchical_f1 scores.
+    the window's tweets of class arm, so the sizes nest: a window tweet is a
+    query for every n up to the number of the arm's tweets before it in the
+    window (every n, for a tweet of another class or none), and it gets one
+    similarity row over that prefix, of which size n reads the first n
+    values. Where the first n training paths are one path, every k predicts
+    it: the query is neither ranked nor voted, only tallied once for n and
+    added to every k's sum at the end. Its ranking is seeded on its own
+    parts, so skipping it changes no other draw. Otherwise the query is
+    ranked once per n, its per-level label counts grow over the ranking as k
+    rises, and one path is voted per distinct prefix min(k, n): a larger k
+    on the same prefix reuses it unless that vote tied, since a level's tie
+    draw is seeded on its own (tweet, k, level) parts. Each prediction adds
+    the path_triple of its (truth, predicted) pair to one [overlap,
+    predicted size, truth size] sum per (n, k), which hierarchical_f1
+    scores.
     """
     sums = {n: {k: [0, 0, 0] for k in ks} for n in TRAIN_SIZES}
     agreed = {n: [0, 0, 0] for n in TRAIN_SIZES}
     used = dict.fromkeys(TRAIN_SIZES, 0)
     for wid in ctx.worker_ids:
-        stratum = ctx.strata[(wid, phase, arm)][: TRAIN_SIZES[-1]]
-        fitting = [n for n in TRAIN_SIZES if n <= len(stratum)]
-        for n in fitting:
-            used[n] += 1
-        if not fitting:
+        window = ctx.windows[(wid, phase)]
+        stratum = [t for t in window if ctx.classes.get(t[0]) == arm][: TRAIN_SIZES[-1]]
+        for n in TRAIN_SIZES:
+            used[n] += n <= len(stratum)
+        if len(stratum) < TRAIN_SIZES[0]:
             continue
         paths = [path for _, path in stratum]
         agreeing = 1  # the first `agreeing` training paths are one path
         while agreeing < len(paths) and paths[agreeing] == paths[0]:
             agreeing += 1
-        position: dict[str, int] = {}
-        for i, (train_tid, _) in enumerate(stratum):
-            position.setdefault(train_tid, i)
-        for tid, truth in ctx.windows[(wid, phase)]:
-            limit = position.get(tid, len(stratum))
-            if limit < fitting[0]:
+        seen = 0  # the arm's tweets before this one in the window
+        for tid, truth in window:
+            limit = len(stratum)
+            if ctx.classes.get(tid) == arm:
+                limit = min(seen, limit)
+                seen += 1
+            if limit < TRAIN_SIZES[0]:
                 continue
             row = [sims.sim(tid, train_tid) for train_tid, _ in stratum[:limit]]
-            for n in fitting:
+            for n in TRAIN_SIZES:
                 if n > limit:
                     break
                 if n <= agreeing:

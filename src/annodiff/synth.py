@@ -13,8 +13,10 @@ Everything is deterministic under the config seed.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from annodiff.config import stable_seed
 from annodiff.dataset import Dataset, parse_dataset
@@ -79,7 +81,8 @@ def _durations(rng: random.Random, path: LabelPath, seconds: tuple[float, float]
     total = rng.uniform(*seconds)
     levels = sorted(path.labels())
     weights = [rng.uniform(0.5, 1.0) for _ in levels]
-    scale = total / sum(weights)
+    # left to right, as sum() is compensated from Python 3.12 on
+    scale = total / reduce(operator.add, weights, 0.0)
     return {f"l{level}": round(w * scale, 3) for level, w in zip(levels, weights)}
 
 

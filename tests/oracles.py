@@ -241,10 +241,12 @@ def rank_full(sims, rng):
 
 def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
     """One arm's (curve, skipped) at one train size, by the grid's per-size
-    route: every query is compared with each of the n training tweets,
-    ranked in full by rank_full, and voted at every k on every level from
-    direct counts of its first k neighbors, the votes repaired by
-    coerce_structure; F1 comes from explicit label sets of the pair list.
+    route: the training set is the first n tweets of the phase window whose
+    class in ctx.classes is arm, and every other window tweet is a query,
+    compared with each of the n training tweets, ranked in full by
+    rank_full, and voted at every k on every level from direct counts of its
+    first k neighbors, the votes repaired by coerce_structure; F1 comes from
+    explicit label sets of the pair list.
     The seeds are those of the grid: (…, "order", tweet) for the ranking,
     (…, "vote", tweet, k, level) for a draw among one level's tied labels.
     """
@@ -258,12 +260,16 @@ def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
     pairs_per_k = {k: [] for k in ks}
     skipped = 0
     for wid in ctx.worker_ids:
-        training = ctx.strata[(wid, phase, arm)][:n]
+        window = ctx.windows[(wid, phase)]
+        training = []
+        for tid, path in window:
+            if len(training) < n and ctx.classes.get(tid) == arm:
+                training.append((tid, path))
         if len(training) < n:
             skipped += 1
             continue
         train_ids = {tid for tid, _ in training}
-        for tid, truth in ctx.windows[(wid, phase)]:
+        for tid, truth in window:
             if tid in train_ids:
                 continue
             sims = [nsim(ctx.words[tid], ctx.words[train_tid], metric) for train_tid, _ in training]

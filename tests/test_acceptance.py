@@ -49,7 +49,7 @@ from annodiff.labels import (
     RELEVANT,
     LabelPath,
 )
-from annodiff.simulation import aggregate, build_strata, make_context, run_grid
+from annodiff.simulation import aggregate, make_context, phase_windows, run_grid
 from annodiff.stats import fisher_exact_two_tailed, kmeans_1d
 from annodiff.synth import SynthConfig, generate_dataset, generate_records, write_jsonl
 from annodiff.textsim import SimilarityMetric, nsim
@@ -287,11 +287,11 @@ def test_c5_reference_corpus_reproduction():
 
         result = difficulty_scores(subset, config)
         classes = {s.tweet_id: s.klass for s in result.scores}
-        built = build_strata(subset, classes)
+        windows, _ = phase_windows(subset)
         for phase in ("early", "late"):
             population = {
                 tid
-                for (wid, ph), window in built.windows.items()
+                for (wid, ph), window in windows.items()
                 if ph == phase
                 for tid, _ in window
             }

@@ -538,6 +538,14 @@ CORRUPTIONS = {
 }
 
 
+def _restamp_scores(out):
+    """Record the edited scores.csv's sha256 in summary.json, so simulate
+    reads the file instead of refusing it as stale."""
+    summary = json.loads((out / "summary.json").read_text())
+    summary["sha256"]["scores.csv"] = cli._sha256(out / "scores.csv")
+    (out / "summary.json").write_text(json.dumps(summary))
+
+
 @pytest.mark.parametrize("case", sorted(CORRUPTIONS))
 def test_corrupt_output_exits_1_naming_it(dataset_dir, simulated, tmp_path, capsys, case):
     name, corrupt, command = CORRUPTIONS[case]
@@ -547,10 +555,7 @@ def test_corrupt_output_exits_1_naming_it(dataset_dir, simulated, tmp_path, caps
     corrupted = corrupt(path.read_text())
     path.write_bytes(corrupted if isinstance(corrupted, bytes) else corrupted.encode())
     if name == "scores.csv":
-        # record the edited file's sha256, so simulate reads it instead of refusing it as stale
-        summary = json.loads((out / "summary.json").read_text())
-        summary["sha256"]["scores.csv"] = cli._sha256(path)
-        (out / "summary.json").write_text(json.dumps(summary))
+        _restamp_scores(out)
     argv = _simulate_args(dataset_dir, out) if command == "simulate" else ["report", "--out", str(out)]
     capsys.readouterr()
     assert cli.main(argv) == 1
@@ -570,6 +575,8 @@ def test_truncated_output_exits_0_or_1(dataset_dir, simulated, name, data):
         path = out / name
         content = path.read_bytes()
         path.write_bytes(content[: data.draw(st.integers(0, len(content)), label="offset")])
+        if name == "scores.csv":
+            _restamp_scores(out)
         argv = _simulate_args(dataset_dir, out) if READERS[name] == "simulate" else ["report", "--out", str(out)]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()) as err:
             code = cli.main(argv)

@@ -1,4 +1,5 @@
-"""RunConfig refuses a bad setting when it is built, naming its flag.
+"""RunConfig refuses a bad setting when it is built, naming its flag, or
+its field where no flag sets it.
 
 The empty and non-positive k grids, a repeated metric, a k-certainty of 0
 and a split of 1.0 are tested beside the grid and the scorer that read them.
@@ -17,6 +18,7 @@ BAD_SETTINGS = [
     ({"metrics": ()}, "--metrics"),
     ({"metrics": ("cosine",)}, "--metrics"),
     ({"split_ratio": math.nan}, "--split"),
+    ({"certainty_metric": "bogus"}, "certainty_metric"),
 ]
 
 

@@ -180,6 +180,14 @@ def test_aggregate_partial_level_coverage():
     assert aggregate_certainties([w1, w2]) == pytest.approx((0.7 + 0.75) / 2, abs=1e-12)
 
 
+def test_float_sums_run_left_to_right():
+    # sum() of floats is compensated from Python 3.12 on, and rounds both of
+    # these sums the other way; the outputs must not depend on the version
+    levels = {level: MajorityLevel(count, 3, False) for level, count in zip((1, 2, 3), (1, 2, 1))}
+    assert agreement_score(levels) == 0.49999999999999994
+    assert aggregate_certainties([{1: {"Relevant": 0.9, "Irrelevant": 0.1}}] * 10) == 0.9000000000000001
+
+
 def test_aggregate_needs_rows():
     with pytest.raises(ValueError):
         aggregate_certainties([])

@@ -51,38 +51,48 @@ def test_empty_prefix_cannot_vote():
 
 
 def grid_counts(stratum, query, k_grid, seed=0):
-    """Run the grid over one worker whose early easy stratum is the (words,
-    path) pairs of stratum and whose early window holds the one query, which
-    is not in the stratum. Returns the results and, per ranked train size,
-    (n, order, counts): counts holds, per path vote, its three level counts,
-    copied, since the grid grows them in place as k rises."""
+    """Run the grid over one worker whose early window is the (words, path)
+    pairs of stratum, all easy, followed by the one query, which has no
+    class. Returns the results and, per train size at which the query was
+    ranked, (n, order, counts): counts holds, per path vote, its three level
+    counts, copied, since the grid grows them in place as k rises. The
+    stratum's own tweets are queries too; their rankings and votes, told
+    apart by the tweet in their seed parts, are not returned."""
     ids = [f"t{i:02d}" for i in range(len(stratum))]
     ctx = SimulationContext(
         institution="MD",
         worker_ids=["w1"],
-        strata={
-            ("w1", phase, arm): tuple(zip(ids, (path for _, path in stratum))) if (phase, arm) == ("early", "easy") else ()
-            for phase in simulation.PHASES
-            for arm in (simulation.EASY, simulation.DIFFICULT)
+        windows={
+            ("w1", "early"): (*zip(ids, (path for _, path in stratum)), ("q", PATHS[0])),
+            ("w1", "late"): (),
         },
-        windows={("w1", "early"): (("q", PATHS[0]),), ("w1", "late"): ()},
+        classes=dict.fromkeys(ids, simulation.EASY),
         words={**{tid: tuple(w) for tid, (w, _) in zip(ids, stratum)}, "q": tuple(query)},
     )
     rankings = []
+    seeded = []  # the parts of the last seed the grid derived
+    real_seed = simulation.stable_seed
     real_rank = simulation.rank_by_similarity
     real_vote_path = simulation.vote_path
 
+    def recording_seed(*parts):
+        seeded[:] = parts
+        return real_seed(*parts)
+
     def recording_rank(sims, rng, depth):
         order = real_rank(sims, rng, depth)
-        rankings.append((len(sims), order, []))
+        if seeded[-2:] == ["order", "q"]:
+            rankings.append((len(sims), order, []))
         return order
 
     def recording_vote_path(counts, parts):
-        rankings[-1][2].append([dict(c) for c in counts])
+        if parts[-3:-1] == ("vote", "q"):
+            rankings[-1][2].append([dict(c) for c in counts])
         return real_vote_path(counts, parts)
 
     config = RunConfig("a.jsonl", "t.jsonl", metrics=("edit",), k_grid=tuple(k_grid), seed=seed)
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(simulation, "stable_seed", recording_seed)
         patch.setattr(simulation, "rank_by_similarity", recording_rank)
         patch.setattr(simulation, "vote_path", recording_vote_path)
         results = run_grid(ctx, config)

@@ -1,4 +1,4 @@
-"""Strata construction, predictor comparison, outcome coding, aggregation."""
+"""Phase windows and strata, predictor comparison, outcome coding, aggregation."""
 
 import dataclasses
 from collections import Counter
@@ -17,10 +17,10 @@ from annodiff.simulation import (
     TRAIN_SIZES,
     _arm_curves,
     aggregate,
-    build_strata,
     encode_outcome,
     make_context,
     mean_curve_delta,
+    phase_windows,
     run_grid,
 )
 from annodiff.synth import SynthConfig, generate_dataset
@@ -49,47 +49,87 @@ def _alternating_dataset(n_tweets=50, wid="w1", institution="MD"):
     return ds, classes
 
 
-def test_build_strata_windows_and_exclusion():
+def _training_rows(ctx):
+    """{(query, arm): the training tweets of the query's similarity row in
+    that arm, in row order}, over an edit-only run_grid of ctx. A worker's
+    windows hold each tweet once, so with one worker (query, arm) names one
+    row."""
+    rows = {}
+    real_sim = PairSimilarity.sim
+
+    def recording_sim(self, id_a, id_b):
+        rows.setdefault((id_a, ctx.classes[id_b]), []).append(id_b)
+        return real_sim(self, id_a, id_b)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(PairSimilarity, "sim", recording_sim)
+        run_grid(ctx, RunConfig("a.jsonl", "t.jsonl", metrics=("edit",), k_grid=(1,)))
+    return rows
+
+
+def test_phase_windows_and_exclusion():
     ds, classes = _alternating_dataset(60)
     short = Worker("w2", "MD", "M", [Annotation("w2", "w1_t00", LabelPath("Irrelevant"), {1: 1.0}, i + 1) for i in range(1)])
     # a second worker with 49 annotations of existing tweets would need 49
     # distinct tweets; one annotation is enough to trip the threshold
     ds.workers["w2"] = short
-    built = build_strata(ds, classes)
-    assert built.excluded_workers == ["w2"]
-    assert set(built.windows) == {("w1", "early"), ("w1", "late")}
-    early = built.windows[("w1", "early")]
-    late = built.windows[("w1", "late")]
+    windows, excluded = phase_windows(ds)
+    assert excluded == ["w2"]
+    assert set(windows) == {("w1", "early"), ("w1", "late")}
+    early = windows[("w1", "early")]
+    late = windows[("w1", "late")]
+    # annotations 51..60 appear in no window
     assert [tid for tid, _ in early] == [f"w1_t{i:02d}" for i in range(25)]
     assert [tid for tid, _ in late] == [f"w1_t{i:02d}" for i in range(25, 50)]
-    # annotations 51..60 appear in no window
-    assert len(built.strata) == 4
-    assert len(built.strata[("w1", "early", "easy")]) == 13
-    assert len(built.strata[("w1", "early", "difficult")]) == 12
-    assert len(built.strata[("w1", "late", "easy")]) == 12
-    assert len(built.strata[("w1", "late", "difficult")]) == 13
     # each tweet's labels are held as a path tuple with NoLabel blanks
     assert early[:2] == (
         ("w1_t00", ("Relevant", "NonFactual", "Positive")),
         ("w1_t01", ("Irrelevant", "NoLabel", "NoLabel")),
     )
+    # the windows split 13 easy / 12 difficult early and 12 / 13 late, and
+    # the grid reads those strata: each arm's tweets past its first two are
+    # queries of that arm
+    rows = _training_rows(make_context(ds, "MD", classes))
+    for window, split in ((early, {"easy": 13, "difficult": 12}), (late, {"easy": 12, "difficult": 13})):
+        assert Counter(classes[tid] for tid, _ in window) == split
+        own = Counter(classes[tid] for tid, _ in window if (tid, classes[tid]) in rows)
+        assert own == {arm: count - TRAIN_SIZES[0] for arm, count in split.items()}
 
 
-def test_build_strata_unclassed_tweets_stay_in_window():
+def test_unclassed_tweets_stay_in_window_as_queries():
     ds, classes = _alternating_dataset(50)
     del classes["w1_t00"]
-    built = build_strata(ds, classes)
-    early_easy = built.strata[("w1", "early", "easy")]
-    assert all(tid != "w1_t00" for tid, _ in early_easy)
-    assert any(tid == "w1_t00" for tid, _ in built.windows[("w1", "early")])
+    windows, _ = phase_windows(ds)
+    assert any(tid == "w1_t00" for tid, _ in windows[("w1", "early")])
+    rows = _training_rows(make_context(ds, "MD", classes))
+    # a query of both arms over their first ten tweets, and in no row itself
+    assert rows[("w1_t00", "easy")] == [f"w1_t{i:02d}" for i in range(2, 22, 2)]
+    assert rows[("w1_t00", "difficult")] == [f"w1_t{i:02d}" for i in range(1, 21, 2)]
+    assert all("w1_t00" not in row for row in rows.values())
 
 
-def test_stratum_tweets_keep_annotation_order():
+def test_strata_keep_window_order():
+    # the window lists the tweets in annotation order, which here is not the
+    # order of their ids, and each arm trains on its first tweets in that order
     ds, classes = _alternating_dataset(50)
-    built = build_strata(ds, classes)
-    for stratum in built.strata.values():
-        ids = [tid for tid, _ in stratum]
-        assert ids == sorted(ids)  # tweet ids were minted in annotation order
+    annotations = ds.workers["w1"].annotations
+    annotations[:25] = [dataclasses.replace(a, order_index=i + 1) for i, a in enumerate(annotations[24::-1])]
+    windows, _ = phase_windows(ds)
+    rows = _training_rows(make_context(ds, "MD", classes))
+    for phase in PHASES:
+        window_ids = [tid for tid, _ in windows[("w1", phase)]]
+        if phase == "early":
+            assert window_ids == [f"w1_t{i:02d}" for i in range(24, -1, -1)]
+        for arm in ("easy", "difficult"):
+            stratum = [tid for tid in window_ids if classes[tid] == arm]
+            for tid in window_ids:
+                row = rows.get((tid, arm), [])
+                if classes[tid] != arm:
+                    assert row == stratum[: TRAIN_SIZES[-1]]
+                else:
+                    # the arm's tweets before it, or no row below two of them
+                    before = stratum[: stratum.index(tid)][: TRAIN_SIZES[-1]]
+                    assert row == (before if len(before) >= TRAIN_SIZES[0] else [])
 
 
 def test_make_context_filters_institution():
@@ -276,7 +316,7 @@ def test_grid_looks_each_pair_up_once_per_worker_and_arm(monkeypatch):
         for phase in PHASES:
             window_ids = [tid for tid, _ in ctx.windows[(wid, phase)]]
             for arm in ("easy", "difficult"):
-                train_ids = [tid for tid, _ in ctx.strata[(wid, phase, arm)][: TRAIN_SIZES[-1]]]
+                train_ids = [tid for tid in window_ids if ctx.classes.get(tid) == arm][: TRAIN_SIZES[-1]]
                 for tid in window_ids:
                     # a query for every n up to its own position in the stratum
                     limit = train_ids.index(tid) if tid in train_ids else len(train_ids)
