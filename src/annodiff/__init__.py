@@ -10,7 +10,7 @@ from annodiff.difficulty import (
     knn_label_certainty,
 )
 from annodiff.knn import hierarchical_f1
-from annodiff.labels import LabelPath, label_set
+from annodiff.labels import label_path, label_set
 from annodiff.simulation import (
     aggregate,
     encode_outcome,
@@ -25,7 +25,6 @@ __all__ = [
     "Annotation",
     "Dataset",
     "DifficultyScore",
-    "LabelPath",
     "RunConfig",
     "SimilarityMetric",
     "Worker",
@@ -37,6 +36,7 @@ __all__ = [
     "hierarchical_f1",
     "kmeans_1d",
     "knn_label_certainty",
+    "label_path",
     "label_set",
     "load_dataset",
     "majority_labels",

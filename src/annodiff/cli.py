@@ -264,7 +264,7 @@ def cmd_simulate(args) -> int:
         print(f"wrote {scores_path}")
     # the classes come from the file alone, whether it was written now or reused
     _refuse_stale_scores(config)
-    _, scored = read_scores_csv(str(scores_path))
+    scored = read_scores_csv(str(scores_path))
     print(f"loaded difficulty scores from {scores_path}")
 
     results = []

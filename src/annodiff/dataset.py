@@ -3,7 +3,9 @@
 Two files describe a dataset. annotations.jsonl holds one labeling event per
 line with the worker, the tweet, the assigned label path, per-level labeling
 durations in seconds, and the 1-based position of the tweet in the worker's
-session. tweets.jsonl maps tweet ids to their raw text.
+session. tweets.jsonl maps tweet ids to their raw text. The parser keeps
+each annotation's label path and summed duration; the session position only
+orders a worker's annotations.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 # unused here, but perfbench/tracer.py wraps this name; it goes with the tracer (ROADMAP item 1)
 from annodiff.config import stable_seed  # noqa: F401
 from annodiff.errors import DatasetError
-from annodiff.labels import IRRELEVANT, LEVELS, LabelPath
+from annodiff.labels import IRRELEVANT, LEVELS, LabelPath, label_path, path_labels
 from annodiff.textsim import tokenize
 
 INSTITUTIONS = ("MD", "SU")
@@ -33,23 +35,14 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 @dataclass(frozen=True)
 class Annotation:
-    """One worker's labeling of one tweet."""
+    """One worker's labeling of one tweet: its label path, and its per-level
+    labeling seconds summed in level order, or None when a labeled level has
+    no recorded duration."""
 
     worker_id: str
     tweet_id: str
     labels: LabelPath
-    durations: dict[int, float]  # level -> seconds, only for present levels
-    order_index: int
-
-    def total_duration(self) -> float | None:
-        """Summed per-level labeling time, or None when any present level
-        lacks a recorded duration."""
-        total = 0.0
-        for level in self.labels.labels():
-            if level not in self.durations:
-                return None
-            total += self.durations[level]
-        return total
+    duration: float | None
 
 
 @dataclass
@@ -57,7 +50,7 @@ class Worker:
     worker_id: str
     institution: str
     group: str
-    annotations: list[Annotation] = field(default_factory=list)  # ordered by order_index
+    annotations: list[Annotation] = field(default_factory=list)  # in session order
 
 
 @dataclass
@@ -96,17 +89,19 @@ def prune_labels(labels: dict[str, str], durations: dict[str, float]) -> tuple[d
 
     Workers sometimes keep filling lower levels after marking a tweet
     Irrelevant; those labels and their durations carry no information and are
-    removed. Idempotent: pruning a pruned record changes nothing.
+    removed. An explicit null is an absent label, so it is not counted as
+    pruned. Idempotent: pruning a pruned record changes nothing.
     """
     if labels.get("l1") != IRRELEVANT:
         return labels, durations, 0
-    pruned = sum(1 for key in ("l2", "l3") if key in labels)
+    pruned = sum(1 for key in ("l2", "l3") if labels.get(key) is not None)
     labels = {k: v for k, v in labels.items() if k == "l1"}
     durations = {k: v for k, v in durations.items() if k == "l1"}
     return labels, durations, pruned
 
 
-def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[Annotation, str, str, int, bool]:
+def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[Annotation, int, str, str, int]:
+    """(annotation, order_index, institution, group, pruned label count)."""
     def fail(msg: str):
         raise DatasetError(msg, path=path, line=line)
 
@@ -146,12 +141,12 @@ def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[Annota
     labels, durations, pruned = prune_labels(dict(labels), dict(durations))
 
     try:
-        path_labels = LabelPath(labels.get("l1"), labels.get("l2"), labels.get("l3"))
+        labeled_path = label_path(labels.get("l1"), labels.get("l2"), labels.get("l3"))
     except ValueError as exc:
         fail(str(exc))
 
-    parsed_durations: dict[int, float] = {}
-    present_levels = set(path_labels.labels())
+    seconds: dict[int, float] = {}
+    present_levels = path_labels(labeled_path)
     for key, value in durations.items():
         level = _LEVEL_KEYS[key]
         if level not in present_levels:
@@ -159,20 +154,15 @@ def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[Annota
         # the range test also rejects NaN, infinity and integers too large for a float
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
             fail(f"duration for level {level} must be a finite non-negative number, got {value!r}")
-        parsed_durations[level] = float(value)
-    missing_duration = len(parsed_durations) < len(present_levels)
-
-    ann = Annotation(
-        worker_id=worker_id,
-        tweet_id=tweet_id,
-        labels=path_labels,
-        durations=parsed_durations,
-        order_index=order_index,
-    )
-    total = ann.total_duration()
-    if total is not None and not math.isfinite(total):
-        fail("the summed per-level durations overflow a float")
-    return ann, institution, group, pruned, missing_duration
+        seconds[level] = float(value)
+    duration = None
+    if len(seconds) == len(present_levels):
+        duration = 0.0
+        for level in present_levels:
+            duration += seconds[level]
+        if not math.isfinite(duration):
+            fail("the summed per-level durations overflow a float")
+    return Annotation(worker_id, tweet_id, labeled_path, duration), order_index, institution, group, pruned
 
 
 def _records(lines: Iterable[str], path: str) -> Iterator[tuple[int, object]]:
@@ -226,6 +216,7 @@ def parse_dataset(
         text_lines[tid] = line_no
 
     workers: dict[str, Worker] = {}
+    sessions: dict[str, list[tuple[int, Annotation]]] = {}  # worker -> (order_index, annotation)
     seen_pairs: dict[tuple[str, str], int] = {}
     seen_orders: dict[tuple[str, int], int] = {}
     pruned_total = 0
@@ -233,9 +224,9 @@ def parse_dataset(
     for line_no, record in _records(annotation_lines, annotations_path):
         if not isinstance(record, dict):
             raise DatasetError("expected a JSON object", path=annotations_path, line=line_no)
-        ann, institution, group, pruned, missing_duration = _parse_annotation_record(record, annotations_path, line_no)
+        ann, order_index, institution, group, pruned = _parse_annotation_record(record, annotations_path, line_no)
         pruned_total += pruned
-        missing_total += 1 if missing_duration else 0
+        missing_total += 1 if ann.duration is None else 0
 
         pair = (ann.worker_id, ann.tweet_id)
         if pair in seen_pairs:
@@ -245,10 +236,10 @@ def parse_dataset(
                 line=line_no,
             )
         seen_pairs[pair] = line_no
-        order_key = (ann.worker_id, ann.order_index)
+        order_key = (ann.worker_id, order_index)
         if order_key in seen_orders:
             raise DatasetError(
-                f"worker {ann.worker_id!r} has two annotations at order_index {ann.order_index}",
+                f"worker {ann.worker_id!r} has two annotations at order_index {order_index}",
                 path=annotations_path,
                 line=line_no,
             )
@@ -258,25 +249,25 @@ def parse_dataset(
 
         worker = workers.get(ann.worker_id)
         if worker is None:
-            workers[ann.worker_id] = Worker(ann.worker_id, institution, group, [ann])
-        else:
-            if worker.institution != institution or worker.group != group:
-                raise DatasetError(
-                    f"worker {ann.worker_id!r} reappears with a different institution or group",
-                    path=annotations_path,
-                    line=line_no,
-                )
-            worker.annotations.append(ann)
+            workers[ann.worker_id] = Worker(ann.worker_id, institution, group)
+        elif worker.institution != institution or worker.group != group:
+            raise DatasetError(
+                f"worker {ann.worker_id!r} reappears with a different institution or group",
+                path=annotations_path,
+                line=line_no,
+            )
+        sessions.setdefault(ann.worker_id, []).append((order_index, ann))
 
-    for worker in workers.values():
-        worker.annotations.sort(key=lambda a: a.order_index)
-        for expected, ann in enumerate(worker.annotations, start=1):
-            if ann.order_index != expected:
+    for wid, session in sessions.items():
+        session.sort(key=lambda entry: entry[0])
+        for expected, (order_index, _) in enumerate(session, start=1):
+            if order_index != expected:
                 raise DatasetError(
-                    f"worker {worker.worker_id!r} has gaps in order_index: {ann.order_index} where {expected} was expected",
+                    f"worker {wid!r} has gaps in order_index: {order_index} where {expected} was expected",
                     path=annotations_path,
-                    line=seen_orders[(worker.worker_id, ann.order_index)],
+                    line=seen_orders[(wid, order_index)],
                 )
+        workers[wid].annotations = [ann for _, ann in session]
 
     return Dataset(workers=workers, texts=texts, pruned_label_count=pruned_total, missing_duration_count=missing_total)
 
@@ -321,6 +312,6 @@ def majority_labels(annotations: Sequence[Annotation]) -> dict[int, MajorityLeve
         raise ValueError(f"annotations span multiple tweets: {sorted(tweet_ids)}")
     votes: dict[int, list[str]] = {level: [] for level in LEVELS}
     for ann in annotations:
-        for level, label in ann.labels.labels().items():
+        for level, label in path_labels(ann.labels).items():
             votes[level].append(label)
     return majority_from_votes(votes)

@@ -22,7 +22,7 @@ from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Dataset, MajorityLevel, majority_labels
 from annodiff.errors import AnnodiffError
 from annodiff.knn import rank_by_similarity
-from annodiff.labels import LABEL_ORDER, LEVELS, LEVEL_LABELS
+from annodiff.labels import LABEL_ORDER, LEVELS, LEVEL_LABELS, path_labels
 from annodiff.stats import kmeans_1d
 from annodiff.textsim import SimilarityMetric, similarity_rows
 
@@ -127,11 +127,7 @@ class CertaintyResult:
     imputed: list[str]
 
 
-def predictor_certainties(
-    dataset: Dataset,
-    words_by_id: Mapping[str, Sequence[str]],
-    config: RunConfig,
-) -> CertaintyResult:
+def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResult:
     """Predictor certainty for every tweet of the dataset.
 
     Each worker's labeled tweets are split once into a training and a test
@@ -140,13 +136,15 @@ def predictor_certainties(
     config.certainty_metric similarity and trained on the training
     partition, emits a certainty row smoothed by config.smoothing for every
     test tweet. All of a worker's test tweets get their similarities to its
-    training tweets from one similarity_rows call, and each ranking stops at
-    rank config.k_certainty. Rows are aggregated across workers per tweet.
+    training tweets, over the dataset's word sequences, from one
+    similarity_rows call, and each ranking stops at rank config.k_certainty.
+    Rows are aggregated across workers per tweet.
 
     Labeled tweets that land in no worker's test partition get the population
     mean certainty; their ids are reported in the result.
     """
     metric = SimilarityMetric(config.certainty_metric)
+    words = dataset.word_sequences()
     rows_by_tweet: dict[str, list[dict[int, dict[str, float]]]] = {}
     for wid in dataset.worker_ids():
         annotations = dataset.workers[wid].annotations
@@ -166,13 +164,13 @@ def predictor_certainties(
         pools: dict[int, list[int]] = {level: [] for level in LEVELS}
         pool_labels: dict[int, list[str]] = {level: [] for level in LEVELS}
         for position, tid in enumerate(train_ids):
-            for level, label in by_tweet[tid].labels.labels().items():
+            for level, label in path_labels(by_tweet[tid].labels).items():
                 pools[level].append(position)
                 pool_labels[level].append(label)
 
         # one similarity row per test tweet, shared by the three levels
         sim_rows = similarity_rows(
-            [words_by_id[tid] for tid in test_ids], [words_by_id[tid] for tid in train_ids], metric
+            [words[tid] for tid in test_ids], [words[tid] for tid in train_ids], metric
         )
         for tid, sim_row in zip(test_ids, sim_rows):
             row: dict[int, dict[str, float]] = {}
@@ -214,7 +212,7 @@ def labeling_costs(dataset: Dataset) -> dict[str, float]:
     """
     medians: dict[str, float] = {}
     for tid, annotations in sorted(dataset.annotations_by_tweet().items()):
-        durations = [d for d in (a.total_duration() for a in annotations) if d is not None]
+        durations = [a.duration for a in annotations if a.duration is not None]
         if durations:
             medians[tid] = statistics.median(durations)
             if not math.isfinite(medians[tid]):
@@ -241,7 +239,7 @@ def difficulty_scores(dataset: Dataset, config: RunConfig) -> ScoringResult:
     by_tweet = dataset.annotations_by_tweet()
     if not by_tweet:
         raise AnnodiffError("cannot score an empty dataset")
-    certainty = predictor_certainties(dataset, dataset.word_sequences(), config)
+    certainty = predictor_certainties(dataset, config)
     costs = labeling_costs(dataset)
 
     rows: list[tuple[str, float, float, float, float]] = []

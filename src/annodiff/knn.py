@@ -72,8 +72,8 @@ def vote(counts: Mapping[str, int]) -> list[str]:
 @cache  # the grid scores only a handful of distinct pairs
 def path_triple(truth: tuple[str, ...], predicted: tuple[str, ...]) -> tuple[int, int, int]:
     """(overlap, predicted size, truth size) of one (truth, prediction) pair,
-    each side a (level1, level2, level3) tuple whose blanks are NoLabel or
-    None, expanded to its ancestor-closed label set."""
+    each side a label path, the (level 1, level 2, level 3) tuple with
+    NoLabel blanks, expanded to its ancestor-closed label set."""
     truth_set, predicted_set = label_set(truth), label_set(predicted)
     return len(truth_set & predicted_set), len(predicted_set), len(truth_set)
 

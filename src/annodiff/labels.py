@@ -2,12 +2,14 @@
 
 Level 1 decides relevance. Level 2 exists only under Relevant and separates
 factual from non-factual content. Level 3 exists only under NonFactual and
-carries sentiment polarity.
+carries sentiment polarity. Every annotation's labels are one LabelPath,
+the (level 1, level 2, level 3) tuple with NoLabel blanks, from parsing to
+the F1 score; label_path builds one and refuses a path the tree does not
+hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
 RELEVANT = "Relevant"
@@ -43,48 +45,46 @@ LABEL_ORDER: dict[str, int] = {
 _PARENT = {FACTUAL: RELEVANT, NONFACTUAL: RELEVANT, POSITIVE: NONFACTUAL, NEGATIVE: NONFACTUAL}
 
 
-@dataclass(frozen=True)
-class LabelPath:
-    """A structurally valid assignment of labels along the hierarchy.
+# a label path as the whole program holds it: the (level 1, level 2, level 3)
+# labels, NoLabel where a level is blank
+LabelPath = tuple[str, str, str]
 
-    Invariants enforced at construction: a level-2 label is present exactly
-    when level 1 is Relevant, and a level-3 label is present exactly when
-    level 2 is NonFactual.
+
+def label_path(l1: str, l2: str | None = None, l3: str | None = None) -> LabelPath:
+    """The label path of a structurally valid assignment, with None for a
+    blank level.
+
+    A level-2 label must be present exactly when level 1 is Relevant, and a
+    level-3 label exactly when level 2 is NonFactual; anything else raises
+    ValueError.
     """
-
-    level1: str
-    level2: str | None = None
-    level3: str | None = None
-
-    def __post_init__(self):
-        if self.level1 not in LEVEL_LABELS[1]:
-            raise ValueError(f"unknown level-1 label: {self.level1!r}")
-        if (self.level2 is not None) != (self.level1 == RELEVANT):
-            raise ValueError("a level-2 label is required exactly when level 1 is Relevant")
-        if self.level2 is not None and self.level2 not in LEVEL_LABELS[2]:
-            raise ValueError(f"unknown level-2 label: {self.level2!r}")
-        if (self.level3 is not None) != (self.level2 == NONFACTUAL):
-            raise ValueError("a level-3 label is required exactly when level 2 is NonFactual")
-        if self.level3 is not None and self.level3 not in LEVEL_LABELS[3]:
-            raise ValueError(f"unknown level-3 label: {self.level3!r}")
-
-    def label(self, level: int) -> str | None:
-        return (self.level1, self.level2, self.level3)[level - 1]
-
-    def labels(self) -> dict[int, str]:
-        """Present labels keyed by level."""
-        return {lv: lab for lv, lab in zip(LEVELS, (self.level1, self.level2, self.level3)) if lab is not None}
+    if l1 not in LEVEL_LABELS[1]:
+        raise ValueError(f"unknown level-1 label: {l1!r}")
+    if (l2 is not None) != (l1 == RELEVANT):
+        raise ValueError("a level-2 label is required exactly when level 1 is Relevant")
+    if l2 is not None and l2 not in LEVEL_LABELS[2]:
+        raise ValueError(f"unknown level-2 label: {l2!r}")
+    if (l3 is not None) != (l2 == NONFACTUAL):
+        raise ValueError("a level-3 label is required exactly when level 2 is NonFactual")
+    if l3 is not None and l3 not in LEVEL_LABELS[3]:
+        raise ValueError(f"unknown level-3 label: {l3!r}")
+    return (l1, l2 or NO_LABEL, l3 or NO_LABEL)
 
 
-def label_set(labels: Iterable[str | None]) -> frozenset[str]:
+def path_labels(path: LabelPath) -> dict[int, str]:
+    """The path's labels keyed by level, without its blank levels."""
+    return {level: label for level, label in zip(LEVELS, path) if label != NO_LABEL}
+
+
+def label_set(labels: Iterable[str]) -> frozenset[str]:
     """Ancestor-closed set of real labels.
 
-    None entries and the NoLabel placeholder are ignored; ancestors of every
-    remaining label are added so the set is closed under the hierarchy.
+    NoLabel entries are ignored; ancestors of every remaining label are
+    added so the set is closed under the hierarchy.
     """
     out: set[str] = set()
     for lab in labels:
-        while lab is not None and lab != NO_LABEL:
+        while lab != NO_LABEL:
             out.add(lab)
-            lab = _PARENT.get(lab)
+            lab = _PARENT.get(lab, NO_LABEL)
     return frozenset(out)

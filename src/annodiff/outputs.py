@@ -79,10 +79,10 @@ def write_scores_csv(path: str, header_json: str, scored: Mapping[str, Sequence[
     _write_csv(path, header_json, SCORES_FIELDS, rows)
 
 
-def read_scores_csv(path: str) -> tuple[dict | None, dict[str, dict[str, DifficultyScore]]]:
-    """Returns (embedded config, institution -> tweet_id -> score); a tweet
-    with two rows in one institution makes the file malformed."""
-    config, rows = read_csv(path)
+def read_scores_csv(path: str) -> dict[str, dict[str, DifficultyScore]]:
+    """Returns institution -> tweet_id -> score; a tweet with two rows in one
+    institution makes the file malformed."""
+    _, rows = read_csv(path)
     out: dict[str, dict[str, DifficultyScore]] = {}
     for row in rows:
         try:
@@ -103,7 +103,7 @@ def read_scores_csv(path: str) -> tuple[dict | None, dict[str, dict[str, Difficu
         if score.tweet_id in scores:
             raise AnnodiffError(f"malformed scores file {path}: {institution} tweet {score.tweet_id} has more than one row")
         scores[score.tweet_id] = score
-    return config, out
+    return out
 
 
 def write_outcomes_csv(path: str, header_json: str, results: Sequence[ConfigResult]) -> None:

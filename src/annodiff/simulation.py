@@ -21,7 +21,7 @@ from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Dataset
 from annodiff.difficulty import DIFFICULT, EASY
 from annodiff.knn import hierarchical_f1, path_triple, rank_by_similarity, vote
-from annodiff.labels import LEVELS, NO_LABEL, NONFACTUAL, RELEVANT
+from annodiff.labels import LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, LabelPath
 from annodiff.textsim import PairSimilarity, SimilarityMetric
 
 EARLY = "early"
@@ -37,8 +37,7 @@ CODE_DIFFICULT = "D"
 OUTCOME_CODES = (CODE_TIE, CODE_EASY, CODE_DIFFICULT)
 
 
-LabelTuple = tuple[str, str, str]  # (level1, level2, level3), NoLabel where blank
-Window = tuple[tuple[str, LabelTuple], ...]  # (tweet id, labels) in annotation order
+Window = tuple[tuple[str, LabelPath], ...]  # (tweet id, label path) in annotation order
 
 
 def phase_windows(dataset: Dataset) -> tuple[dict[tuple[str, str], Window], list[str]]:
@@ -46,8 +45,8 @@ def phase_windows(dataset: Dataset) -> tuple[dict[tuple[str, str], Window], list
 
     Returns ((worker, phase) -> window, the workers excluded for having
     fewer than 50 annotations). Annotations beyond the 50th are discarded.
-    Each tweet's labels become a (level1, level2, level3) tuple with NoLabel
-    blanks, the form the grid votes and scores.
+    Each tweet keeps its annotation's label path, the form the grid votes
+    and scores.
     """
     windows: dict[tuple[str, str], Window] = {}
     excluded: list[str] = []
@@ -57,10 +56,7 @@ def phase_windows(dataset: Dataset) -> tuple[dict[tuple[str, str], Window], list
             excluded.append(wid)
             continue
         for phase, start in ((EARLY, 0), (LATE, PHASE_LENGTH)):
-            windows[(wid, phase)] = tuple(
-                (a.tweet_id, tuple(a.labels.label(level) or NO_LABEL for level in LEVELS))
-                for a in annotations[start : start + PHASE_LENGTH]
-            )
+            windows[(wid, phase)] = tuple((a.tweet_id, a.labels) for a in annotations[start : start + PHASE_LENGTH])
     return windows, excluded
 
 
@@ -103,7 +99,7 @@ class ConfigResult:
     mean_delta: float | None
 
 
-def vote_path(counts: Sequence[Mapping[str, int]], parts: tuple) -> tuple[LabelTuple, bool]:
+def vote_path(counts: Sequence[Mapping[str, int]], parts: tuple) -> tuple[LabelPath, bool]:
     """Top-down plurality vote of a label path over per-level neighbor
     counts, and whether any voted level tied.
 

@@ -28,13 +28,15 @@ from annodiff.labels import (
     POSITIVE,
     RELEVANT,
     LabelPath,
+    label_path,
+    path_labels,
 )
 
 TRUE_PATHS = (
-    LabelPath(IRRELEVANT),
-    LabelPath(RELEVANT, FACTUAL),
-    LabelPath(RELEVANT, NONFACTUAL, POSITIVE),
-    LabelPath(RELEVANT, NONFACTUAL, NEGATIVE),
+    label_path(IRRELEVANT),
+    label_path(RELEVANT, FACTUAL),
+    label_path(RELEVANT, NONFACTUAL, POSITIVE),
+    label_path(RELEVANT, NONFACTUAL, NEGATIVE),
 )
 
 # disjoint word pools, one per true path, plus a few shared filler words
@@ -79,7 +81,7 @@ def _noisy_path(rng: random.Random, true_index: int) -> LabelPath:
 
 def _durations(rng: random.Random, path: LabelPath, seconds: tuple[float, float]) -> dict[str, float]:
     total = rng.uniform(*seconds)
-    levels = sorted(path.labels())
+    levels = sorted(path_labels(path))
     weights = [rng.uniform(0.5, 1.0) for _ in levels]
     # left to right, as sum() is compensated from Python 3.12 on
     scale = total / reduce(operator.add, weights, 0.0)
@@ -138,7 +140,7 @@ def generate_records(config: SynthConfig = SynthConfig()) -> tuple[list[dict], l
             else:
                 path = TRUE_PATHS[true_index[tid]]
             seconds = DIFFICULT_SECONDS if difficult else EASY_SECONDS
-            labels = {f"l{level}": label for level, label in path.labels().items()}
+            labels = {f"l{level}": label for level, label in path_labels(path).items()}
             annotations.append(
                 {
                     "worker_id": wid,

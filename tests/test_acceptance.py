@@ -47,7 +47,7 @@ from annodiff.labels import (
     NONFACTUAL,
     POSITIVE,
     RELEVANT,
-    LabelPath,
+    label_path,
 )
 from annodiff.simulation import aggregate, make_context, phase_windows, run_grid
 from annodiff.stats import fisher_exact_two_tailed, kmeans_1d
@@ -137,7 +137,7 @@ def _check_family_certainty_rows():
 
 def _cost_dataset(raw_costs):
     annotations = [
-        Annotation("w", f"t{i}", LabelPath(IRRELEVANT), {1: cost}, i + 1)
+        Annotation("w", f"t{i}", label_path(IRRELEVANT), cost)
         for i, cost in enumerate(raw_costs)
     ]
     texts = {f"t{i}": "x" for i in range(len(raw_costs))}

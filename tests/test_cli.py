@@ -121,8 +121,9 @@ def test_score_writes_scores_and_summary(dataset_dir, tmp_path, capsys):
 
     first_line = (out / "scores.csv").read_text().splitlines()[0]
     assert first_line.startswith(CONFIG_PREFIX)
-    config, by_institution = read_scores_csv(str(out / "scores.csv"))
+    config, _ = read_csv(str(out / "scores.csv"))
     assert config["seed"] == 0
+    by_institution = read_scores_csv(str(out / "scores.csv"))
     assert set(by_institution) == {"MD"}
     assert len(by_institution["MD"]) == 50
     assert {s.klass for s in by_institution["MD"].values()} == {"easy", "difficult"}

@@ -13,7 +13,7 @@ from annodiff.dataset import (
     prune_labels,
 )
 from annodiff.errors import DatasetError
-from annodiff.labels import LabelPath
+from annodiff.labels import label_path
 
 
 def ann(worker, tweet, order, labels, durations=None, institution="MD", group="M"):
@@ -53,7 +53,7 @@ def test_roundtrip_and_ordering():
     by_tweet = ds.annotations_by_tweet()
     assert sorted(by_tweet) == ["t1", "t2"]
     assert len(by_tweet["t1"]) == 2
-    assert ds.workers["w1"].annotations[0].total_duration() == 6.0
+    assert ds.workers["w1"].annotations[0].duration == 6.0
 
 
 def test_blank_lines_ignored():
@@ -76,9 +76,20 @@ def test_pruning_below_irrelevant():
     lines = [ann("w1", "t1", 1, {"l1": "Irrelevant", "l2": "Factual", "l3": "Positive"}, {"l1": 1.0, "l2": 2.0})]
     ds = parse_dataset(lines, [tw("t1")])
     a = ds.workers["w1"].annotations[0]
-    assert a.labels == LabelPath("Irrelevant")
-    assert a.durations == {1: 1.0}
+    assert a.labels == label_path("Irrelevant")
+    assert a.duration == 1.0
     assert ds.pruned_label_count == 2
+
+
+def test_explicit_nulls_are_not_pruned_labels():
+    # a null label is an absent one: below Irrelevant, only Factual is pruned
+    lines = [
+        ann("w1", "t1", 1, {"l1": "Irrelevant", "l2": None, "l3": None}, {"l1": 1.0}),
+        ann("w1", "t2", 2, {"l1": "Irrelevant", "l2": "Factual", "l3": None}, {"l1": 1.0}),
+    ]
+    ds = parse_dataset(lines, [tw("t1"), tw("t2")])
+    assert ds.pruned_label_count == 1
+    assert [a.labels for a in ds.workers["w1"].annotations] == [label_path("Irrelevant")] * 2
 
 
 def test_prune_is_idempotent():
@@ -97,7 +108,7 @@ def test_incomplete_durations_flagged():
     lines = [ann("w1", "t1", 1, FULL, {"l1": 1.0})]
     ds = parse_dataset(lines, [tw("t1")])
     assert ds.missing_duration_count == 1
-    assert ds.workers["w1"].annotations[0].total_duration() is None
+    assert ds.workers["w1"].annotations[0].duration is None
 
 
 def test_no_durations_at_all():
@@ -235,12 +246,12 @@ def test_majority_permutation_invariant(votes, data):
     assert majority_from_votes(votes) == majority_from_votes(shuffled)
 
 
-def _annotation(worker, tweet, order, l1, l2=None, l3=None):
-    return Annotation(worker, tweet, LabelPath(l1, l2, l3), {}, order)
+def _annotation(worker, tweet, l1, l2=None, l3=None):
+    return Annotation(worker, tweet, label_path(l1, l2, l3), None)
 
 
 def test_majority_labels_single_annotator():
-    result = majority_labels([_annotation("w1", "t1", 1, "Relevant", "Factual")])
+    result = majority_labels([_annotation("w1", "t1", "Relevant", "Factual")])
     assert sorted(result) == [1, 2]
     assert (result[2].majority_count, result[2].voter_count) == (1, 1)
 
@@ -248,6 +259,6 @@ def test_majority_labels_single_annotator():
 def test_majority_labels_rejects_bad_input():
     with pytest.raises(ValueError):
         majority_labels([])
-    mixed = [_annotation("w1", "t1", 1, "Irrelevant"), _annotation("w2", "t2", 1, "Irrelevant")]
+    mixed = [_annotation("w1", "t1", "Irrelevant"), _annotation("w2", "t2", "Irrelevant")]
     with pytest.raises(ValueError):
         majority_labels(mixed)

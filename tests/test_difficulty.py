@@ -26,7 +26,7 @@ from annodiff.difficulty import (
     predictor_certainties,
 )
 from annodiff.errors import AnnodiffError
-from annodiff.labels import LEVEL_LABELS, LabelPath
+from annodiff.labels import LEVEL_LABELS, NO_LABEL, label_path
 from annodiff.synth import SynthConfig, generate_dataset
 from oracles import agreement_direct
 
@@ -201,13 +201,12 @@ def _worker_dataset(workers, texts=None):
     )
 
 
-def _full_path_annotation(worker, tweet, order, durations=None):
+def _full_path_annotation(worker, tweet, duration=3.0):
     return Annotation(
         worker_id=worker,
         tweet_id=tweet,
-        labels=LabelPath("Relevant", "NonFactual", "Positive"),
-        durations=durations if durations is not None else {1: 1.0, 2: 1.0, 3: 1.0},
-        order_index=order,
+        labels=label_path("Relevant", "NonFactual", "Positive"),
+        duration=duration,
     )
 
 
@@ -217,9 +216,9 @@ def test_predictor_certainties_single_worker(k, expected):
     # (min(k, 4) + 1, 1) / (min(k, 4) + 2), so k=1 gives level maxima 2/3
     # and k=9, capped at the 4 pool tweets, gives 5/6. The four training
     # tweets are imputed the one test tweet's value.
-    annotations = [_full_path_annotation("w1", f"t{i}", i + 1) for i in range(5)]
+    annotations = [_full_path_annotation("w1", f"t{i}") for i in range(5)]
     ds = _worker_dataset([Worker("w1", "MD", "M", annotations)])
-    result = predictor_certainties(ds, ds.word_sequences(), _config(split_ratio=0.8, k_certainty=k))
+    result = predictor_certainties(ds, _config(split_ratio=0.8, k_certainty=k))
     assert len(result.imputed) == 4
     assert sorted(result.values) == [f"t{i}" for i in range(5)]
     for value in result.values.values():
@@ -227,10 +226,10 @@ def test_predictor_certainties_single_worker(k, expected):
 
 
 CERTAINTY_PATHS = (
-    LabelPath("Irrelevant"),
-    LabelPath("Relevant", "Factual"),
-    LabelPath("Relevant", "NonFactual", "Positive"),
-    LabelPath("Relevant", "NonFactual", "Negative"),
+    label_path("Irrelevant"),
+    label_path("Relevant", "Factual"),
+    label_path("Relevant", "NonFactual", "Positive"),
+    label_path("Relevant", "NonFactual", "Negative"),
 )
 
 
@@ -245,7 +244,7 @@ def test_certainty_counts_the_first_k_ranked_neighbors(paths, words, k, seed):
     # position; the shared words make similarity ties common
     ids = [f"t{i:02d}" for i in range(len(paths))]
     labels = dict(zip(ids, paths))
-    annotations = [Annotation("w1", tid, path, {1: 1.0}, i + 1) for i, (tid, path) in enumerate(labels.items())]
+    annotations = [Annotation("w1", tid, path, 1.0) for tid, path in labels.items()]
     ds = _worker_dataset([Worker("w1", "MD", "M", annotations)], {tid: " ".join([tid, *w]) for tid, w in zip(ids, words)})
     if k < 1:
         with pytest.raises(AnnodiffError, match="--k-certainty"):
@@ -270,21 +269,21 @@ def test_certainty_counts_the_first_k_ranked_neighbors(paths, words, k, seed):
         patch.setattr(difficulty, "similarity_rows", recording_rows)
         patch.setattr(difficulty, "rank_by_similarity", recording_rank)
         patch.setattr(difficulty, "knn_label_certainty", recording_certainty)
-        predictor_certainties(ds, ds.word_sequences(), _config(k_certainty=k, seed=seed))
+        predictor_certainties(ds, _config(k_certainty=k, seed=seed))
     [train] = pools
     assert len(ranked) == len(counted) > 0
     for order, (counts, candidates) in zip(ranked, counted):
         level = next(level for level, level_labels in LEVEL_LABELS.items() if level_labels == candidates)
         # a level's pool: the training tweets labeled at that level, in training order
-        pool_labels = [labels[tid].label(level) for tid in train if labels[tid].label(level)]
+        pool_labels = [labels[tid][level - 1] for tid in train if labels[tid][level - 1] != NO_LABEL]
         assert len(order) == min(k, len(pool_labels))
         assert counts == Counter(pool_labels[i] for i in order)
 
 
 def test_predictor_certainties_imputes_training_only_tweets():
-    annotations = [_full_path_annotation("w1", f"t{i}", i + 1) for i in range(2)]
+    annotations = [_full_path_annotation("w1", f"t{i}") for i in range(2)]
     ds = _worker_dataset([Worker("w1", "MD", "M", annotations)])
-    result = predictor_certainties(ds, ds.word_sequences(), _config())
+    result = predictor_certainties(ds, _config())
     assert len(result.imputed) == 1
     assert set(result.values) == {"t0", "t1"}
     # the imputed tweet carries the population mean, here the other's value
@@ -307,9 +306,8 @@ def _priced_dataset(costs):
         annotation = Annotation(
             worker_id=f"w{i}",
             tweet_id=tid,
-            labels=LabelPath("Irrelevant"),
-            durations={1: seconds},
-            order_index=1,
+            labels=label_path("Irrelevant"),
+            duration=seconds,
         )
         workers.append(Worker(f"w{i}", "MD", "M", [annotation]))
     return _worker_dataset(workers)
@@ -329,9 +327,9 @@ def test_cost_degenerate_population():
 
 
 def test_cost_median_skips_incomplete_annotations():
-    complete = _full_path_annotation("w1", "t0", 1, durations={1: 2.0, 2: 2.0, 3: 2.0})
-    incomplete = _full_path_annotation("w2", "t0", 1, durations={1: 99.0})
-    cheap = Annotation("w3", "t1", LabelPath("Irrelevant"), {1: 1.0}, 1)
+    complete = _full_path_annotation("w1", "t0", duration=6.0)
+    incomplete = _full_path_annotation("w2", "t0", duration=None)
+    cheap = Annotation("w3", "t1", label_path("Irrelevant"), 1.0)
     ds = _worker_dataset(
         [Worker("w1", "MD", "M", [complete]), Worker("w2", "MD", "M", [incomplete]), Worker("w3", "MD", "M", [cheap])]
     )
@@ -342,7 +340,7 @@ def test_cost_median_skips_incomplete_annotations():
 
 def test_cost_missing_tweet_is_absent():
     ds = _priced_dataset({"ta": 2.0, "tb": 4.0})
-    undurated = Annotation("w9", "tc", LabelPath("Irrelevant"), {}, 1)
+    undurated = Annotation("w9", "tc", label_path("Irrelevant"), None)
     ds.workers["w9"] = Worker("w9", "MD", "M", [undurated])
     ds.texts["tc"] = "text of tc"
     assert labeling_costs(ds) == {"ta": 1.0, "tb": 0.0}
@@ -350,8 +348,8 @@ def test_cost_missing_tweet_is_absent():
 
 def test_cost_median_overflow_names_the_tweet():
     # two finite totals whose mean overflows: median (a + b) / 2 is infinite
-    big = [Annotation(f"w{i}", "tb", LabelPath("Irrelevant"), {1: 1.7e308}, 1) for i in range(2)]
-    cheap = Annotation("w2", "ta", LabelPath("Irrelevant"), {1: 1.0}, 1)
+    big = [Annotation(f"w{i}", "tb", label_path("Irrelevant"), 1.7e308) for i in range(2)]
+    cheap = Annotation("w2", "ta", label_path("Irrelevant"), 1.0)
     ds = _worker_dataset([Worker(a.worker_id, "MD", "M", [a]) for a in (*big, cheap)])
     with pytest.raises(AnnodiffError, match="tweet tb: the median labeling duration overflows"):
         labeling_costs(ds)
@@ -435,7 +433,7 @@ def test_certainty_computes_one_row_per_test_tweet_and_each_pair_once(small_synt
     monkeypatch.setattr(textsim.PairSimilarity, "sim", no_pair_lookups)
     monkeypatch.setattr(textsim, "nsim", no_pair_lookups)
     config = _config()
-    predictor_certainties(small_synthetic, small_synthetic.word_sequences(), config)
+    predictor_certainties(small_synthetic, config)
     # one call per worker; each of its test tweets gets one row against all
     # of its training tweets, whatever the levels they are labeled at
     expected = []
@@ -449,7 +447,7 @@ def test_certainty_computes_one_row_per_test_tweet_and_each_pair_once(small_synt
 def test_scoring_reports_cost_exclusions():
     config = SynthConfig(n_workers=3, n_easy=6, n_difficult=6, seed=5)
     ds = generate_dataset(config)
-    bare = Annotation("md_w00", "tx", LabelPath("Irrelevant"), {}, len(ds.workers["md_w00"].annotations) + 1)
+    bare = Annotation("md_w00", "tx", label_path("Irrelevant"), None)
     ds.workers["md_w00"].annotations.append(bare)
     ds.texts["tx"] = "a tweet nobody timed"
     result = difficulty_scores(ds, _config())
@@ -458,6 +456,6 @@ def test_scoring_reports_cost_exclusions():
 
 
 def test_scoring_single_tweet_fails():
-    ds = _worker_dataset([Worker("w1", "MD", "M", [_full_path_annotation("w1", "t0", 1)])])
+    ds = _worker_dataset([Worker("w1", "MD", "M", [_full_path_annotation("w1", "t0")])])
     with pytest.raises(AnnodiffError):
         difficulty_scores(ds, _config())

@@ -25,7 +25,7 @@ PATHS = [
 
 def test_label_set_closure():
     assert label_set(("Relevant", "NonFactual", "Negative")) == {"Relevant", "NonFactual", "Negative"}
-    assert label_set(("Irrelevant", NO_LABEL, None)) == {"Irrelevant"}
+    assert label_set(("Irrelevant", NO_LABEL, NO_LABEL)) == {"Irrelevant"}
 
 
 def predict(examples, query, k, seed, metric=SimilarityMetric.EDIT):

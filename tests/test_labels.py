@@ -1,0 +1,34 @@
+"""The label tree: the paths label_path accepts, and their label sets."""
+
+import itertools
+
+import pytest
+
+from annodiff.labels import LEVEL_LABELS, LEVELS, NO_LABEL, label_path, label_set, path_labels
+from oracles import path_label_set
+
+# the six labels, a blank, the blank's placeholder and an unknown label
+INPUTS = [*(label for level in LEVELS for label in LEVEL_LABELS[level]), None, NO_LABEL, "x"]
+
+# the root-to-leaf paths of the tree, with None blanks
+TREE_PATHS = {
+    ("Irrelevant", None, None),
+    ("Relevant", "Factual", None),
+    ("Relevant", "NonFactual", "Positive"),
+    ("Relevant", "NonFactual", "Negative"),
+}
+
+
+def test_label_path_accepts_exactly_the_tree_paths():
+    refused = 0
+    for labels in itertools.product(INPUTS, repeat=3):
+        if labels not in TREE_PATHS:
+            with pytest.raises(ValueError):
+                label_path(*labels)
+            refused += 1
+            continue
+        path = label_path(*labels)
+        assert path == tuple(NO_LABEL if label is None else label for label in labels)
+        assert path_labels(path) == {level: label for level, label in zip(LEVELS, labels) if label is not None}
+        assert label_set(path) == path_label_set(*path)
+    assert refused == len(INPUTS) ** 3 - len(TREE_PATHS)

@@ -42,13 +42,13 @@ def test_scores_roundtrip_is_exact(tmp_path):
         "MD": [_score("t0", 0.7), _score("t2", 0.95)],
     }
     write_scores_csv(path, CONFIG, scored)
-    config, by_institution = read_scores_csv(path)
-    assert config == {"seed": 7, "split": 0.4}
+    by_institution = read_scores_csv(path)
     assert set(by_institution) == {"MD", "SU"}
     assert by_institution["MD"]["t0"] == scored["MD"][0]
     assert by_institution["SU"]["t1"] == scored["SU"][0]
     # institutions are written in sorted order
-    _, rows = read_csv(path)
+    config, rows = read_csv(path)
+    assert config == {"seed": 7, "split": 0.4}
     assert [r["institution"] for r in rows] == ["MD", "MD", "SU"]
     assert list(rows[0]) == list(SCORES_FIELDS)
 

@@ -11,7 +11,7 @@ from annodiff import simulation, textsim
 from annodiff.config import RunConfig
 from annodiff.dataset import Annotation, Dataset, Worker
 from annodiff.errors import AnnodiffError
-from annodiff.labels import LEVEL_LABELS, LabelPath
+from annodiff.labels import LEVEL_LABELS, label_path
 from annodiff.simulation import (
     PHASES,
     TRAIN_SIZES,
@@ -26,8 +26,8 @@ from annodiff.simulation import (
 from annodiff.synth import SynthConfig, generate_dataset
 from annodiff.textsim import PairSimilarity, SimilarityMetric
 
-EASY_PATH = LabelPath("Relevant", "NonFactual", "Positive")
-DIFFICULT_PATH = LabelPath("Irrelevant")
+EASY_PATH = label_path("Relevant", "NonFactual", "Positive")
+DIFFICULT_PATH = label_path("Irrelevant")
 
 
 def _alternating_dataset(n_tweets=50, wid="w1", institution="MD"):
@@ -39,11 +39,11 @@ def _alternating_dataset(n_tweets=50, wid="w1", institution="MD"):
         tid = f"{wid}_t{i:02d}"
         if i % 2 == 0:
             texts[tid] = "sunny pleasant day outside"
-            annotations.append(Annotation(wid, tid, EASY_PATH, {1: 1.0, 2: 1.0, 3: 1.0}, i + 1))
+            annotations.append(Annotation(wid, tid, EASY_PATH, 3.0))
             classes[tid] = "easy"
         else:
             texts[tid] = "gloomy dreadful night indoors"
-            annotations.append(Annotation(wid, tid, DIFFICULT_PATH, {1: 1.0}, i + 1))
+            annotations.append(Annotation(wid, tid, DIFFICULT_PATH, 1.0))
             classes[tid] = "difficult"
     ds = Dataset(workers={wid: Worker(wid, institution, "M", annotations)}, texts=texts)
     return ds, classes
@@ -69,7 +69,7 @@ def _training_rows(ctx):
 
 def test_phase_windows_and_exclusion():
     ds, classes = _alternating_dataset(60)
-    short = Worker("w2", "MD", "M", [Annotation("w2", "w1_t00", LabelPath("Irrelevant"), {1: 1.0}, i + 1) for i in range(1)])
+    short = Worker("w2", "MD", "M", [Annotation("w2", "w1_t00", DIFFICULT_PATH, 1.0)])
     # a second worker with 49 annotations of existing tweets would need 49
     # distinct tweets; one annotation is enough to trip the threshold
     ds.workers["w2"] = short
@@ -113,7 +113,7 @@ def test_strata_keep_window_order():
     # order of their ids, and each arm trains on its first tweets in that order
     ds, classes = _alternating_dataset(50)
     annotations = ds.workers["w1"].annotations
-    annotations[:25] = [dataclasses.replace(a, order_index=i + 1) for i, a in enumerate(annotations[24::-1])]
+    annotations[:25] = annotations[24::-1]
     windows, _ = phase_windows(ds)
     rows = _training_rows(make_context(ds, "MD", classes))
     for phase in PHASES:
@@ -218,10 +218,10 @@ def test_run_grid_covers_all_configurations():
 # --- one pass per arm against the per-size oracle ---
 
 ORACLE_PATHS = (
-    LabelPath("Irrelevant"),
-    LabelPath("Relevant", "Factual"),
-    LabelPath("Relevant", "NonFactual", "Positive"),
-    LabelPath("Relevant", "NonFactual", "Negative"),
+    label_path("Irrelevant"),
+    label_path("Relevant", "Factual"),
+    label_path("Relevant", "NonFactual", "Positive"),
+    label_path("Relevant", "NonFactual", "Negative"),
 )
 ORACLE_WORDS = ("rain", "vote", "poll")
 N_POOL_TWEETS = 60
@@ -250,9 +250,7 @@ def small_contexts(draw):
         wid = f"w{w}"
         palette = draw(st.lists(st.sampled_from(ORACLE_PATHS), min_size=1, max_size=4, unique=True))
         order = draw(st.permutations(sorted(texts)))[: draw(st.integers(50, 52))]
-        annotations = [
-            Annotation(wid, tid, draw(st.sampled_from(palette)), {1: 1.0}, i + 1) for i, tid in enumerate(order)
-        ]
+        annotations = [Annotation(wid, tid, draw(st.sampled_from(palette)), 1.0) for tid in order]
         workers[wid] = Worker(wid, "MD", "M", annotations)
     return make_context(Dataset(workers=workers, texts=texts), "MD", classes)
 
@@ -351,7 +349,7 @@ def test_agreeing_training_paths_are_not_ranked(monkeypatch):
     # its fourth tweet so that exactly the first three training paths agree
     ds, classes = _alternating_dataset(50)
     annotations = ds.workers["w1"].annotations
-    annotations[6] = Annotation("w1", "w1_t06", DIFFICULT_PATH, {1: 1.0}, 7)
+    annotations[6] = Annotation("w1", "w1_t06", DIFFICULT_PATH, 1.0)
     ctx = make_context(ds, "MD", classes)
     ranked = []
     real_rank = simulation.rank_by_similarity
