@@ -112,17 +112,17 @@ def cmd_ingest(args) -> int:
     counts = {inst: {g: 0 for g in GROUPS} for inst in INSTITUTIONS}
     for worker in dataset.workers.values():
         counts[worker.institution][worker.group] += 1
-    n_annotations = sum(len(w.annotations) for w in dataset.workers.values())
+    annotations = [ann for w in dataset.workers.values() for ann in w.annotations]
 
     print(f"workers: {len(dataset.workers)}")
     print(f"{'institution':<12}" + "".join(f"{g:>6}" for g in GROUPS) + f"{'total':>8}")
     for inst in INSTITUTIONS:
         row = counts[inst]
         print(f"{inst:<12}" + "".join(f"{row[g]:>6}" for g in GROUPS) + f"{sum(row.values()):>8}")
-    print(f"annotations: {n_annotations}")
+    print(f"annotations: {len(annotations)}")
     print(f"tweets with text: {len(dataset.texts)}")
-    print(f"labels pruned below Irrelevant: {dataset.pruned_label_count}")
-    print(f"annotations with incomplete durations: {dataset.missing_duration_count}")
+    print(f"labels pruned below Irrelevant: {sum(w.pruned_labels for w in dataset.workers.values())}")
+    print(f"annotations with incomplete durations: {sum(ann.duration is None for ann in annotations)}")
     return 0
 
 

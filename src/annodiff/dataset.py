@@ -35,11 +35,10 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 
 @dataclass(frozen=True)
 class Annotation:
-    """One worker's labeling of one tweet: its label path, and its per-level
-    labeling seconds summed in level order, or None when a labeled level has
-    no recorded duration."""
+    """One labeling of one tweet: its label path, and its per-level labeling
+    seconds summed in level order, or None when a labeled level has no
+    recorded duration. The worker is the one whose session holds it."""
 
-    worker_id: str
     tweet_id: str
     labels: LabelPath
     duration: float | None
@@ -47,18 +46,23 @@ class Annotation:
 
 @dataclass
 class Worker:
-    worker_id: str
+    """One worker's session: its annotations in session order, and how many
+    labels the parser pruned from them below an Irrelevant level 1. The
+    worker's id is its key in Dataset.workers."""
+
     institution: str
     group: str
-    annotations: list[Annotation] = field(default_factory=list)  # in session order
+    annotations: list[Annotation] = field(default_factory=list)
+    pruned_labels: int = 0
 
 
 @dataclass
 class Dataset:
+    """Workers by id and tweet texts by id. Every count over the dataset is
+    derived from the workers it holds, so a subset's counts are its own."""
+
     workers: dict[str, Worker]
     texts: dict[str, str]
-    pruned_label_count: int = 0
-    missing_duration_count: int = 0
 
     def worker_ids(self) -> list[str]:
         return sorted(self.workers)
@@ -72,12 +76,7 @@ class Dataset:
 
     def filter_institution(self, institution: str) -> "Dataset":
         kept = {wid: w for wid, w in self.workers.items() if w.institution == institution}
-        return Dataset(
-            workers=kept,
-            texts=self.texts,
-            pruned_label_count=self.pruned_label_count,
-            missing_duration_count=self.missing_duration_count,
-        )
+        return Dataset(workers=kept, texts=self.texts)
 
     def word_sequences(self) -> dict[str, tuple[str, ...]]:
         """Tokenized text per tweet id, computed once per call."""
@@ -100,8 +99,9 @@ def prune_labels(labels: dict[str, str], durations: dict[str, float]) -> tuple[d
     return labels, durations, pruned
 
 
-def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[Annotation, int, str, str, int]:
-    """(annotation, order_index, institution, group, pruned label count)."""
+def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[str, Annotation, int, str, str, int]:
+    """(worker id, annotation, order_index, institution, group, pruned label
+    count) of one validated annotation record."""
     def fail(msg: str):
         raise DatasetError(msg, path=path, line=line)
 
@@ -138,7 +138,7 @@ def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[Annota
         if key not in _LEVEL_KEYS:
             fail(f"unknown duration level key {key!r}")
 
-    labels, durations, pruned = prune_labels(dict(labels), dict(durations))
+    labels, durations, pruned = prune_labels(labels, durations)
 
     try:
         labeled_path = label_path(labels.get("l1"), labels.get("l2"), labels.get("l3"))
@@ -162,7 +162,7 @@ def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[Annota
             duration += seconds[level]
         if not math.isfinite(duration):
             fail("the summed per-level durations overflow a float")
-    return Annotation(worker_id, tweet_id, labeled_path, duration), order_index, institution, group, pruned
+    return worker_id, Annotation(tweet_id, labeled_path, duration), order_index, institution, group, pruned
 
 
 def _records(lines: Iterable[str], path: str) -> Iterator[tuple[int, object]]:
@@ -195,7 +195,9 @@ def parse_dataset(
     annotations_path: str = "annotations.jsonl",
     tweets_path: str = "tweets.jsonl",
 ) -> Dataset:
-    """Parse and validate the two JSONL inputs into a Dataset.
+    """Parse and validate the two JSONL inputs into a Dataset, each worker
+    holding its annotations in order_index order and the number of labels
+    pruned from them.
 
     Validation is strict: malformed JSON, unknown labels, structural label
     violations, duplicate (worker, tweet) pairs, duplicate or gapped
@@ -216,60 +218,54 @@ def parse_dataset(
         text_lines[tid] = line_no
 
     workers: dict[str, Worker] = {}
-    sessions: dict[str, list[tuple[int, Annotation]]] = {}  # worker -> (order_index, annotation)
+    sessions: dict[str, dict[int, tuple[int, Annotation]]] = {}  # worker -> order_index -> (line, annotation)
     seen_pairs: dict[tuple[str, str], int] = {}
-    seen_orders: dict[tuple[str, int], int] = {}
-    pruned_total = 0
-    missing_total = 0
     for line_no, record in _records(annotation_lines, annotations_path):
         if not isinstance(record, dict):
             raise DatasetError("expected a JSON object", path=annotations_path, line=line_no)
-        ann, order_index, institution, group, pruned = _parse_annotation_record(record, annotations_path, line_no)
-        pruned_total += pruned
-        missing_total += 1 if ann.duration is None else 0
+        wid, ann, order_index, institution, group, pruned = _parse_annotation_record(record, annotations_path, line_no)
 
-        pair = (ann.worker_id, ann.tweet_id)
+        pair = (wid, ann.tweet_id)
         if pair in seen_pairs:
             raise DatasetError(
-                f"worker {ann.worker_id!r} labeled tweet {ann.tweet_id!r} twice (first on line {seen_pairs[pair]})",
+                f"worker {wid!r} labeled tweet {ann.tweet_id!r} twice (first on line {seen_pairs[pair]})",
                 path=annotations_path,
                 line=line_no,
             )
         seen_pairs[pair] = line_no
-        order_key = (ann.worker_id, order_index)
-        if order_key in seen_orders:
+        session = sessions.setdefault(wid, {})
+        if order_index in session:
             raise DatasetError(
-                f"worker {ann.worker_id!r} has two annotations at order_index {order_index}",
+                f"worker {wid!r} has two annotations at order_index {order_index}",
                 path=annotations_path,
                 line=line_no,
             )
-        seen_orders[order_key] = line_no
         if ann.tweet_id not in texts:
             raise DatasetError(f"tweet {ann.tweet_id!r} has no text record", path=annotations_path, line=line_no)
 
-        worker = workers.get(ann.worker_id)
+        worker = workers.get(wid)
         if worker is None:
-            workers[ann.worker_id] = Worker(ann.worker_id, institution, group)
+            worker = workers[wid] = Worker(institution, group)
         elif worker.institution != institution or worker.group != group:
             raise DatasetError(
-                f"worker {ann.worker_id!r} reappears with a different institution or group",
+                f"worker {wid!r} reappears with a different institution or group",
                 path=annotations_path,
                 line=line_no,
             )
-        sessions.setdefault(ann.worker_id, []).append((order_index, ann))
+        worker.pruned_labels += pruned
+        session[order_index] = (line_no, ann)
 
     for wid, session in sessions.items():
-        session.sort(key=lambda entry: entry[0])
-        for expected, (order_index, _) in enumerate(session, start=1):
+        for expected, order_index in enumerate(sorted(session), start=1):
             if order_index != expected:
                 raise DatasetError(
                     f"worker {wid!r} has gaps in order_index: {order_index} where {expected} was expected",
                     path=annotations_path,
-                    line=seen_orders[(wid, order_index)],
+                    line=session[order_index][0],
                 )
-        workers[wid].annotations = [ann for _, ann in session]
+        workers[wid].annotations = [session[order_index][1] for order_index in range(1, len(session) + 1)]
 
-    return Dataset(workers=workers, texts=texts, pruned_label_count=pruned_total, missing_duration_count=missing_total)
+    return Dataset(workers=workers, texts=texts)
 
 
 def load_dataset(annotations_path: str, tweets_path: str) -> Dataset:

@@ -137,11 +137,11 @@ def _check_family_certainty_rows():
 
 def _cost_dataset(raw_costs):
     annotations = [
-        Annotation("w", f"t{i}", label_path(IRRELEVANT), cost)
+        Annotation(f"t{i}", label_path(IRRELEVANT), cost)
         for i, cost in enumerate(raw_costs)
     ]
     texts = {f"t{i}": "x" for i in range(len(raw_costs))}
-    return Dataset(workers={"w": Worker("w", "MD", "M", annotations)}, texts=texts)
+    return Dataset(workers={"w": Worker("MD", "M", annotations)}, texts=texts)
 
 
 def _check_family_costs():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from annodiff.dataset import (
+    INSTITUTIONS,
     Annotation,
     majority_from_votes,
     majority_labels,
@@ -62,14 +63,21 @@ def test_blank_lines_ignored():
 
 
 def test_filter_institution():
+    # MD's record prunes one label and has no durations; SU's is complete,
+    # and each subset counts only its own
     lines = [
-        ann("md1", "t1", 1, FULL, FULL_D),
+        ann("md1", "t1", 1, {"l1": "Irrelevant", "l2": "Factual"}),
         ann("su1", "t1", 1, FULL, FULL_D, institution="SU"),
     ]
     ds = parse_dataset(lines, [tw("t1")])
     md = ds.filter_institution("MD")
     assert md.worker_ids() == ["md1"]
     assert md.texts == ds.texts
+    for institution, expected in (("MD", (1, 1)), ("SU", (0, 0))):
+        workers = ds.filter_institution(institution).workers.values()
+        pruned = sum(w.pruned_labels for w in workers)
+        incomplete = sum(a.duration is None for w in workers for a in w.annotations)
+        assert (pruned, incomplete) == expected, institution
 
 
 def test_pruning_below_irrelevant():
@@ -78,7 +86,7 @@ def test_pruning_below_irrelevant():
     a = ds.workers["w1"].annotations[0]
     assert a.labels == label_path("Irrelevant")
     assert a.duration == 1.0
-    assert ds.pruned_label_count == 2
+    assert ds.workers["w1"].pruned_labels == 2
 
 
 def test_explicit_nulls_are_not_pruned_labels():
@@ -88,7 +96,7 @@ def test_explicit_nulls_are_not_pruned_labels():
         ann("w1", "t2", 2, {"l1": "Irrelevant", "l2": "Factual", "l3": None}, {"l1": 1.0}),
     ]
     ds = parse_dataset(lines, [tw("t1"), tw("t2")])
-    assert ds.pruned_label_count == 1
+    assert ds.workers["w1"].pruned_labels == 1
     assert [a.labels for a in ds.workers["w1"].annotations] == [label_path("Irrelevant")] * 2
 
 
@@ -107,13 +115,40 @@ def test_prune_is_idempotent():
 def test_incomplete_durations_flagged():
     lines = [ann("w1", "t1", 1, FULL, {"l1": 1.0})]
     ds = parse_dataset(lines, [tw("t1")])
-    assert ds.missing_duration_count == 1
     assert ds.workers["w1"].annotations[0].duration is None
 
 
 def test_no_durations_at_all():
     ds = parse_dataset([ann("w1", "t1", 1, {"l1": "Irrelevant"})], [tw("t1")])
-    assert ds.missing_duration_count == 1
+    assert ds.workers["w1"].annotations[0].duration is None
+
+
+# (labels, durations, labels pruned): complete, pruned with and without a
+# duration, and incomplete
+RECORDS = [
+    (FULL, FULL_D, 0),
+    ({"l1": "Irrelevant", "l2": "Factual", "l3": "Positive"}, {"l1": 1.0}, 2),
+    ({"l1": "Irrelevant", "l2": "Factual"}, None, 1),
+    ({"l1": "Relevant", "l2": "Factual"}, {"l1": 1.5}, 0),
+]
+TWEETS = [f"t{i}" for i in range(5)]
+
+
+@given(data=st.data())
+def test_annotation_line_order_does_not_change_the_dataset(data):
+    lines, sessions, pruned = [], {}, {}
+    for w in range(data.draw(st.integers(1, 3))):
+        wid = f"w{w}"
+        picks = data.draw(st.lists(st.sampled_from(RECORDS), min_size=1, max_size=len(TWEETS)))
+        sessions[wid] = data.draw(st.permutations(TWEETS))[: len(picks)]
+        pruned[wid] = sum(count for _, _, count in picks)
+        for order, (tid, (labels, durations, _)) in enumerate(zip(sessions[wid], picks), start=1):
+            lines.append(ann(wid, tid, order, labels, durations, institution=INSTITUTIONS[w % 2]))
+    tweets = [tw(tid) for tid in TWEETS]
+    ds = parse_dataset(data.draw(st.permutations(lines)), tweets)
+    assert ds == parse_dataset(lines, tweets)
+    assert {wid: [a.tweet_id for a in w.annotations] for wid, w in ds.workers.items()} == sessions
+    assert {wid: w.pruned_labels for wid, w in ds.workers.items()} == pruned
 
 
 ERROR_CASES = [
@@ -246,12 +281,12 @@ def test_majority_permutation_invariant(votes, data):
     assert majority_from_votes(votes) == majority_from_votes(shuffled)
 
 
-def _annotation(worker, tweet, l1, l2=None, l3=None):
-    return Annotation(worker, tweet, label_path(l1, l2, l3), None)
+def _annotation(tweet, l1, l2=None, l3=None):
+    return Annotation(tweet, label_path(l1, l2, l3), None)
 
 
 def test_majority_labels_single_annotator():
-    result = majority_labels([_annotation("w1", "t1", "Relevant", "Factual")])
+    result = majority_labels([_annotation("t1", "Relevant", "Factual")])
     assert sorted(result) == [1, 2]
     assert (result[2].majority_count, result[2].voter_count) == (1, 1)
 
@@ -259,6 +294,6 @@ def test_majority_labels_single_annotator():
 def test_majority_labels_rejects_bad_input():
     with pytest.raises(ValueError):
         majority_labels([])
-    mixed = [_annotation("w1", "t1", "Irrelevant"), _annotation("w2", "t2", "Irrelevant")]
+    mixed = [_annotation("t1", "Irrelevant"), _annotation("t2", "Irrelevant")]
     with pytest.raises(ValueError):
         majority_labels(mixed)

@@ -194,16 +194,12 @@ def test_aggregate_needs_rows():
 
 
 def _worker_dataset(workers, texts=None):
-    ids = {a.tweet_id for w in workers for a in w.annotations}
-    return Dataset(
-        workers={w.worker_id: w for w in workers},
-        texts=texts or {tid: f"text of {tid}" for tid in sorted(ids)},
-    )
+    ids = {a.tweet_id for w in workers.values() for a in w.annotations}
+    return Dataset(workers=workers, texts=texts or {tid: f"text of {tid}" for tid in sorted(ids)})
 
 
-def _full_path_annotation(worker, tweet, duration=3.0):
+def _full_path_annotation(tweet, duration=3.0):
     return Annotation(
-        worker_id=worker,
         tweet_id=tweet,
         labels=label_path("Relevant", "NonFactual", "Positive"),
         duration=duration,
@@ -216,8 +212,8 @@ def test_predictor_certainties_single_worker(k, expected):
     # (min(k, 4) + 1, 1) / (min(k, 4) + 2), so k=1 gives level maxima 2/3
     # and k=9, capped at the 4 pool tweets, gives 5/6. The four training
     # tweets are imputed the one test tweet's value.
-    annotations = [_full_path_annotation("w1", f"t{i}") for i in range(5)]
-    ds = _worker_dataset([Worker("w1", "MD", "M", annotations)])
+    annotations = [_full_path_annotation(f"t{i}") for i in range(5)]
+    ds = _worker_dataset({"w1": Worker("MD", "M", annotations)})
     result = predictor_certainties(ds, _config(split_ratio=0.8, k_certainty=k))
     assert len(result.imputed) == 4
     assert sorted(result.values) == [f"t{i}" for i in range(5)]
@@ -244,8 +240,8 @@ def test_certainty_counts_the_first_k_ranked_neighbors(paths, words, k, seed):
     # position; the shared words make similarity ties common
     ids = [f"t{i:02d}" for i in range(len(paths))]
     labels = dict(zip(ids, paths))
-    annotations = [Annotation("w1", tid, path, 1.0) for tid, path in labels.items()]
-    ds = _worker_dataset([Worker("w1", "MD", "M", annotations)], {tid: " ".join([tid, *w]) for tid, w in zip(ids, words)})
+    annotations = [Annotation(tid, path, 1.0) for tid, path in labels.items()]
+    ds = _worker_dataset({"w1": Worker("MD", "M", annotations)}, {tid: " ".join([tid, *w]) for tid, w in zip(ids, words)})
     if k < 1:
         with pytest.raises(AnnodiffError, match="--k-certainty"):
             _config(k_certainty=k, seed=seed)
@@ -281,8 +277,8 @@ def test_certainty_counts_the_first_k_ranked_neighbors(paths, words, k, seed):
 
 
 def test_predictor_certainties_imputes_training_only_tweets():
-    annotations = [_full_path_annotation("w1", f"t{i}") for i in range(2)]
-    ds = _worker_dataset([Worker("w1", "MD", "M", annotations)])
+    annotations = [_full_path_annotation(f"t{i}") for i in range(2)]
+    ds = _worker_dataset({"w1": Worker("MD", "M", annotations)})
     result = predictor_certainties(ds, _config())
     assert len(result.imputed) == 1
     assert set(result.values) == {"t0", "t1"}
@@ -301,15 +297,10 @@ def test_predictor_certainties_rejects_bad_split():
 
 
 def _priced_dataset(costs):
-    workers = []
+    workers = {}
     for i, (tid, seconds) in enumerate(sorted(costs.items())):
-        annotation = Annotation(
-            worker_id=f"w{i}",
-            tweet_id=tid,
-            labels=label_path("Irrelevant"),
-            duration=seconds,
-        )
-        workers.append(Worker(f"w{i}", "MD", "M", [annotation]))
+        annotation = Annotation(tweet_id=tid, labels=label_path("Irrelevant"), duration=seconds)
+        workers[f"w{i}"] = Worker("MD", "M", [annotation])
     return _worker_dataset(workers)
 
 
@@ -327,11 +318,11 @@ def test_cost_degenerate_population():
 
 
 def test_cost_median_skips_incomplete_annotations():
-    complete = _full_path_annotation("w1", "t0", duration=6.0)
-    incomplete = _full_path_annotation("w2", "t0", duration=None)
-    cheap = Annotation("w3", "t1", label_path("Irrelevant"), 1.0)
+    complete = _full_path_annotation("t0", duration=6.0)
+    incomplete = _full_path_annotation("t0", duration=None)
+    cheap = Annotation("t1", label_path("Irrelevant"), 1.0)
     ds = _worker_dataset(
-        [Worker("w1", "MD", "M", [complete]), Worker("w2", "MD", "M", [incomplete]), Worker("w3", "MD", "M", [cheap])]
+        {"w1": Worker("MD", "M", [complete]), "w2": Worker("MD", "M", [incomplete]), "w3": Worker("MD", "M", [cheap])}
     )
     costs = labeling_costs(ds)
     # t0's median uses only the complete annotation: 6 seconds against 1
@@ -340,17 +331,17 @@ def test_cost_median_skips_incomplete_annotations():
 
 def test_cost_missing_tweet_is_absent():
     ds = _priced_dataset({"ta": 2.0, "tb": 4.0})
-    undurated = Annotation("w9", "tc", label_path("Irrelevant"), None)
-    ds.workers["w9"] = Worker("w9", "MD", "M", [undurated])
+    undurated = Annotation("tc", label_path("Irrelevant"), None)
+    ds.workers["w9"] = Worker("MD", "M", [undurated])
     ds.texts["tc"] = "text of tc"
     assert labeling_costs(ds) == {"ta": 1.0, "tb": 0.0}
 
 
 def test_cost_median_overflow_names_the_tweet():
     # two finite totals whose mean overflows: median (a + b) / 2 is infinite
-    big = [Annotation(f"w{i}", "tb", label_path("Irrelevant"), 1.7e308) for i in range(2)]
-    cheap = Annotation("w2", "ta", label_path("Irrelevant"), 1.0)
-    ds = _worker_dataset([Worker(a.worker_id, "MD", "M", [a]) for a in (*big, cheap)])
+    big = [Annotation("tb", label_path("Irrelevant"), 1.7e308) for _ in range(2)]
+    cheap = Annotation("ta", label_path("Irrelevant"), 1.0)
+    ds = _worker_dataset({f"w{i}": Worker("MD", "M", [a]) for i, a in enumerate((*big, cheap))})
     with pytest.raises(AnnodiffError, match="tweet tb: the median labeling duration overflows"):
         labeling_costs(ds)
 
@@ -447,7 +438,7 @@ def test_certainty_computes_one_row_per_test_tweet_and_each_pair_once(small_synt
 def test_scoring_reports_cost_exclusions():
     config = SynthConfig(n_workers=3, n_easy=6, n_difficult=6, seed=5)
     ds = generate_dataset(config)
-    bare = Annotation("md_w00", "tx", label_path("Irrelevant"), None)
+    bare = Annotation("tx", label_path("Irrelevant"), None)
     ds.workers["md_w00"].annotations.append(bare)
     ds.texts["tx"] = "a tweet nobody timed"
     result = difficulty_scores(ds, _config())
@@ -456,6 +447,6 @@ def test_scoring_reports_cost_exclusions():
 
 
 def test_scoring_single_tweet_fails():
-    ds = _worker_dataset([Worker("w1", "MD", "M", [_full_path_annotation("w1", "t0")])])
+    ds = _worker_dataset({"w1": Worker("MD", "M", [_full_path_annotation("t0")])})
     with pytest.raises(AnnodiffError):
         difficulty_scores(ds, _config())

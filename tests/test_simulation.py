@@ -39,13 +39,13 @@ def _alternating_dataset(n_tweets=50, wid="w1", institution="MD"):
         tid = f"{wid}_t{i:02d}"
         if i % 2 == 0:
             texts[tid] = "sunny pleasant day outside"
-            annotations.append(Annotation(wid, tid, EASY_PATH, 3.0))
+            annotations.append(Annotation(tid, EASY_PATH, 3.0))
             classes[tid] = "easy"
         else:
             texts[tid] = "gloomy dreadful night indoors"
-            annotations.append(Annotation(wid, tid, DIFFICULT_PATH, 1.0))
+            annotations.append(Annotation(tid, DIFFICULT_PATH, 1.0))
             classes[tid] = "difficult"
-    ds = Dataset(workers={wid: Worker(wid, institution, "M", annotations)}, texts=texts)
+    ds = Dataset(workers={wid: Worker(institution, "M", annotations)}, texts=texts)
     return ds, classes
 
 
@@ -69,7 +69,7 @@ def _training_rows(ctx):
 
 def test_phase_windows_and_exclusion():
     ds, classes = _alternating_dataset(60)
-    short = Worker("w2", "MD", "M", [Annotation("w2", "w1_t00", DIFFICULT_PATH, 1.0)])
+    short = Worker("MD", "M", [Annotation("w1_t00", DIFFICULT_PATH, 1.0)])
     # a second worker with 49 annotations of existing tweets would need 49
     # distinct tweets; one annotation is enough to trip the threshold
     ds.workers["w2"] = short
@@ -250,8 +250,8 @@ def small_contexts(draw):
         wid = f"w{w}"
         palette = draw(st.lists(st.sampled_from(ORACLE_PATHS), min_size=1, max_size=4, unique=True))
         order = draw(st.permutations(sorted(texts)))[: draw(st.integers(50, 52))]
-        annotations = [Annotation(wid, tid, draw(st.sampled_from(palette)), 1.0) for tid in order]
-        workers[wid] = Worker(wid, "MD", "M", annotations)
+        annotations = [Annotation(tid, draw(st.sampled_from(palette)), 1.0) for tid in order]
+        workers[wid] = Worker("MD", "M", annotations)
     return make_context(Dataset(workers=workers, texts=texts), "MD", classes)
 
 
@@ -349,7 +349,7 @@ def test_agreeing_training_paths_are_not_ranked(monkeypatch):
     # its fourth tweet so that exactly the first three training paths agree
     ds, classes = _alternating_dataset(50)
     annotations = ds.workers["w1"].annotations
-    annotations[6] = Annotation("w1", "w1_t06", DIFFICULT_PATH, 1.0)
+    annotations[6] = Annotation("w1_t06", DIFFICULT_PATH, 1.0)
     ctx = make_context(ds, "MD", classes)
     ranked = []
     real_rank = simulation.rank_by_similarity

@@ -17,7 +17,7 @@ def test_generated_records_parse_cleanly():
     assert len(ds.workers) == 3
     assert len(ds.texts) == 60
     assert all(len(w.annotations) == 60 for w in ds.workers.values())
-    assert ds.missing_duration_count == 0
+    assert all(a.duration is not None for w in ds.workers.values() for a in w.annotations)
 
 
 def test_generation_is_deterministic(tmp_path):
