@@ -2,12 +2,13 @@
 labeled tweets."""
 
 from annodiff.config import RunConfig
-from annodiff.dataset import Annotation, Dataset, Worker, load_dataset, majority_labels, parse_dataset
+from annodiff.dataset import Annotation, Dataset, Worker, load_dataset, parse_dataset
 from annodiff.difficulty import (
     DifficultyScore,
     agreement_score,
     difficulty_scores,
     knn_label_certainty,
+    majority_labels,
 )
 from annodiff.knn import hierarchical_f1
 from annodiff.labels import label_path, label_set

@@ -168,6 +168,12 @@ def _score_institutions(dataset: Dataset, config: RunConfig):
     return scored, {"config": config.to_dict(), "institutions": summary}
 
 
+def _easy_share(phase: dict) -> str:
+    """The easy share of one phase window's scored tweets, n/a when it holds none."""
+    total = phase[EASY] + phase[DIFFICULT]
+    return f"{100.0 * phase[EASY] / total:.1f}%" if total else "n/a"
+
+
 def _print_score_summary(summary: dict) -> None:
     for institution, info in sorted(summary["institutions"].items()):
         classes = info["classes"]
@@ -175,9 +181,7 @@ def _print_score_summary(summary: dict) -> None:
               f"{classes[EASY]} easy / {classes[DIFFICULT]} difficult")
         for phase in PHASES:
             ph = info["phases"][phase]
-            total = ph[EASY] + ph[DIFFICULT]
-            share = 100.0 * ph[EASY] / total if total else 0.0
-            print(f"  {phase:<5} window population: {ph[EASY]} easy ({share:.1f}%), {ph[DIFFICULT]} difficult")
+            print(f"  {phase:<5} window population: {ph[EASY]} easy ({_easy_share(ph)}), {ph[DIFFICULT]} difficult")
         if info["certainty_imputed"]:
             print(f"  certainty imputed for {info['certainty_imputed']} tweet(s)")
         if info["tweets_excluded"]:
@@ -371,9 +375,7 @@ def cmd_report(args) -> int:
         for institution, info in sorted(summary["institutions"].items()):
             for phase in PHASES:
                 ph = info["phases"][phase]
-                total = ph[EASY] + ph[DIFFICULT]
-                share = f"{100.0 * ph[EASY] / total:.1f}%" if total else "n/a"
-                lines.append(f"| {institution} | {phase} | {ph[EASY]} | {ph[DIFFICULT]} | {share} |")
+                lines.append(f"| {institution} | {phase} | {ph[EASY]} | {ph[DIFFICULT]} | {_easy_share(ph)} |")
     lines.append("")
 
     lines.append("## Outcomes per configuration")

@@ -5,7 +5,8 @@ line with the worker, the tweet, the assigned label path, per-level labeling
 durations in seconds, and the 1-based position of the tweet in the worker's
 session. tweets.jsonl maps tweet ids to their raw text. The parser keeps
 each annotation's label path and summed duration; the session position only
-orders a worker's annotations.
+orders a worker's annotations. This module only parses: the score
+components, agreement's label counts among them, are in difficulty.
 """
 
 from __future__ import annotations
@@ -14,14 +15,13 @@ import json
 import math
 import re
 import sys
-from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator
 
 # unused here, but perfbench/tracer.py wraps this name; it goes with the tracer (ROADMAP item 1)
 from annodiff.config import stable_seed  # noqa: F401
 from annodiff.errors import DatasetError
-from annodiff.labels import IRRELEVANT, LEVELS, LabelPath, label_path, path_labels
+from annodiff.labels import IRRELEVANT, LabelPath, label_path, path_labels
 from annodiff.textsim import tokenize
 
 INSTITUTIONS = ("MD", "SU")
@@ -58,8 +58,9 @@ class Worker:
 
 @dataclass
 class Dataset:
-    """Workers by id and tweet texts by id. Every count over the dataset is
-    derived from the workers it holds, so a subset's counts are its own."""
+    """Workers by id and tweet texts by id, as parsed. Every count over the
+    dataset is derived from the workers it holds, so a subset's counts are
+    its own."""
 
     workers: dict[str, Worker]
     texts: dict[str, str]
@@ -275,39 +276,3 @@ def load_dataset(annotations_path: str, tweets_path: str) -> Dataset:
         open(tweets_path, encoding="utf-8", errors="surrogateescape") as tfh,
     ):
         return parse_dataset(afh, tfh, annotations_path=annotations_path, tweets_path=tweets_path)
-
-
-@dataclass(frozen=True)
-class MajorityLevel:
-    majority_count: int
-    voter_count: int
-    tie: bool  # at least two labels share the top vote count
-
-
-def majority_from_votes(votes: Mapping[int, Sequence[str]]) -> dict[int, MajorityLevel]:
-    """Majority count, voter count and tie flag per level from raw per-level
-    vote lists; levels nobody voted on are absent. Counts come from a
-    multiset, so the order votes are listed in does not matter."""
-    levels: dict[int, MajorityLevel] = {}
-    for level in sorted(votes):
-        if not votes[level]:
-            continue
-        counts = Counter(votes[level])
-        top = max(counts.values())
-        tie = sum(1 for c in counts.values() if c == top) > 1
-        levels[level] = MajorityLevel(majority_count=top, voter_count=len(votes[level]), tie=tie)
-    return levels
-
-
-def majority_labels(annotations: Sequence[Annotation]) -> dict[int, MajorityLevel]:
-    """Per-level majority over all annotations of one tweet."""
-    if not annotations:
-        raise ValueError("majority_labels needs at least one annotation")
-    tweet_ids = {a.tweet_id for a in annotations}
-    if len(tweet_ids) != 1:
-        raise ValueError(f"annotations span multiple tweets: {sorted(tweet_ids)}")
-    votes: dict[int, list[str]] = {level: [] for level in LEVELS}
-    for ann in annotations:
-        for level, label in path_labels(ann.labels).items():
-            votes[level].append(label)
-    return majority_from_votes(votes)

@@ -19,10 +19,10 @@ from functools import reduce
 from typing import Mapping, Sequence
 
 from annodiff.config import RunConfig, stable_seed
-from annodiff.dataset import Dataset, MajorityLevel, majority_labels
+from annodiff.dataset import Annotation, Dataset
 from annodiff.errors import AnnodiffError
 from annodiff.knn import rank_by_similarity
-from annodiff.labels import LABEL_ORDER, LEVELS, LEVEL_LABELS, path_labels
+from annodiff.labels import LEVELS, LEVEL_LABELS, path_labels
 from annodiff.stats import kmeans_1d
 from annodiff.textsim import SimilarityMetric, similarity_rows
 
@@ -49,25 +49,42 @@ class ScoringResult:
     excluded: dict[str, str]  # tweet id -> reason it could not be scored
 
 
-def agreement_score(levels: Mapping[int, MajorityLevel]) -> float:
-    """Worker agreement for one tweet from its per-level majorities.
+def majority_labels(annotations: Sequence[Annotation]) -> dict[int, Counter[str]]:
+    """The label counts per level over all annotations of one tweet, in level
+    order; a level nobody labeled is absent."""
+    if not annotations:
+        raise ValueError("majority_labels needs at least one annotation")
+    tweet_ids = {a.tweet_id for a in annotations}
+    if len(tweet_ids) != 1:
+        raise ValueError(f"annotations span multiple tweets: {sorted(tweet_ids)}")
+    tallies: dict[int, Counter[str]] = {level: Counter() for level in LEVELS}
+    for ann in annotations:
+        for level, label in path_labels(ann.labels).items():
+            tallies[level][label] += 1
+    return {level: counts for level, counts in tallies.items() if counts}
+
+
+def agreement_score(tallies: Mapping[int, Mapping[str, int]]) -> float:
+    """Worker agreement for one tweet from its per-level label counts.
 
     Each level contributes the fraction of its voters that chose the majority
     label, weighted by that majority's share of all majority votes across
-    levels. A tied level contributes one extra count to the weight
-    denominator, reflecting the extra plausible reading of the tweet.
+    levels. A tied level, where two labels share the top count, contributes
+    one extra count to the weight denominator, reflecting the extra plausible
+    reading of the tweet.
     """
-    if not levels:
+    if not tallies:
         raise ValueError("agreement is undefined without any votes")
-    total_maj = sum(lv.majority_count for lv in levels.values())
-    total_maj += sum(1 for lv in levels.values() if lv.tie)
+    levels = []  # (top count, voter count) per level
+    total_top = 0
+    for counts in tallies.values():
+        top = max(counts.values())
+        levels.append((top, sum(counts.values())))
+        tied = sum(1 for c in counts.values() if c == top) > 1
+        total_top += top + tied
     # float sums run left to right: sum() compensates them from Python 3.12
     # on, which would make the outputs depend on the Python version
-    return reduce(
-        operator.add,
-        ((lv.majority_count / lv.voter_count) * (lv.majority_count / total_maj) for lv in levels.values()),
-        0.0,
-    )
+    return reduce(operator.add, ((top / voters) * (top / total_top) for top, voters in levels), 0.0)
 
 
 def knn_label_certainty(
@@ -96,9 +113,11 @@ def knn_label_certainty(
 def aggregate_certainties(worker_rows: Sequence[Mapping[int, Mapping[str, float]]]) -> float:
     """Combine per-worker certainty rows for one tweet into a single value.
 
+    A row holds both labels of its level, as knn_label_certainty gives them.
     Per level, the rows of all contributing workers are averaged label-wise,
-    and the maximum average among the labels any worker actually predicted is
-    kept. The level maxima are then averaged.
+    and the maximum average among the labels any worker actually predicted
+    (its row's first top label in LABEL_ORDER) is kept. The level maxima are
+    then averaged.
     """
     if not worker_rows:
         raise ValueError("need at least one worker row")
@@ -107,14 +126,11 @@ def aggregate_certainties(worker_rows: Sequence[Mapping[int, Mapping[str, float]
         rows = [r[level] for r in worker_rows if level in r]
         if not rows:
             continue
-        labels = sorted({lab for r in rows for lab in r}, key=lambda lab: LABEL_ORDER.get(lab, len(LABEL_ORDER)))
+        labels = LEVEL_LABELS[level]
         # left to right, as in agreement_score
-        avg = {lab: reduce(operator.add, (r.get(lab, 0.0) for r in rows), 0.0) / len(rows) for lab in labels}
-        predicted = set()
-        for r in rows:
-            best = max(r.values())
-            candidates = sorted((lab for lab, v in r.items() if v == best), key=lambda lab: LABEL_ORDER.get(lab, len(LABEL_ORDER)))
-            predicted.add(candidates[0])
+        avg = {lab: reduce(operator.add, (r[lab] for r in rows), 0.0) / len(rows) for lab in labels}
+        # max keeps the first top label, and LEVEL_LABELS lists them in LABEL_ORDER
+        predicted = {max(labels, key=r.__getitem__) for r in rows}
         level_maxima.append(max(avg[lab] for lab in predicted))
     if not level_maxima:
         raise ValueError("no level carries a certainty row")

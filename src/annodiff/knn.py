@@ -65,7 +65,7 @@ def vote(counts: Mapping[str, int]) -> list[str]:
         raise ValueError("cannot vote over zero labels")
     tied = [lab for lab, c in counts.items() if c == top]
     if len(tied) > 1:
-        tied.sort(key=lambda lab: LABEL_ORDER.get(lab, len(LABEL_ORDER)))
+        tied.sort(key=LABEL_ORDER.__getitem__)
     return tied
 
 

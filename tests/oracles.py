@@ -188,6 +188,24 @@ def agreement_direct(votes_by_level):
     return sum((top / voters) * (top / total_maj) for top, voters in majority.values())
 
 
+def certainty_direct(worker_rows):
+    """Predictor certainty of one tweet by the README's C rule, in exact
+    rationals: per level, average the workers' rows label by label; each
+    worker predicts the first of its top labels in the canonical label order;
+    keep the best average among the predicted labels; average the levels."""
+    order = ["Relevant", "Irrelevant", "Factual", "NonFactual", "Positive", "Negative"]
+    maxima = []
+    for level in sorted({lvl for row in worker_rows for lvl in row}):
+        rows = [{lab: Fraction(v) for lab, v in row[level].items()} for row in worker_rows if level in row]
+        average = {lab: sum(r[lab] for r in rows) / len(rows) for lab in rows[0]}
+        predicted = set()
+        for r in rows:
+            top = max(r.values())
+            predicted.add(next(lab for lab in order if r.get(lab) == top))
+        maxima.append(max(average[lab] for lab in predicted))
+    return float(sum(maxima) / len(maxima))
+
+
 def hier_f1_direct(pairs):
     """Micro-averaged hierarchical F1 from explicit label sets."""
     overlap = sum(len(t & p) for t, p in pairs)

@@ -28,7 +28,6 @@ from annodiff.dataset import (
     Dataset,
     Worker,
     load_dataset,
-    majority_from_votes,
 )
 from annodiff.difficulty import (
     agreement_score,
@@ -60,14 +59,14 @@ TOL = 0.005
 def test_c1_worked_agreement_and_aggregation_examples():
     start = time.perf_counter()
     # unanimous level 1 (4 voters), 3-of-4 level 2, unanimous level 3 (2)
-    votes = {1: [RELEVANT] * 4, 2: [FACTUAL] * 3 + [NONFACTUAL], 3: [POSITIVE] * 2}
-    assert agreement_score(majority_from_votes(votes)) == pytest.approx(0.92, abs=TOL)
+    counts = {1: Counter({RELEVANT: 4}), 2: Counter({FACTUAL: 3, NONFACTUAL: 1}), 3: Counter({POSITIVE: 2})}
+    assert agreement_score(counts) == pytest.approx(0.92, abs=TOL)
     assert time.perf_counter() - start < 1.0
 
     start = time.perf_counter()
     # same, but level 2 splits evenly: the tie costs one extra majority share
-    votes_tied = {1: [RELEVANT] * 4, 2: [FACTUAL] * 2 + [NONFACTUAL] * 2, 3: [POSITIVE] * 2}
-    assert agreement_score(majority_from_votes(votes_tied)) == pytest.approx(0.78, abs=TOL)
+    counts_tied = {1: Counter({RELEVANT: 4}), 2: Counter({FACTUAL: 2, NONFACTUAL: 2}), 3: Counter({POSITIVE: 2})}
+    assert agreement_score(counts_tied) == pytest.approx(0.78, abs=TOL)
     assert time.perf_counter() - start < 1.0
 
     start = time.perf_counter()
@@ -213,7 +212,7 @@ def _check_family_agreement():
         votes = {1: [rng.choice(LEVEL_LABELS[1]) for _ in range(rng.randint(1, 5))]}
         for level in (2, 3):
             votes[level] = [rng.choice(LEVEL_LABELS[level]) for _ in range(rng.randint(0, 5))]
-        value = agreement_score(majority_from_votes(votes))
+        value = agreement_score({level: Counter(cast) for level, cast in votes.items() if cast})
         assert 0.0 <= value <= 1.0, votes
         assert value == pytest.approx(oracles.agreement_direct(votes), abs=1e-12), votes
 

@@ -152,6 +152,19 @@ def test_score_writes_scores_and_summary(dataset_dir, tmp_path, capsys):
     assert classes["easy"] + classes["difficult"] == 50
 
 
+def test_score_gives_no_easy_share_for_an_empty_phase_window(tmp_path, capsys):
+    # 40 tweets per worker: no worker reaches the 50 annotations that the two
+    # phase windows need, so both windows hold no scored tweet
+    annotations, tweets = generate_records(SynthConfig(n_workers=4, n_easy=20, n_difficult=20, seed=1))
+    write_jsonl(annotations, str(tmp_path / "annotations.jsonl"))
+    write_jsonl(tweets, str(tmp_path / "tweets.jsonl"))
+    out = tmp_path / "out"
+    assert cli.main(["score", *_dataset_args(tmp_path), "--out", str(out)]) == 0
+    stdout = capsys.readouterr().out
+    assert "  early window population: 0 easy (n/a), 0 difficult\n" in stdout
+    assert "  late  window population: 0 easy (n/a), 0 difficult\n" in stdout
+
+
 def test_score_requires_a_scorable_institution(dataset_dir, tmp_path, capsys):
     code = cli.main(["score", *_dataset_args(dataset_dir), "--out", str(tmp_path / "o"), "--institution", "SU"])
     assert code == 1

@@ -1,18 +1,11 @@
-"""JSONL ingestion, validation diagnostics, and majority counts."""
+"""JSONL ingestion and validation diagnostics."""
 
 import json
 
 import pytest
 from hypothesis import given, strategies as st
 
-from annodiff.dataset import (
-    INSTITUTIONS,
-    Annotation,
-    majority_from_votes,
-    majority_labels,
-    parse_dataset,
-    prune_labels,
-)
+from annodiff.dataset import INSTITUTIONS, parse_dataset, prune_labels
 from annodiff.errors import DatasetError
 from annodiff.labels import label_path
 
@@ -235,65 +228,3 @@ def test_error_message_carries_path():
         parse_dataset(["{bad"], [], annotations_path="custom.jsonl")
     assert "custom.jsonl" in str(exc.value)
 
-
-# --- majority counts ---
-
-
-def test_majority_counts():
-    votes = {
-        1: ["Relevant"] * 4,
-        2: ["Factual", "NonFactual", "NonFactual", "NonFactual"],
-        3: ["Negative", "Negative", "Positive"],
-    }
-    result = majority_from_votes(votes)
-    assert (result[1].majority_count, result[1].voter_count) == (4, 4)
-    assert (result[2].majority_count, result[2].voter_count) == (3, 4)
-    assert (result[3].majority_count, result[3].voter_count) == (2, 3)
-    assert not any(lv.tie for lv in result.values())
-
-
-def test_majority_tie_flag():
-    votes = {1: ["Relevant", "Irrelevant", "Relevant", "Irrelevant"]}
-    result = majority_from_votes(votes)
-    assert result[1].tie
-    assert (result[1].majority_count, result[1].voter_count) == (2, 4)
-
-
-def test_majority_skips_empty_levels():
-    result = majority_from_votes({1: ["Relevant"], 2: [], 3: []})
-    assert sorted(result) == [1]
-
-
-LABELS = ["Relevant", "Irrelevant", "Factual", "NonFactual", "Positive", "Negative"]
-
-
-@given(
-    votes=st.dictionaries(
-        st.sampled_from([1, 2, 3]),
-        st.lists(st.sampled_from(LABELS), min_size=1, max_size=7),
-        min_size=1,
-        max_size=3,
-    ),
-    data=st.data(),
-)
-def test_majority_permutation_invariant(votes, data):
-    shuffled = {lvl: data.draw(st.permutations(cast)) for lvl, cast in votes.items()}
-    assert majority_from_votes(votes) == majority_from_votes(shuffled)
-
-
-def _annotation(tweet, l1, l2=None, l3=None):
-    return Annotation(tweet, label_path(l1, l2, l3), None)
-
-
-def test_majority_labels_single_annotator():
-    result = majority_labels([_annotation("t1", "Relevant", "Factual")])
-    assert sorted(result) == [1, 2]
-    assert (result[2].majority_count, result[2].voter_count) == (1, 1)
-
-
-def test_majority_labels_rejects_bad_input():
-    with pytest.raises(ValueError):
-        majority_labels([])
-    mixed = [_annotation("t1", "Irrelevant"), _annotation("t2", "Irrelevant")]
-    with pytest.raises(ValueError):
-        majority_labels(mixed)

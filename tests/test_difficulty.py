@@ -8,13 +8,7 @@ from hypothesis import given, strategies as st
 
 from annodiff import difficulty, textsim
 from annodiff.config import RunConfig
-from annodiff.dataset import (
-    Annotation,
-    Dataset,
-    MajorityLevel,
-    Worker,
-    majority_from_votes,
-)
+from annodiff.dataset import Annotation, Dataset, Worker
 from annodiff.difficulty import (
     DIFFICULT,
     EASY,
@@ -23,12 +17,13 @@ from annodiff.difficulty import (
     difficulty_scores,
     knn_label_certainty,
     labeling_costs,
+    majority_labels,
     predictor_certainties,
 )
 from annodiff.errors import AnnodiffError
-from annodiff.labels import LEVEL_LABELS, NO_LABEL, label_path
+from annodiff.labels import LEVEL_LABELS, LEVELS, NO_LABEL, label_path, path_labels
 from annodiff.synth import SynthConfig, generate_dataset
-from oracles import agreement_direct
+from oracles import agreement_direct, certainty_direct
 
 
 def _config(**settings):
@@ -36,32 +31,38 @@ def _config(**settings):
     return RunConfig("annotations.jsonl", "tweets.jsonl", **settings)
 
 
-def level(majority, voters, tie=False):
-    return MajorityLevel(majority_count=majority, voter_count=voters, tie=tie)
+def level(*counts):
+    """One level's label counts; agreement reads only the counts."""
+    return Counter({f"label {i}": count for i, count in enumerate(counts)})
+
+
+def _tallies(votes):
+    """Per-level label counts of per-level vote lists, without empty levels."""
+    return {lvl: Counter(cast) for lvl, cast in votes.items() if cast}
 
 
 def test_agreement_three_levels():
-    majority = {
-        1: level(4, 4),
-        2: level(3, 4),
-        3: level(2, 2),
+    tallies = {
+        1: level(4),
+        2: level(3, 1),
+        3: level(2),
     }
-    assert agreement_score(majority) == pytest.approx(11 / 12, abs=1e-12)
+    assert agreement_score(tallies) == pytest.approx(11 / 12, abs=1e-12)
 
 
 def test_agreement_with_tie():
     # a tied level adds one to the weight denominator
-    majority = {
-        1: level(4, 4),
-        2: level(2, 4, tie=True),
-        3: level(2, 2),
+    tallies = {
+        1: level(4),
+        2: level(2, 2),
+        3: level(2),
     }
-    assert agreement_score(majority) == pytest.approx(7 / 9, abs=1e-12)
+    assert agreement_score(tallies) == pytest.approx(7 / 9, abs=1e-12)
 
 
 def test_agreement_single_annotator():
-    majority = {1: level(1, 1), 2: level(1, 1)}
-    assert agreement_score(majority) == pytest.approx(1.0, abs=1e-12)
+    tallies = {1: level(1), 2: level(1)}
+    assert agreement_score(tallies) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_agreement_needs_votes():
@@ -79,30 +80,103 @@ binary_votes = st.fixed_dictionaries(level_votes)
 
 @given(votes=binary_votes)
 def test_agreement_matches_direct_evaluation(votes):
-    produced = agreement_score(majority_from_votes(votes))
+    produced = agreement_score(_tallies(votes))
     assert produced == pytest.approx(agreement_direct(votes), abs=1e-12)
     assert 0.0 <= produced <= 1.0
 
 
 @given(votes=binary_votes, data=st.data())
 def test_agreement_never_drops_when_vote_joins_majority(votes, data):
-    majority = majority_from_votes(votes)
     # per voted level, a label with the top count, drawn among tied ones
     top_label = {}
-    for lvl, cast in votes.items():
-        if cast:
-            counts = Counter(cast)
-            top = max(counts.values())
-            top_label[lvl] = data.draw(st.sampled_from(sorted(lab for lab, c in counts.items() if c == top)))
+    for lvl, counts in _tallies(votes).items():
+        top = max(counts.values())
+        top_label[lvl] = data.draw(st.sampled_from(sorted(lab for lab, c in counts.items() if c == top)))
     flippable = [(lvl, i) for lvl, cast in votes.items() for i, vote in enumerate(cast) if vote != top_label[lvl]]
     if not flippable:
         return
     lvl, i = data.draw(st.sampled_from(flippable))
     flipped = {l: list(c) for l, c in votes.items()}
     flipped[lvl][i] = top_label[lvl]
-    before = agreement_score(majority)
-    after = agreement_score(majority_from_votes(flipped))
+    before = agreement_score(_tallies(votes))
+    after = agreement_score(_tallies(flipped))
     assert after >= before - 1e-12
+
+
+# --- per-level label counts ---
+
+
+def _annotation(tweet, l1, l2=None, l3=None):
+    return Annotation(tweet, label_path(l1, l2, l3), None)
+
+
+# the four root-to-leaf paths of the label tree
+PATHS = [
+    label_path("Irrelevant"),
+    label_path("Relevant", "Factual"),
+    label_path("Relevant", "NonFactual", "Positive"),
+    label_path("Relevant", "NonFactual", "Negative"),
+]
+
+
+def test_majority_counts():
+    annotations = [
+        _annotation("t1", "Relevant", "NonFactual", "Negative"),
+        _annotation("t1", "Relevant", "Factual"),
+        _annotation("t1", "Relevant", "NonFactual", "Positive"),
+        _annotation("t1", "Relevant", "NonFactual", "Negative"),
+    ]
+    assert majority_labels(annotations) == {
+        1: Counter({"Relevant": 4}),
+        2: Counter({"NonFactual": 3, "Factual": 1}),
+        3: Counter({"Negative": 2, "Positive": 1}),
+    }
+
+
+def test_majority_tie_flag():
+    # the tie shows as two labels with the top count, and agreement pays for it
+    annotations = [_annotation("t1", "Relevant", "Factual"), _annotation("t1", "Irrelevant")] * 2
+    result = majority_labels(annotations)
+    assert result[1] == Counter({"Relevant": 2, "Irrelevant": 2})
+    assert agreement_score(result) == pytest.approx(0.5 * 2 / 5 + 1.0 * 2 / 5, abs=1e-12)
+
+
+def test_majority_skips_empty_levels():
+    result = majority_labels([_annotation("t1", "Irrelevant")] * 3)
+    assert result == {1: Counter({"Irrelevant": 3})}
+
+
+@given(paths=st.lists(st.sampled_from(PATHS), min_size=1, max_size=7), data=st.data())
+def test_majority_permutation_invariant(paths, data):
+    shuffled = data.draw(st.permutations(paths))
+    result = majority_labels([Annotation("t1", path, None) for path in paths])
+    reordered = majority_labels([Annotation("t1", path, None) for path in shuffled])
+    # agreement sums the levels in mapping order, so that order is pinned too
+    assert list(result.items()) == list(reordered.items())
+    assert list(result) == sorted(result)
+
+
+def test_majority_labels_single_annotator():
+    result = majority_labels([_annotation("t1", "Relevant", "Factual")])
+    assert result == {1: Counter({"Relevant": 1}), 2: Counter({"Factual": 1})}
+
+
+def test_majority_labels_rejects_bad_input():
+    with pytest.raises(ValueError):
+        majority_labels([])
+    mixed = [_annotation("t1", "Irrelevant"), _annotation("t2", "Irrelevant")]
+    with pytest.raises(ValueError):
+        majority_labels(mixed)
+
+
+@given(paths=st.lists(st.sampled_from(PATHS), min_size=1, max_size=6))
+def test_agreement_through_annotations_matches_direct_evaluation(paths):
+    votes = {lvl: [] for lvl in LEVELS}
+    for path in paths:
+        for lvl, label in path_labels(path).items():
+            votes[lvl].append(label)
+    produced = agreement_score(majority_labels([Annotation("t1", path, None) for path in paths]))
+    assert produced == pytest.approx(agreement_direct(votes), abs=1e-12)
 
 
 # --- certainty ---
@@ -180,11 +254,28 @@ def test_aggregate_partial_level_coverage():
     assert aggregate_certainties([w1, w2]) == pytest.approx((0.7 + 0.75) / 2, abs=1e-12)
 
 
+certainty_values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])  # a coarse grid, so rows tie often
+worker_rows = st.lists(
+    st.sets(st.sampled_from(LEVELS), min_size=1).flatmap(
+        lambda levels: st.fixed_dictionaries(
+            {lvl: st.fixed_dictionaries({lab: certainty_values for lab in LEVEL_LABELS[lvl]}) for lvl in sorted(levels)}
+        )
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@given(rows=worker_rows)
+def test_aggregate_matches_direct_evaluation(rows):
+    assert aggregate_certainties(rows) == pytest.approx(certainty_direct(rows), abs=1e-12)
+
+
 def test_float_sums_run_left_to_right():
     # sum() of floats is compensated from Python 3.12 on, and rounds both of
     # these sums the other way; the outputs must not depend on the version
-    levels = {level: MajorityLevel(count, 3, False) for level, count in zip((1, 2, 3), (1, 2, 1))}
-    assert agreement_score(levels) == 0.49999999999999994
+    tallies = {1: Counter({"Relevant": 1}), 2: Counter({"NonFactual": 4}), 3: Counter({"Positive": 1})}
+    assert agreement_score(tallies) == 0.9999999999999999
     assert aggregate_certainties([{1: {"Relevant": 0.9, "Irrelevant": 0.1}}] * 10) == 0.9000000000000001
 
 
@@ -394,7 +485,7 @@ def test_scoring_is_deterministic(small_synthetic):
 
 
 def test_agreement_derives_no_seed(small_synthetic, monkeypatch):
-    # agreement reads only majority counts and tie flags, so it draws nothing
+    # agreement reads only per-level label counts, so it draws nothing
     purposes = []
     stable_seed = difficulty.stable_seed
 
