@@ -115,9 +115,7 @@ def aggregate_certainties(worker_rows: Sequence[Mapping[int, Mapping[str, float]
 
     A row holds both labels of its level, as knn_label_certainty gives them.
     Per level, the rows of all contributing workers are averaged label-wise,
-    and the maximum average among the labels any worker actually predicted
-    (its row's first top label in LABEL_ORDER) is kept. The level maxima are
-    then averaged.
+    and the larger average is kept. The level maxima are then averaged.
     """
     if not worker_rows:
         raise ValueError("need at least one worker row")
@@ -126,12 +124,9 @@ def aggregate_certainties(worker_rows: Sequence[Mapping[int, Mapping[str, float]
         rows = [r[level] for r in worker_rows if level in r]
         if not rows:
             continue
-        labels = LEVEL_LABELS[level]
         # left to right, as in agreement_score
-        avg = {lab: reduce(operator.add, (r[lab] for r in rows), 0.0) / len(rows) for lab in labels}
-        # max keeps the first top label, and LEVEL_LABELS lists them in LABEL_ORDER
-        predicted = {max(labels, key=r.__getitem__) for r in rows}
-        level_maxima.append(max(avg[lab] for lab in predicted))
+        averages = [reduce(operator.add, (r[lab] for r in rows), 0.0) / len(rows) for lab in LEVEL_LABELS[level]]
+        level_maxima.append(max(averages))
     if not level_maxima:
         raise ValueError("no level carries a certainty row")
     return statistics.fmean(level_maxima)

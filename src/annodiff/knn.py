@@ -4,7 +4,7 @@ rank_by_similarity orders a worker's labeled tweets by similarity to a query,
 as deep as the largest k needs; the caller counts the labels of the first
 min(k, n) of them, and vote returns the labels that share the top count;
 the caller settles a tie by a seeded draw. One ranking serves every k and
-every hierarchy level. The grid (simulation._arm_curves) grows one count
+every hierarchy level. The grid (simulation.worker_triples) grows one count
 per level over the ranking as k rises, in which a blank level (below
 Irrelevant or Factual) counts as an explicit NoLabel class, and predicts a
 whole label path by voting top-down (simulation.vote_path). It sums the

@@ -5,7 +5,8 @@ annotations (early phase) and annotations 26 to 50 (late phase). A window's
 stratum for a difficulty class is its tweets of that class, in window order.
 For a train size n, one predictor is trained on the first n easy tweets of
 the window and one on the first n difficult ones; both are evaluated on the
-rest of the window. F1 scores are pooled across workers per neighbor count
+rest of the window. Each worker's predictions sum to one F1 triple per
+neighbor count k, the workers' triples are summed into one pooled F1 per
 k, and each configuration is encoded by which predictor dominated on
 average.
 """
@@ -93,8 +94,6 @@ class ConfigResult:
     # None when no worker's stratum holds train_size tweets
     curve_easy: dict[int, float] | None
     curve_difficult: dict[int, float] | None
-    skipped_easy: int
-    skipped_difficult: int
     code: str | None  # None when the comparison is undefined
     mean_delta: float | None
 
@@ -124,18 +123,21 @@ def vote_path(counts: Sequence[Mapping[str, int]], parts: tuple) -> tuple[LabelP
     return tuple(path), tied
 
 
-def _arm_curves(
+def worker_triples(
     ctx: SimulationContext,
+    wid: str,
     sims: PairSimilarity,
     metric: SimilarityMetric,
     phase: str,
     arm: str,
     ks: Sequence[int],
     seed: int,
-) -> dict[int, tuple[dict[int, float] | None, int]]:
-    """Pool predictions for one arm across workers at every train size, with
-    pair similarities from sims and the neighbor counts ks (ascending,
-    distinct). Returns {n: (curve, skipped)}.
+) -> dict[int, dict[int, list[int]]]:
+    """One worker's predictions for one arm at every train size its stratum
+    holds, with pair similarities from sims and the neighbor counts ks
+    (ascending, distinct). Returns {n: {k: [overlap, predicted size, truth
+    size]}}, the path_triple sums of the (truth, predicted) pairs scored at
+    (n, k); a train size past the stratum has no key.
 
     The training set of size n is the first n tweets of the arm's stratum,
     the window's tweets of class arm, so the sizes nest: a window tweet is a
@@ -143,75 +145,71 @@ def _arm_curves(
     window (every n, for a tweet of another class or none), and it gets one
     similarity row over that prefix, of which size n reads the first n
     values. Where the first n training paths are one path, every k predicts
-    it: the query is neither ranked nor voted, only tallied once for n and
-    added to every k's sum at the end. Its ranking is seeded on its own
-    parts, so skipping it changes no other draw. Otherwise the query is
-    ranked once per n, its per-level label counts grow over the ranking as k
-    rises, and one path is voted per distinct prefix min(k, n): a larger k
-    on the same prefix reuses it unless that vote tied, since a level's tie
-    draw is seeded on its own (tweet, k, level) parts. Each prediction adds
-    the path_triple of its (truth, predicted) pair to one [overlap,
-    predicted size, truth size] sum per (n, k), which hierarchical_f1
-    scores.
+    it: the query is neither ranked nor voted, and its triple joins every
+    k's sum. Its ranking is seeded on its own parts, so skipping it changes
+    no other draw. Otherwise the query is ranked once per n, its per-level
+    label counts grow over the ranking as k rises, and one path is voted per
+    distinct prefix min(k, n): a larger k on the same prefix reuses it
+    unless that vote tied, since a level's tie draw is seeded on its own
+    (tweet, k, level) parts.
     """
-    sums = {n: {k: [0, 0, 0] for k in ks} for n in TRAIN_SIZES}
-    agreed = {n: [0, 0, 0] for n in TRAIN_SIZES}
-    used = dict.fromkeys(TRAIN_SIZES, 0)
-    for wid in ctx.worker_ids:
-        window = ctx.windows[(wid, phase)]
-        stratum = [t for t in window if ctx.classes.get(t[0]) == arm][: TRAIN_SIZES[-1]]
-        for n in TRAIN_SIZES:
-            used[n] += n <= len(stratum)
-        if len(stratum) < TRAIN_SIZES[0]:
+    window = ctx.windows[(wid, phase)]
+    stratum = [t for t in window if ctx.classes.get(t[0]) == arm][: TRAIN_SIZES[-1]]
+    triples = {n: {k: [0, 0, 0] for k in ks} for n in TRAIN_SIZES if n <= len(stratum)}
+    paths = [path for _, path in stratum]
+    agreeing = 1  # the first `agreeing` training paths are one path
+    while agreeing < len(paths) and paths[agreeing] == paths[0]:
+        agreeing += 1
+    seen = 0  # the arm's tweets before this one in the window
+    for tid, truth in window:
+        limit = len(stratum)
+        if ctx.classes.get(tid) == arm:
+            limit = min(seen, limit)
+            seen += 1
+        if limit < TRAIN_SIZES[0]:
             continue
-        paths = [path for _, path in stratum]
-        agreeing = 1  # the first `agreeing` training paths are one path
-        while agreeing < len(paths) and paths[agreeing] == paths[0]:
-            agreeing += 1
-        seen = 0  # the arm's tweets before this one in the window
-        for tid, truth in window:
-            limit = len(stratum)
-            if ctx.classes.get(tid) == arm:
-                limit = min(seen, limit)
-                seen += 1
-            if limit < TRAIN_SIZES[0]:
-                continue
-            row = [sims.sim(tid, train_tid) for train_tid, _ in stratum[:limit]]
-            for n in TRAIN_SIZES:
-                if n > limit:
-                    break
-                if n <= agreeing:
-                    agreed[n] = [a + b for a, b in zip(agreed[n], path_triple(truth, paths[0]))]
-                    continue
-                parts = (seed, ctx.institution, metric.value, phase, n, wid, arm)
-                order = rank_by_similarity(row[:n], random.Random(stable_seed(*parts, "order", tid)), ks[-1])
-                depth = len(order)
-                counts = ({}, {}, {})
-                counts1, counts2, counts3 = counts
-                counted, drew = 0, True
-                for k in ks:
-                    end = k if k < depth else depth
-                    # a vote on the same prefix as the last one is reused unless it tied
-                    if end > counted or drew:
-                        for i in order[counted:end]:
-                            label1, label2, label3 = paths[i]
-                            counts1[label1] = counts1.get(label1, 0) + 1
-                            counts2[label2] = counts2.get(label2, 0) + 1
-                            counts3[label3] = counts3.get(label3, 0) + 1
-                        counted = end
-                        path, drew = vote_path(counts, (*parts, "vote", tid, k))
-                        overlap, predicted, size = path_triple(truth, path)
-                    total = sums[n][k]
+        row = [sims.sim(tid, train_tid) for train_tid, _ in stratum[:limit]]
+        for n in TRAIN_SIZES:
+            if n > limit:
+                break
+            if n <= agreeing:
+                overlap, predicted, size = path_triple(truth, paths[0])
+                for total in triples[n].values():
                     total[0] += overlap
                     total[1] += predicted
                     total[2] += size
-    for n, by_k in sums.items():
-        for total in by_k.values():
-            total[:] = [a + b for a, b in zip(total, agreed[n])]
-    return {
-        n: ({k: hierarchical_f1(sums[n][k]) for k in ks} if used[n] else None, len(ctx.worker_ids) - used[n])
-        for n in TRAIN_SIZES
-    }
+                continue
+            parts = (seed, ctx.institution, metric.value, phase, n, wid, arm)
+            order = rank_by_similarity(row[:n], random.Random(stable_seed(*parts, "order", tid)), ks[-1])
+            depth = len(order)
+            counts = ({}, {}, {})
+            counts1, counts2, counts3 = counts
+            counted, drew = 0, True
+            for k in ks:
+                end = k if k < depth else depth
+                # a vote on the same prefix as the last one is reused unless it tied
+                if end > counted or drew:
+                    for i in order[counted:end]:
+                        label1, label2, label3 = paths[i]
+                        counts1[label1] = counts1.get(label1, 0) + 1
+                        counts2[label2] = counts2.get(label2, 0) + 1
+                        counts3[label3] = counts3.get(label3, 0) + 1
+                    counted = end
+                    path, drew = vote_path(counts, (*parts, "vote", tid, k))
+                    overlap, predicted, size = path_triple(truth, path)
+                total = triples[n][k]
+                total[0] += overlap
+                total[1] += predicted
+                total[2] += size
+    return triples
+
+
+def pooled_curve(triples: Sequence[Mapping[int, Sequence[int]]]) -> dict[int, float] | None:
+    """{k: hierarchical F1 of the k triples summed over the given workers, in
+    order}, or None when no worker is given."""
+    if not triples:
+        return None
+    return {k: hierarchical_f1([sum(column) for column in zip(*(t[k] for t in triples))]) for k in triples[0]}
 
 
 def mean_curve_delta(curve_easy: dict[int, float], curve_difficult: dict[int, float]) -> float:
@@ -236,8 +234,8 @@ def run_grid(ctx: SimulationContext, config: RunConfig) -> list[ConfigResult]:
     over config's metrics, k grid, seed and epsilon, in that order.
 
     Each metric gets one pair cache, which both phases and both arms share;
-    each (metric, phase, arm) is one pass over the workers at every train
-    size.
+    each (metric, phase, arm) runs one worker_triples pass per worker, and a
+    curve scores the workers' triples summed in ctx.worker_ids order.
     """
     ks = sorted(set(config.k_grid))
     results = []
@@ -245,10 +243,13 @@ def run_grid(ctx: SimulationContext, config: RunConfig) -> list[ConfigResult]:
         metric = SimilarityMetric(name)
         sims = PairSimilarity(ctx.words, metric)
         for phase in PHASES:
-            easy = _arm_curves(ctx, sims, metric, phase, EASY, ks, config.seed)
-            difficult = _arm_curves(ctx, sims, metric, phase, DIFFICULT, ks, config.seed)
+            easy, difficult = [
+                [worker_triples(ctx, wid, sims, metric, phase, arm, ks, config.seed) for wid in ctx.worker_ids]
+                for arm in (EASY, DIFFICULT)
+            ]
             for n in TRAIN_SIZES:
-                (curve_easy, skipped_easy), (curve_difficult, skipped_difficult) = easy[n], difficult[n]
+                curve_easy = pooled_curve([t[n] for t in easy if n in t])
+                curve_difficult = pooled_curve([t[n] for t in difficult if n in t])
                 delta = code = None
                 if curve_easy is not None and curve_difficult is not None:
                     delta = mean_curve_delta(curve_easy, curve_difficult)
@@ -261,8 +262,6 @@ def run_grid(ctx: SimulationContext, config: RunConfig) -> list[ConfigResult]:
                         train_size=n,
                         curve_easy=curve_easy,
                         curve_difficult=curve_difficult,
-                        skipped_easy=skipped_easy,
-                        skipped_difficult=skipped_difficult,
                         code=code,
                         mean_delta=delta,
                     )

@@ -258,9 +258,10 @@ def rank_full(sims, rng):
 
 
 def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
-    """One arm's (curve, skipped) at one train size, by the grid's per-size
-    route: the training set is the first n tweets of the phase window whose
-    class in ctx.classes is arm, and every other window tweet is a query,
+    """One arm's curve at one train size, None when no worker's window holds
+    n tweets of class arm, by the grid's per-size route: the training set is
+    the first n tweets of the phase window whose class in ctx.classes is
+    arm, and every other window tweet is a query,
     compared with each of the n training tweets, ranked in full by
     rank_full, and voted at every k on every level from direct counts of its
     first k neighbors, the votes repaired by coerce_structure; F1 comes from
@@ -276,7 +277,7 @@ def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
 
     ks = sorted(set(k_grid))
     pairs_per_k = {k: [] for k in ks}
-    skipped = 0
+    used = 0
     for wid in ctx.worker_ids:
         window = ctx.windows[(wid, phase)]
         training = []
@@ -284,8 +285,8 @@ def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
             if len(training) < n and ctx.classes.get(tid) == arm:
                 training.append((tid, path))
         if len(training) < n:
-            skipped += 1
             continue
+        used += 1
         train_ids = {tid for tid, _ in training}
         for tid, truth in window:
             if tid in train_ids:
@@ -302,20 +303,17 @@ def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
                         top = [random.Random(stable_seed(*parts, "vote", tid, k, level)).choice(top)]
                     votes.append(top[0])
                 pairs_per_k[k].append((truth, coerce_structure(*votes)))
-    if skipped == len(ctx.worker_ids):
-        return None, skipped
-    curve = {
-        k: hier_f1_direct([(path_label_set(*t), path_label_set(*p)) for t, p in pairs_per_k[k]]) for k in ks
-    }
-    return curve, skipped
+    if not used:
+        return None
+    return {k: hier_f1_direct([(path_label_set(*t), path_label_set(*p)) for t, p in pairs_per_k[k]]) for k in ks}
 
 
 def config_result(ctx, metric, phase, n, k_grid, seed, epsilon):
     """One grid configuration from arm_curve_per_size for both arms."""
     from annodiff.simulation import ConfigResult, encode_outcome, mean_curve_delta
 
-    curve_easy, skipped_easy = arm_curve_per_size(ctx, metric, phase, n, "easy", k_grid, seed)
-    curve_difficult, skipped_difficult = arm_curve_per_size(ctx, metric, phase, n, "difficult", k_grid, seed)
+    curve_easy = arm_curve_per_size(ctx, metric, phase, n, "easy", k_grid, seed)
+    curve_difficult = arm_curve_per_size(ctx, metric, phase, n, "difficult", k_grid, seed)
     delta = code = None
     if curve_easy is not None and curve_difficult is not None:
         delta = mean_curve_delta(curve_easy, curve_difficult)
@@ -327,8 +325,6 @@ def config_result(ctx, metric, phase, n, k_grid, seed, epsilon):
         train_size=n,
         curve_easy=curve_easy,
         curve_difficult=curve_difficult,
-        skipped_easy=skipped_easy,
-        skipped_difficult=skipped_difficult,
         code=code,
         mean_delta=delta,
     )

@@ -48,10 +48,10 @@ from annodiff.labels import (
     RELEVANT,
     label_path,
 )
-from annodiff.simulation import aggregate, make_context, phase_windows, run_grid
+from annodiff.simulation import aggregate, make_context, phase_windows, run_grid, worker_triples
 from annodiff.stats import fisher_exact_two_tailed, kmeans_1d
 from annodiff.synth import SynthConfig, generate_dataset, generate_records, write_jsonl
-from annodiff.textsim import SimilarityMetric, nsim
+from annodiff.textsim import PairSimilarity, SimilarityMetric, nsim
 
 TOL = 0.005
 
@@ -328,10 +328,17 @@ def test_c6_easy_training_class_beats_difficult():
     assert set(classes.values()) == {"easy", "difficult"}
 
     ctx = make_context(dataset, "MD", classes)
+    # every worker's late strata hold the 8 tweets that size 8 trains on, so
+    # both curves pool all workers; which sizes a worker holds does not
+    # depend on the metric
+    ks = sorted(RunConfig.k_grid)
+    sims = PairSimilarity(ctx.words, SimilarityMetric.EDIT)
+    for wid in ctx.worker_ids:
+        for arm in ("easy", "difficult"):
+            assert 8 in worker_triples(ctx, wid, sims, SimilarityMetric.EDIT, "late", arm, ks, 11), (wid, arm)
     for metric in SimilarityMetric:
         grid = run_grid(ctx, RunConfig("annotations.jsonl", "tweets.jsonl", metrics=(metric.value,), seed=11))
         run = next(r for r in grid if r.phase == "late" and r.train_size == 8)
         assert run.curve_easy is not None and run.curve_difficult is not None, metric
-        assert run.skipped_easy == 0 and run.skipped_difficult == 0, metric
         assert run.mean_delta is not None and run.mean_delta > 0.01, (metric, run.mean_delta)
         assert run.code == "E", metric

@@ -93,8 +93,6 @@ def _result(code, delta, with_curves=True):
         train_size=4,
         curve_easy=curve() if with_curves else None,
         curve_difficult=curve() if with_curves else None,
-        skipped_easy=0 if with_curves else 1,
-        skipped_difficult=0,
         code=code,
         mean_delta=delta,
     )

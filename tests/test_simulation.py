@@ -11,17 +11,18 @@ from annodiff import simulation, textsim
 from annodiff.config import RunConfig
 from annodiff.dataset import Annotation, Dataset, Worker
 from annodiff.errors import AnnodiffError
+from annodiff.knn import hierarchical_f1
 from annodiff.labels import LEVEL_LABELS, label_path
 from annodiff.simulation import (
     PHASES,
     TRAIN_SIZES,
-    _arm_curves,
     aggregate,
     encode_outcome,
     make_context,
     mean_curve_delta,
     phase_windows,
     run_grid,
+    worker_triples,
 )
 from annodiff.synth import SynthConfig, generate_dataset
 from annodiff.textsim import PairSimilarity, SimilarityMetric
@@ -166,8 +167,10 @@ def test_grid_hand_computed_f1():
         assert value == pytest.approx(20 / 72, abs=1e-12)
     assert result.mean_delta == pytest.approx(66 / 114 - 20 / 72, abs=1e-12)
     assert result.code == "E"
-    assert result.skipped_easy == 0
-    assert result.skipped_difficult == 0
+    # the one worker holds size 2 in both arms, so both curves are its own
+    sims = PairSimilarity(ctx.words, SimilarityMetric.SUBSTRING)
+    for arm in ("easy", "difficult"):
+        assert 2 in worker_triples(ctx, "w1", sims, SimilarityMetric.SUBSTRING, "early", arm, (1, 3, 5), seed=0)
 
 
 def test_grid_skips_thin_strata():
@@ -178,8 +181,11 @@ def test_grid_skips_thin_strata():
         classes[tid] = "difficult"
     ctx = make_context(ds, "MD", classes)
     result = _grid_row(ctx, SimilarityMetric.EDIT, "late", 5, k_grid=(1,))
+    sims = PairSimilarity(ctx.words, SimilarityMetric.EDIT)
+    triples = worker_triples(ctx, "w1", sims, SimilarityMetric.EDIT, "late", "easy", (1,), seed=0)
+    # the worker's 3 late easy tweets hold sizes 2 and 3 only
+    assert sorted(triples) == [2, 3]
     assert result.curve_easy is None
-    assert result.skipped_easy == 1
     assert result.code is None
     assert result.mean_delta is None
     assert result.curve_difficult is not None
@@ -278,6 +284,31 @@ def test_grid_matches_per_size_oracle(ctx, metric, k_grid, seed):
     assert run_grid(ctx, config) == expected
 
 
+# each example runs the per-size oracle once per (worker, phase, arm, size)
+@settings(max_examples=10, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(
+    ctx=small_contexts(),
+    metric=st.sampled_from(list(SimilarityMetric)),
+    phase=st.sampled_from(PHASES),
+    k_grid=k_grids,
+    seed=st.integers(0, 3),
+)
+def test_worker_triples_match_one_worker_oracle(ctx, metric, phase, k_grid, seed):
+    ks = sorted(set(k_grid))
+    sims = PairSimilarity(ctx.words, metric)
+    for wid in ctx.worker_ids:
+        alone = dataclasses.replace(ctx, worker_ids=[wid])
+        for arm in ("easy", "difficult"):
+            triples = worker_triples(ctx, wid, sims, metric, phase, arm, ks, seed)
+            for n in TRAIN_SIZES:
+                expected = oracles.arm_curve_per_size(alone, metric, phase, n, arm, ks, seed)
+                if n not in triples:
+                    assert expected is None, (wid, arm, n)
+                else:
+                    assert list(triples[n]) == ks
+                    assert {k: hierarchical_f1(triple) for k, triple in triples[n].items()} == expected, (wid, arm, n)
+
+
 def test_grid_refuses_non_positive_k():
     with pytest.raises(AnnodiffError, match="--k-grid"):
         RunConfig("a.jsonl", "t.jsonl", metrics=("edit",), k_grid=(0, 3))
@@ -360,13 +391,13 @@ def test_agreeing_training_paths_are_not_ranked(monkeypatch):
 
     monkeypatch.setattr(simulation, "rank_by_similarity", counting_rank)
     sims = PairSimilarity(ctx.words, SimilarityMetric.EDIT)
-    _arm_curves(ctx, sims, SimilarityMetric.EDIT, "early", "easy", (1, 3), seed=0)
+    worker_triples(ctx, "w1", sims, SimilarityMetric.EDIT, "early", "easy", (1, 3), seed=0)
     # a query of size n is ranked over its first n similarities; the 25 - n
     # window tweets outside the training set are queries of size n
     assert Counter(ranked) == {n: 25 - n for n in TRAIN_SIZES if n > 3}
     ranked.clear()
     # the difficult stratum is one path throughout
-    _arm_curves(ctx, sims, SimilarityMetric.EDIT, "early", "difficult", (1, 3), seed=0)
+    worker_triples(ctx, "w1", sims, SimilarityMetric.EDIT, "early", "difficult", (1, 3), seed=0)
     assert ranked == []
 
 
