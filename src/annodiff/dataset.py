@@ -80,8 +80,13 @@ class Dataset:
         return Dataset(workers=kept, texts=self.texts)
 
     def word_sequences(self) -> dict[str, tuple[str, ...]]:
-        """Tokenized text per tweet id, computed once per call."""
-        return {tid: tuple(tokenize(text)) for tid, text in self.texts.items()}
+        """Tokenized text per tweet id, computed once per call. Equal tokens
+        are one shared str, so the table holds each distinct word once."""
+        shared: dict[str, str] = {}
+        return {
+            tid: tuple([shared.setdefault(token, token) for token in tokenize(text)])
+            for tid, text in self.texts.items()
+        }
 
 
 def prune_labels(labels: dict[str, str], durations: dict[str, float]) -> tuple[dict[str, str], dict[str, float], int]:

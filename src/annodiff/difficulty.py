@@ -146,10 +146,12 @@ def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResul
     config.k_certainty-nearest-neighbor predictor per hierarchy level, over
     config.certainty_metric similarity and trained on the training
     partition, emits a certainty row smoothed by config.smoothing for every
-    test tweet. All of a worker's test tweets get their similarities to its
+    test tweet. A worker's test tweets get their similarities to its
     training tweets, over the dataset's word sequences, from one
-    similarity_rows call, and each ranking stops at rank config.k_certainty.
-    Rows are aggregated across workers per tweet.
+    similarity_rows stream, and each row is ranked as it arrives, stopping
+    at rank config.k_certainty. So a worker's certainty holds its training
+    pool's index and one row at a time: memory grows with the training pool,
+    not with training x test. Rows are aggregated across workers per tweet.
 
     Labeled tweets that land in no worker's test partition get the population
     mean certainty; their ids are reported in the result.
@@ -179,11 +181,11 @@ def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResul
                 pools[level].append(position)
                 pool_labels[level].append(label)
 
-        # one similarity row per test tweet, shared by the three levels
-        sim_rows = similarity_rows(
-            [words[tid] for tid in test_ids], [words[tid] for tid in train_ids], metric
-        )
-        for tid, sim_row in zip(test_ids, sim_rows):
+        # one similarity row per test tweet, shared by the three levels and
+        # ranked as it arrives; strict, so a short row stream raises instead
+        # of leaving test tweets to the imputed mean
+        sim_rows = similarity_rows((words[tid] for tid in test_ids), [words[tid] for tid in train_ids], metric)
+        for tid, sim_row in zip(test_ids, sim_rows, strict=True):
             row: dict[int, dict[str, float]] = {}
             for level, pool in pools.items():
                 if not pool:

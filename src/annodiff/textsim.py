@@ -3,17 +3,18 @@
 Texts are compared as word sequences, not character strings. All similarity
 values are normalized to [0, 1] by the length of the longer sequence, and
 two empty sequences score 1.0. nsim compares one pair; similarity_rows
-compares many queries with one pool and gives the same floats, and
-PairSimilarity memoizes nsim over an id table. The functions here are pure
-and safe to call from multiple threads; a PairSimilarity fills its cache as
-it is read, so each thread needs its own.
+streams the rows of many queries against one pool, one row at a time, with
+the same floats; PairSimilarity memoizes nsim over an id table. The
+functions here are pure and safe to call from multiple threads; a
+PairSimilarity fills its cache as it is read, and a similarity_rows
+iterator advances as it is read, so each thread needs its own.
 """
 
 from __future__ import annotations
 
 import string
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 # characters stripped from both ends of each token; '#' and '@' survive so
 # hashtags and mentions keep their marker
@@ -148,21 +149,32 @@ def nsim(a: WordSequence, b: WordSequence, metric: SimilarityMetric) -> float:
 
 
 def similarity_rows(
-    queries: Sequence[WordSequence], pool: Sequence[WordSequence], metric: SimilarityMetric
-) -> list[list[float]]:
-    """Each query's similarity to every pool sequence, by pool position.
+    queries: Iterable[WordSequence], pool: Sequence[WordSequence], metric: SimilarityMetric
+) -> Iterator[list[float]]:
+    """Each query's similarity to every pool sequence, by pool position: one
+    row per query, in query order, each computed when it is pulled.
 
     The floats are those of nsim(query, pool[j], metric), two empty
-    sequences included. substring indexes the pool once, by word and by
-    adjacent word pair, and scans each query once: every pool sequence that
-    shares a word starts at a run of 1, and each query pair extends the runs
-    that the previous pair ended just before it in the pool. subsequence
-    and edit build each query's word_masks once and run the pair kernels
-    with the pool sequence as the first argument, which gives the same
-    integers because all three measures are symmetric.
+    sequences included. Only the pool index and the row being built are
+    held, so memory grows with the pool, not with queries x pool. An unknown
+    metric raises here, not at the first row. substring indexes the pool
+    once, by word and by adjacent word pair, and scans each query once:
+    every pool sequence that shares a word starts at a run of 1, and each
+    query pair extends the runs that the previous pair ended just before it
+    in the pool. subsequence and edit build each query's word_masks once and
+    run the pair kernels with the pool sequence as the first argument, which
+    gives the same integers because all three measures are symmetric.
     """
+    if not isinstance(metric, SimilarityMetric):
+        raise ValueError(f"unknown metric: {metric!r}")
+    return _rows(queries, pool, metric)
+
+
+def _rows(
+    queries: Iterable[WordSequence], pool: Sequence[WordSequence], metric: SimilarityMetric
+) -> Iterator[list[float]]:
+    """The generator behind similarity_rows, for a known metric."""
     lengths = [len(words) for words in pool]
-    rows: list[list[float]] = []
     if metric is SimilarityMetric.SUBSTRING:
         # holders: word -> pool positions whose sequence holds it; follows:
         # adjacent word pair -> (cell, position) where the pair ends, where
@@ -179,7 +191,7 @@ def similarity_rows(
         for query in queries:
             n = len(query)
             if not n:
-                rows.append([0.0 if m else 1.0 for m in lengths])
+                yield [0.0 if m else 1.0 for m in lengths]
                 continue
             longest = dict.fromkeys(set().union(*(holders.get(word, ()) for word in set(query))), 1)
             # runs[cell]: length of the common run that ends at cell and at
@@ -195,10 +207,8 @@ def similarity_rows(
             row = [0.0] * len(pool)
             for position, run in longest.items():
                 row[position] = run / max(n, lengths[position])
-            rows.append(row)
-        return rows
-    if metric not in (SimilarityMetric.SUBSEQUENCE, SimilarityMetric.EDIT):
-        raise ValueError(f"unknown metric: {metric!r}")
+            yield row
+        return
     for query in queries:
         n = len(query)
         masks = word_masks(query)
@@ -206,8 +216,7 @@ def similarity_rows(
             row = [_subsequence(words, masks, n) / max(n, m) if n or m else 1.0 for words, m in zip(pool, lengths)]
         else:
             row = [1.0 - _edit(words, masks, n) / max(n, m) if n or m else 1.0 for words, m in zip(pool, lengths)]
-        rows.append(row)
-    return rows
+        yield row
 
 
 class PairSimilarity:

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 from annodiff.dataset import INSTITUTIONS, parse_dataset, prune_labels
 from annodiff.errors import DatasetError
 from annodiff.labels import label_path
+from annodiff.textsim import tokenize
 
 
 def ann(worker, tweet, order, labels, durations=None, institution="MD", group="M"):
@@ -228,3 +229,19 @@ def test_error_message_carries_path():
         parse_dataset(["{bad"], [], annotations_path="custom.jsonl")
     assert "custom.jsonl" in str(exc.value)
 
+
+
+@given(
+    texts=st.lists(
+        st.lists(st.sampled_from(["rain", "Rain,", "#Vote", "#vote!", "poll", "“poll”", "..."]), max_size=8),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_word_sequences_share_one_str_per_distinct_token(texts):
+    texts = {f"t{i}": " ".join(words) for i, words in enumerate(texts)}
+    ds = parse_dataset([ann("w1", "t0", 1, FULL)], [tw(tid, text) for tid, text in texts.items()])
+    words = ds.word_sequences()
+    assert words == {tid: tuple(tokenize(text)) for tid, text in texts.items()}
+    tokens = [token for sequence in words.values() for token in sequence]
+    assert len({id(token) for token in tokens}) == len(set(tokens))

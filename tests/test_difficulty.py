@@ -1,6 +1,7 @@
 """Agreement, certainty, and cost components plus end-to-end scoring."""
 
 import math
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -504,18 +505,27 @@ def test_certainty_computes_one_row_per_test_tweet_and_each_pair_once(small_synt
     similarity_rows = difficulty.similarity_rows
 
     def recording_rows(queries, pool, metric):
-        rows = similarity_rows(queries, pool, metric)
-        calls.append((len(queries), len(pool), [len(row) for row in rows]))
-        return rows
+        # passes on every row it records, as certainty pulls them
+        queries = list(queries)
+        lengths = []
+        calls.append((len(queries), len(pool), lengths))
+        for row in similarity_rows(queries, pool, metric):
+            lengths.append(len(row))
+            yield row
 
     def no_pair_lookups(*args, **kwargs):
         raise AssertionError("certainty must read similarity rows, not single pairs")
 
+    config = _config()
+    unwrapped = predictor_certainties(small_synthetic, config)
     monkeypatch.setattr(difficulty, "similarity_rows", recording_rows)
     monkeypatch.setattr(textsim.PairSimilarity, "sim", no_pair_lookups)
     monkeypatch.setattr(textsim, "nsim", no_pair_lookups)
-    config = _config()
-    predictor_certainties(small_synthetic, config)
+    result = predictor_certainties(small_synthetic, config)
+    # every tweet here lands in some worker's test partition, so a row that
+    # went missing would show up as an imputed tweet
+    assert result == unwrapped
+    assert not result.imputed
     # one call per worker; each of its test tweets gets one row against all
     # of its training tweets, whatever the levels they are labeled at
     expected = []
@@ -524,6 +534,39 @@ def test_certainty_computes_one_row_per_test_tweet_and_each_pair_once(small_synt
         train = max(1, math.floor(config.split_ratio * n))
         expected.append((n - train, train, [train] * (n - train)))
     assert calls == expected
+
+
+def test_certainty_refuses_a_short_row_stream(small_synthetic, monkeypatch):
+    # a stream that ends before the test tweets do raises, where a plain zip
+    # would leave the tweets without a row to the imputed mean
+    similarity_rows = difficulty.similarity_rows
+
+    def short_rows(queries, pool, metric):
+        rows = similarity_rows(queries, pool, metric)
+        next(rows)
+        return rows
+
+    monkeypatch.setattr(difficulty, "similarity_rows", short_rows)
+    with pytest.raises(ValueError, match="shorter"):
+        predictor_certainties(small_synthetic, _config())
+
+
+def _certainty_peak_bytes(n: int) -> int:
+    ds = generate_dataset(SynthConfig(n_workers=1, n_easy=n // 2, n_difficult=n // 2, seed=5))
+    tracemalloc.start()
+    try:
+        predictor_certainties(ds, _config())
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certainty_memory_grows_with_the_pool_not_pool_times_test():
+    # one worker labels every tweet, so its training pool and its test
+    # tweets both double with n; rows held all at once would grow about 4x
+    # (3.1x measured with the matrix of all rows, 1.8x with streamed rows)
+    small, large = _certainty_peak_bytes(500), _certainty_peak_bytes(1000)
+    assert large < 2.5 * small, (small, large)
 
 
 def test_scoring_reports_cost_exclusions():
