@@ -92,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_report = sub.add_parser("report", help="render a human-readable summary of prior outputs")
     p_report.add_argument("--out", default=RunConfig.out, help="directory holding score and simulation outputs (default %(default)s)")
-    p_report.add_argument("--alpha", type=float, default=RunConfig.alpha, help="significance level for verdicts (default %(default)s)")
+    p_report.add_argument("--alpha", type=float, default=0.05, help="significance level for verdicts (default %(default)s)")
     return parser
 
 
@@ -207,8 +207,12 @@ def _scores_sources(config: RunConfig) -> dict[str, Path]:
 
 
 def _write_scores(config: RunConfig, scored: dict[str, list], summary: dict) -> None:
-    """Write scores.csv, then summary.json with the sha256 of both inputs
-    and of that scores.csv, which is what lets simulate reuse it."""
+    """Remove the outputs derived from the scores.csv in --out, which the
+    new one makes stale, then write scores.csv, then summary.json with the
+    sha256 of both inputs and of that scores.csv, which is what lets
+    simulate reuse it."""
+    for name in ("outcomes.csv", "curves.csv", "stats.json", "report.md"):
+        (Path(config.out) / name).unlink(missing_ok=True)
     sources = _scores_sources(config)
     write_scores_csv(str(sources["scores.csv"]), config.header_json(), scored)
     summary["sha256"] = {key: _sha256(path) for key, path in sources.items()}
@@ -333,7 +337,8 @@ def _refuse_mixed_runs(configs: dict[Path, dict | None]) -> None:
     """report's inputs, summary.json, outcomes.csv and stats.json in that
     order, must come from one run: the same scoring configuration in all
     three, and the same full configuration in the last two, which one
-    simulate writes together."""
+    simulate writes together. A new scores.csv removes the outputs of the
+    old one, so only a directory assembled by hand can mix runs."""
     scoring = {path: _scoring_json(path, config) for path, config in configs.items()}
     paths = list(configs)
     disagree = [(a, b) for i, a in enumerate(paths) for b in paths[i + 1:] if scoring[a] != scoring[b]]

@@ -1,10 +1,12 @@
 """Run configuration and deterministic seed derivation.
 
-RunConfig is the one home of every run setting, its default and its
-validity: the command line, the scorer and the simulation grid all read
-them from it, and it refuses a bad value when it is built.
-Every output file written by the command line embeds the full RunConfig, so
-a run can be reproduced byte for byte from any of its artifacts.
+RunConfig is the one home of every setting that scoring or the simulation
+grid reads, its default and its validity: the command line, the scorer and
+the grid all read them from it, and it refuses a bad value when it is built.
+It holds nothing else: report's --alpha belongs to report alone, and the
+certainty kNN has one similarity measure, substring.
+Every output file written by the command line embeds RunConfig.to_dict(),
+so a run can be reproduced byte for byte from any of its artifacts.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(hashlib.sha256(blob).digest()[:8], "big")
 
 
-# the RunConfig fields that decide scores.csv; the rest only shape the grid,
-# the report and where outputs go. Two runs score alike when these fields
+# the keys of RunConfig.to_dict() that decide scores.csv; the rest only shape
+# the grid and where outputs go. Two runs score alike when these fields
 # are equal as canonical JSON (cli._scoring_json).
 SCORING_FIELDS = ("annotations", "tweets", "institutions", "smoothing", "k_certainty", "certainty_metric", "split_ratio", "seed")
 
@@ -42,21 +44,16 @@ class RunConfig:
     metrics: tuple[str, ...] = ("subsequence", "substring", "edit")
     smoothing: float = 1.0
     k_certainty: int = 3
-    certainty_metric: str = "substring"
     k_grid: tuple[int, ...] = (1, 3, 5, 7, 9, 11, 13, 15)
     epsilon: float = 0.01
     split_ratio: float = 0.4
     seed: int = 0
-    alpha: float = 0.05
     out: str = "out"
 
     def __post_init__(self):
         """Refuse every bad setting, naming the command-line flag that sets
-        it, so a library caller meets the same refusal as the command line;
-        certainty_metric, which no flag sets, is named by its field."""
+        it, so a library caller meets the same refusal as the command line."""
         known = [m.value for m in SimilarityMetric]
-        if self.certainty_metric not in known:
-            raise AnnodiffError(f"certainty_metric names unknown metric {self.certainty_metric!r}; choose from {known}")
         for i, m in enumerate(self.metrics):
             if m not in known:
                 raise AnnodiffError(f"--metrics names unknown metric {m!r}; choose from {known}")
@@ -75,7 +72,12 @@ class RunConfig:
             raise AnnodiffError(f"--split must lie strictly between 0 and 1, got {self.split_ratio}")
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # alpha and certainty_metric are constants, not settings: report
+        # takes --alpha itself, and certainty ranks by substring alone. They
+        # stay only because scores.csv, outcomes.csv, curves.csv and
+        # stats.json embed this dict and are held byte-identical until
+        # ROADMAP item 9 re-records their reference digests.
+        return {**asdict(self), "alpha": 0.05, "certainty_metric": "substring"}
 
     def header_json(self) -> str:
         """Canonical one-line JSON form embedded in output headers."""

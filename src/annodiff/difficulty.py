@@ -24,7 +24,7 @@ from annodiff.errors import AnnodiffError
 from annodiff.knn import rank_by_similarity
 from annodiff.labels import LEVELS, LEVEL_LABELS, path_labels
 from annodiff.stats import kmeans_1d
-from annodiff.textsim import SimilarityMetric, similarity_rows
+from annodiff.textsim import similarity_rows
 
 logger = logging.getLogger(__name__)
 
@@ -144,7 +144,7 @@ def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResul
     Each worker's labeled tweets are split once into a training and a test
     partition (config.split_ratio of them train, seeded per worker). A
     config.k_certainty-nearest-neighbor predictor per hierarchy level, over
-    config.certainty_metric similarity and trained on the training
+    substring similarity (the one measure of C) and trained on the training
     partition, emits a certainty row smoothed by config.smoothing for every
     test tweet. A worker's test tweets get their similarities to its
     training tweets, over the dataset's word sequences, from one
@@ -156,7 +156,6 @@ def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResul
     Labeled tweets that land in no worker's test partition get the population
     mean certainty; their ids are reported in the result.
     """
-    metric = SimilarityMetric(config.certainty_metric)
     words = dataset.word_sequences()
     rows_by_tweet: dict[str, list[dict[int, dict[str, float]]]] = {}
     for wid in dataset.worker_ids():
@@ -184,7 +183,7 @@ def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResul
         # one similarity row per test tweet, shared by the three levels and
         # ranked as it arrives; strict, so a short row stream raises instead
         # of leaving test tweets to the imputed mean
-        sim_rows = similarity_rows((words[tid] for tid in test_ids), [words[tid] for tid in train_ids], metric)
+        sim_rows = similarity_rows((words[tid] for tid in test_ids), [words[tid] for tid in train_ids])
         for tid, sim_row in zip(test_ids, sim_rows, strict=True):
             row: dict[int, dict[str, float]] = {}
             for level, pool in pools.items():

@@ -41,18 +41,16 @@ def _write_csv(path: str, header_json: str, fields: Sequence[str], rows: Iterabl
         fh.write(buf.getvalue())
 
 
-def read_csv(path: str) -> tuple[dict | None, list[dict]]:
-    """Read one of our CSV files back: (embedded config, row dicts)."""
+def read_csv(path: str) -> tuple[dict, list[dict]]:
+    """Read one of our CSV files back: (embedded config, row dicts). A file
+    whose first line is not the config line is not one of ours."""
     try:
         with open(path, encoding="utf-8") as fh:
             first = fh.readline()
-            config = None
-            if first.startswith(CONFIG_PREFIX):
-                config = _json_object(path, first[len(CONFIG_PREFIX):])
-                header_line = fh.readline()
-            else:
-                header_line = first
-            fields = next(csv.reader([header_line]))
+            if not first.startswith(CONFIG_PREFIX):
+                raise AnnodiffError(f"{path} has no {CONFIG_PREFIX.strip()!r} first line, so its run is unknown")
+            config = _json_object(path, first[len(CONFIG_PREFIX):])
+            fields = next(csv.reader([fh.readline()]))
             rows = [dict(zip(fields, row)) for row in csv.reader(fh)]
     except (UnicodeDecodeError, csv.Error) as exc:
         raise AnnodiffError(f"{path} is unreadable: {exc}") from exc

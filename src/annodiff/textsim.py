@@ -2,12 +2,14 @@
 
 Texts are compared as word sequences, not character strings. All similarity
 values are normalized to [0, 1] by the length of the longer sequence, and
-two empty sequences score 1.0. nsim compares one pair; similarity_rows
-streams the rows of many queries against one pool, one row at a time, with
-the same floats; PairSimilarity memoizes nsim over an id table. The
-functions here are pure and safe to call from multiple threads; a
-PairSimilarity fills its cache as it is read, and a similarity_rows
-iterator advances as it is read, so each thread needs its own.
+two empty sequences score 1.0. nsim compares one pair under any of the
+three measures, and PairSimilarity memoizes it for the simulation grid,
+which runs all three. similarity_rows streams the substring rows of many
+queries against one pool, with nsim's floats, for the certainty kNN,
+which ranks by substring alone. The functions here are pure and safe to
+call from multiple threads; a PairSimilarity fills its cache as it is
+read, and a similarity_rows iterator advances as it is read, so each
+thread needs its own.
 """
 
 from __future__ import annotations
@@ -148,74 +150,51 @@ def nsim(a: WordSequence, b: WordSequence, metric: SimilarityMetric) -> float:
     raise ValueError(f"unknown metric: {metric!r}")
 
 
-def similarity_rows(
-    queries: Iterable[WordSequence], pool: Sequence[WordSequence], metric: SimilarityMetric
-) -> Iterator[list[float]]:
-    """Each query's similarity to every pool sequence, by pool position: one
-    row per query, in query order, each computed when it is pulled.
+def similarity_rows(queries: Iterable[WordSequence], pool: Sequence[WordSequence]) -> Iterator[list[float]]:
+    """Each query's substring similarity to every pool sequence, by pool
+    position: one row per query, in query order, each computed when it is
+    pulled.
 
-    The floats are those of nsim(query, pool[j], metric), two empty
-    sequences included. Only the pool index and the row being built are
-    held, so memory grows with the pool, not with queries x pool. An unknown
-    metric raises here, not at the first row. substring indexes the pool
-    once, by word and by adjacent word pair, and scans each query once:
-    every pool sequence that shares a word starts at a run of 1, and each
-    query pair extends the runs that the previous pair ended just before it
-    in the pool. subsequence and edit build each query's word_masks once and
-    run the pair kernels with the pool sequence as the first argument, which
-    gives the same integers because all three measures are symmetric.
+    The floats are those of nsim(query, pool[j], SimilarityMetric.SUBSTRING),
+    two empty sequences included. The pool is indexed once, by word and by
+    adjacent word pair, and each query is scanned once: every pool sequence
+    that shares a word starts at a run of 1, and each query pair extends the
+    runs that the previous pair ended just before it in the pool. Only the
+    index and the row being built are held, so memory grows with the pool,
+    not with queries x pool.
     """
-    if not isinstance(metric, SimilarityMetric):
-        raise ValueError(f"unknown metric: {metric!r}")
-    return _rows(queries, pool, metric)
-
-
-def _rows(
-    queries: Iterable[WordSequence], pool: Sequence[WordSequence], metric: SimilarityMetric
-) -> Iterator[list[float]]:
-    """The generator behind similarity_rows, for a known metric."""
     lengths = [len(words) for words in pool]
-    if metric is SimilarityMetric.SUBSTRING:
-        # holders: word -> pool positions whose sequence holds it; follows:
-        # adjacent word pair -> (cell, position) where the pair ends, where
-        # cells number all the pool's words in order
-        holders: dict[str, set[int]] = {}
-        follows: dict[tuple[str, str], list[tuple[int, int]]] = {}
-        cell = 0
-        for position, words in enumerate(pool):
-            for j, word in enumerate(words):
-                holders.setdefault(word, set()).add(position)
-                if j:
-                    follows.setdefault((words[j - 1], word), []).append((cell, position))
-                cell += 1
-        for query in queries:
-            n = len(query)
-            if not n:
-                yield [0.0 if m else 1.0 for m in lengths]
-                continue
-            longest = dict.fromkeys(set().union(*(holders.get(word, ()) for word in set(query))), 1)
-            # runs[cell]: length of the common run that ends at cell and at
-            # the query word just read; only the previous word's runs extend
-            runs: dict[int, int] = {}
-            for pair in zip(query, query[1:]):
-                ending = {}
-                for cell, position in follows.get(pair, ()):
-                    run = ending[cell] = runs.get(cell - 1, 1) + 1
-                    if run > longest[position]:
-                        longest[position] = run
-                runs = ending
-            row = [0.0] * len(pool)
-            for position, run in longest.items():
-                row[position] = run / max(n, lengths[position])
-            yield row
-        return
+    # holders: word -> pool positions whose sequence holds it; follows:
+    # adjacent word pair -> (cell, position) where the pair ends, where
+    # cells number all the pool's words in order
+    holders: dict[str, set[int]] = {}
+    follows: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    cell = 0
+    for position, words in enumerate(pool):
+        for j, word in enumerate(words):
+            holders.setdefault(word, set()).add(position)
+            if j:
+                follows.setdefault((words[j - 1], word), []).append((cell, position))
+            cell += 1
     for query in queries:
         n = len(query)
-        masks = word_masks(query)
-        if metric is SimilarityMetric.SUBSEQUENCE:
-            row = [_subsequence(words, masks, n) / max(n, m) if n or m else 1.0 for words, m in zip(pool, lengths)]
-        else:
-            row = [1.0 - _edit(words, masks, n) / max(n, m) if n or m else 1.0 for words, m in zip(pool, lengths)]
+        if not n:
+            yield [0.0 if m else 1.0 for m in lengths]
+            continue
+        longest = dict.fromkeys(set().union(*(holders.get(word, ()) for word in set(query))), 1)
+        # runs[cell]: length of the common run that ends at cell and at
+        # the query word just read; only the previous word's runs extend
+        runs: dict[int, int] = {}
+        for pair in zip(query, query[1:]):
+            ending = {}
+            for cell, position in follows.get(pair, ()):
+                run = ending[cell] = runs.get(cell - 1, 1) + 1
+                if run > longest[position]:
+                    longest[position] = run
+            runs = ending
+        row = [0.0] * len(pool)
+        for position, run in longest.items():
+            row[position] = run / max(n, lengths[position])
         yield row
 
 

@@ -285,7 +285,8 @@ def test_report_renders_markdown(dataset_dir, tmp_path, capsys):
 
 def test_report_refuses_outputs_of_different_runs(tmp_path, capsys):
     # simulate under seed 11, then score under seed 12 into the same --out:
-    # summary.json now disagrees with outcomes.csv and stats.json
+    # the new scores.csv makes the simulate outputs stale, so score removes
+    # them and report finds its inputs missing
     annotations, tweets = generate_records(
         SynthConfig(n_workers=8, n_easy=40, n_difficult=20, difficult_label_noise=0.6, seed=11)
     )
@@ -297,19 +298,15 @@ def test_report_refuses_outputs_of_different_runs(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["report", "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"{out / 'summary.json'} and {out / 'outcomes.csv'}" in err
-    assert f"{out / 'summary.json'} and {out / 'stats.json'}" in err
+    assert f"missing inputs: {out / 'outcomes.csv'}, {out / 'stats.json'};" in err
     assert not (out / "report.md").exists()
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="report compares only run configurations; it needs input digests in the outputs (ROADMAP item 8)",
-)
 def test_report_refuses_scores_of_other_inputs(tmp_path, capsys):
-    # score and simulate the README walk's data, regenerate the data at the
-    # same paths under another seed, and score again under the same flags:
-    # summary.json now describes other inputs than outcomes.csv and stats.json
+    # score, simulate and report the README walk's data, regenerate the data
+    # at the same paths under another seed, and score again under the same
+    # flags: the new summary.json describes other inputs than the old
+    # outcomes.csv and stats.json, so score removed those and report.md
     out = tmp_path / "out"
     for seed in (11, 12):
         annotations, tweets = generate_records(
@@ -320,8 +317,11 @@ def test_report_refuses_scores_of_other_inputs(tmp_path, capsys):
         assert cli.main(["score", *_dataset_args(tmp_path), "--out", str(out)]) == 0
         if seed == 11:
             assert cli.main(_simulate_args(tmp_path, out)) == 0
+            assert cli.main(["report", "--out", str(out)]) == 0
+    assert sorted(path.name for path in out.iterdir()) == ["scores.csv", "summary.json"]
     capsys.readouterr()
     assert cli.main(["report", "--out", str(out)]) == 1
+    assert "missing inputs" in capsys.readouterr().err
 
 
 def test_report_refuses_outcomes_and_stats_of_different_simulations(dataset_dir, simulated, tmp_path, capsys):
@@ -578,6 +578,7 @@ def _drop_csv_column(text, column):
 CORRUPTIONS = {
     "config line not json": ("scores.csv", lambda t: _replace_line(t, 0, CONFIG_PREFIX + "{oops"), "simulate"),
     "config line not an object": ("scores.csv", lambda t: _replace_line(t, 0, CONFIG_PREFIX + "[1, 2]"), "simulate"),
+    "config line deleted": ("scores.csv", lambda t: t.split("\n", 1)[1], "simulate"),
     "config line nested too deeply": (
         "scores.csv", lambda t: _replace_line(t, 0, CONFIG_PREFIX + "[" * 200000 + "]" * 200000), "simulate"
     ),

@@ -1,5 +1,5 @@
-"""RunConfig refuses a bad setting when it is built, naming its flag, or
-its field where no flag sets it.
+"""RunConfig refuses a bad setting when it is built, naming its flag, and
+embeds itself in every output as one canonical JSON line.
 
 The empty and non-positive k grids, a repeated metric, a k-certainty of 0
 and a split of 1.0 are tested beside the grid and the scorer that read them.
@@ -18,7 +18,6 @@ BAD_SETTINGS = [
     ({"metrics": ()}, "--metrics"),
     ({"metrics": ("cosine",)}, "--metrics"),
     ({"split_ratio": math.nan}, "--split"),
-    ({"certainty_metric": "bogus"}, "certainty_metric"),
 ]
 
 
@@ -32,3 +31,14 @@ def test_run_config_accepts_its_defaults_and_the_edges():
     RunConfig("annotations.jsonl", "tweets.jsonl")
     RunConfig("annotations.jsonl", "tweets.jsonl", metrics=("edit",), k_grid=(1,), k_certainty=1,
               smoothing=0.0, epsilon=0.0, split_ratio=0.01)
+
+
+def test_header_json_of_the_defaults():
+    # every output embeds this line, and the four pinned outputs hold its
+    # bytes; alpha and certainty_metric are constants, not settings
+    assert RunConfig("a", "t").header_json() == (
+        '{"alpha": 0.05, "annotations": "a", "certainty_metric": "substring", "epsilon": 0.01, '
+        '"institutions": ["MD", "SU"], "k_certainty": 3, "k_grid": [1, 3, 5, 7, 9, 11, 13, 15], '
+        '"metrics": ["subsequence", "substring", "edit"], "out": "out", "seed": 0, "smoothing": 1.0, '
+        '"split_ratio": 0.4, "tweets": "t"}'
+    )

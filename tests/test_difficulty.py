@@ -341,9 +341,9 @@ def test_certainty_counts_the_first_k_ranked_neighbors(paths, words, k, seed):
     pools, ranked, counted = [], [], []
     real_rank = difficulty.rank_by_similarity
 
-    def recording_rows(queries, pool, metric):
+    def recording_rows(queries, pool):
         pools.append([sequence[0] for sequence in pool])
-        return textsim.similarity_rows(queries, pool, metric)
+        return textsim.similarity_rows(queries, pool)
 
     def recording_rank(sims, rng, depth):
         ranked.append(real_rank(sims, rng, depth))
@@ -504,12 +504,12 @@ def test_certainty_computes_one_row_per_test_tweet_and_each_pair_once(small_synt
     calls = []
     similarity_rows = difficulty.similarity_rows
 
-    def recording_rows(queries, pool, metric):
+    def recording_rows(queries, pool):
         # passes on every row it records, as certainty pulls them
         queries = list(queries)
         lengths = []
         calls.append((len(queries), len(pool), lengths))
-        for row in similarity_rows(queries, pool, metric):
+        for row in similarity_rows(queries, pool):
             lengths.append(len(row))
             yield row
 
@@ -541,8 +541,8 @@ def test_certainty_refuses_a_short_row_stream(small_synthetic, monkeypatch):
     # would leave the tweets without a row to the imputed mean
     similarity_rows = difficulty.similarity_rows
 
-    def short_rows(queries, pool, metric):
-        rows = similarity_rows(queries, pool, metric)
+    def short_rows(queries, pool):
+        rows = similarity_rows(queries, pool)
         next(rows)
         return rows
 

@@ -1,6 +1,7 @@
 """File formats: config-stamped CSVs and JSON payloads."""
 
 import json
+import re
 
 import pytest
 
@@ -65,21 +66,21 @@ def test_scores_file_layout(tmp_path):
 def test_read_scores_csv_rejects_malformed(tmp_path):
     path = tmp_path / "scores.csv"
     path.write_text(
-        ",".join(SCORES_FIELDS) + "\nMD,t0,not_a_number,0.1,0.2,0.3,easy\n"
+        CONFIG_PREFIX + CONFIG + "\n" + ",".join(SCORES_FIELDS) + "\nMD,t0,not_a_number,0.1,0.2,0.3,easy\n"
     )
     with pytest.raises(AnnodiffError, match="malformed"):
         read_scores_csv(str(path))
-    path.write_text("institution,tweet_id\nMD,t0\n")
+    path.write_text(CONFIG_PREFIX + CONFIG + "\ninstitution,tweet_id\nMD,t0\n")
     with pytest.raises(AnnodiffError, match="malformed"):
         read_scores_csv(str(path))
 
 
 def test_read_csv_without_config_line(tmp_path):
     path = tmp_path / "plain.csv"
+    # a CSV that does not say which run wrote it is refused, naming the file
     path.write_text("a,b\n1,2\n")
-    config, rows = read_csv(str(path))
-    assert config is None
-    assert rows == [{"a": "1", "b": "2"}]
+    with pytest.raises(AnnodiffError, match=re.escape(f"{path} has no '# config:' first line")):
+        read_csv(str(path))
 
 
 def _result(code, delta, with_curves=True):

@@ -88,7 +88,7 @@ def test_nsim_values(a, b, metric, expected):
 def test_nsim_of_two_empty_sequences_is_one(metric):
     # two empty sequences are identical, and nsim says so as similarity_rows does
     assert nsim([], [], metric) == 1.0
-    assert nsim((), (), metric) == next(similarity_rows([()], [()], metric))[0]
+    assert nsim((), (), metric) == next(similarity_rows([()], [()]))[0]
 
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6)
@@ -191,32 +191,25 @@ def queries_and_pool(draw):
 @given(case=queries_and_pool())
 def test_similarity_rows_match_dynamic_programs(case):
     queries, pool = case
-    oracles = {
-        SimilarityMetric.SUBSEQUENCE: lambda a, b, longest: lcs_subsequence_dp(a, b) / longest,
-        SimilarityMetric.SUBSTRING: lambda a, b, longest: lcs_substring_dp(a, b) / longest,
-        SimilarityMetric.EDIT: lambda a, b, longest: 1.0 - edit_distance_dp(a, b) / longest,
-    }
-    for metric, oracle in oracles.items():
-        rows = similarity_rows(queries, pool, metric)
-        for query, row in zip(queries, rows, strict=True):
-            # two empty sequences count as identical, as in nsim
-            expected = [oracle(query, b, max(len(query), len(b))) if query or b else 1.0 for b in pool]
-            assert row == expected
+    rows = similarity_rows(queries, pool)
+    for query, row in zip(queries, rows, strict=True):
+        # two empty sequences count as identical, as in nsim
+        expected = [lcs_substring_dp(query, b) / max(len(query), len(b)) if query or b else 1.0 for b in pool]
+        assert row == expected
 
 
 def test_similarity_rows_of_empty_sequences():
     pool = [(), ("a", "b"), ("b", "a", "b")]
-    for metric in SimilarityMetric:
-        assert list(similarity_rows([()], pool, metric)) == [[1.0, 0.0, 0.0]]
-        assert list(similarity_rows([("a", "b")], [()], metric)) == [[0.0]]
-        assert list(similarity_rows([], pool, metric)) == []
-        assert list(similarity_rows([("a",)], [], metric)) == [[]]
-    assert list(similarity_rows([["a", "b", "x"]], pool, SimilarityMetric.SUBSTRING)) == [[0.0, 2 / 3, 2 / 3]]
+    assert list(similarity_rows([()], pool)) == [[1.0, 0.0, 0.0]]
+    assert list(similarity_rows([("a", "b")], [()])) == [[0.0]]
+    assert list(similarity_rows([], pool)) == []
+    assert list(similarity_rows([("a",)], [])) == [[]]
+    assert list(similarity_rows([["a", "b", "x"]], pool)) == [[0.0, 2 / 3, 2 / 3]]
 
 
 def test_similarity_rows_pull_one_query_per_row():
-    # rows are computed as they are read: the queries are never gathered up
-    # front, and an unknown metric is refused at the call, before any row
+    # rows are computed as they are read: the queries are never gathered
+    # up front
     pool = [("a", "b"), ("b", "c", "a")]
     queries = [("a",), (), ("c", "a")]
     pulled = []
@@ -226,13 +219,9 @@ def test_similarity_rows_pull_one_query_per_row():
             pulled.append(query)
             yield query
 
-    with pytest.raises(ValueError, match="unknown metric"):
-        similarity_rows(counted(), pool, "substring")
-    for metric in SimilarityMetric:
-        pulled.clear()
-        rows = similarity_rows(counted(), pool, metric)
-        assert pulled == []
-        for n, query in enumerate(queries, 1):
-            assert next(rows) == [nsim(query, words, metric) for words in pool]
-            assert len(pulled) == n
-        assert next(rows, None) is None
+    rows = similarity_rows(counted(), pool)
+    assert pulled == []
+    for n, query in enumerate(queries, 1):
+        assert next(rows) == [nsim(query, words, SimilarityMetric.SUBSTRING) for words in pool]
+        assert len(pulled) == n
+    assert next(rows, None) is None
