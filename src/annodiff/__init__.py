@@ -18,7 +18,7 @@ from annodiff.simulation import (
     phase_windows,
 )
 from annodiff.stats import fisher_exact_two_tailed, kmeans_1d
-from annodiff.textsim import SimilarityMetric, nsim, tokenize
+from annodiff.textsim import nsim, tokenize
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "Dataset",
     "DifficultyScore",
     "RunConfig",
-    "SimilarityMetric",
     "Worker",
     "agreement_score",
     "aggregate",

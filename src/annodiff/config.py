@@ -4,7 +4,8 @@ RunConfig is the one home of every setting that scoring or the simulation
 grid reads, its default and its validity: the command line, the scorer and
 the grid all read them from it, and it refuses a bad value when it is built.
 It holds nothing else: report's --alpha belongs to report alone, and the
-certainty kNN has one similarity measure, substring.
+certainty kNN has one similarity measure, substring. The grid's measures
+are named by strings from textsim.METRICS, as they appear in the outputs.
 Every output file written by the command line embeds RunConfig.to_dict(),
 so a run can be reproduced byte for byte from any of its artifacts.
 """
@@ -17,7 +18,7 @@ import math
 from dataclasses import asdict, dataclass
 
 from annodiff.errors import AnnodiffError
-from annodiff.textsim import SimilarityMetric
+from annodiff.textsim import METRICS
 
 
 def stable_seed(*parts) -> int:
@@ -33,7 +34,7 @@ def stable_seed(*parts) -> int:
 # the keys of RunConfig.to_dict() that decide scores.csv; the rest only shape
 # the grid and where outputs go. Two runs score alike when these fields
 # are equal as canonical JSON (cli._scoring_json).
-SCORING_FIELDS = ("annotations", "tweets", "institutions", "smoothing", "k_certainty", "certainty_metric", "split_ratio", "seed")
+SCORING_FIELDS = ("annotations", "tweets", "institutions", "smoothing", "k_certainty", "split_ratio", "seed")
 
 
 @dataclass(frozen=True)
@@ -41,7 +42,7 @@ class RunConfig:
     annotations: str
     tweets: str
     institutions: tuple[str, ...] = ("MD", "SU")
-    metrics: tuple[str, ...] = ("subsequence", "substring", "edit")
+    metrics: tuple[str, ...] = METRICS
     smoothing: float = 1.0
     k_certainty: int = 3
     k_grid: tuple[int, ...] = (1, 3, 5, 7, 9, 11, 13, 15)
@@ -53,10 +54,9 @@ class RunConfig:
     def __post_init__(self):
         """Refuse every bad setting, naming the command-line flag that sets
         it, so a library caller meets the same refusal as the command line."""
-        known = [m.value for m in SimilarityMetric]
         for i, m in enumerate(self.metrics):
-            if m not in known:
-                raise AnnodiffError(f"--metrics names unknown metric {m!r}; choose from {known}")
+            if m not in METRICS:
+                raise AnnodiffError(f"--metrics names unknown metric {m!r}; choose from {list(METRICS)}")
             if m in self.metrics[:i]:
                 raise AnnodiffError(f"--metrics names {m!r} more than once")
         if not self.metrics:

@@ -43,7 +43,8 @@ def _write_csv(path: str, header_json: str, fields: Sequence[str], rows: Iterabl
 
 def read_csv(path: str) -> tuple[dict, list[dict]]:
     """Read one of our CSV files back: (embedded config, row dicts). A file
-    whose first line is not the config line is not one of ours."""
+    whose first line is not the config line is not one of ours, and neither
+    is one with a row whose field count differs from its header's."""
     try:
         with open(path, encoding="utf-8") as fh:
             first = fh.readline()
@@ -51,7 +52,13 @@ def read_csv(path: str) -> tuple[dict, list[dict]]:
                 raise AnnodiffError(f"{path} has no {CONFIG_PREFIX.strip()!r} first line, so its run is unknown")
             config = _json_object(path, first[len(CONFIG_PREFIX):])
             fields = next(csv.reader([fh.readline()]))
-            rows = [dict(zip(fields, row)) for row in csv.reader(fh)]
+            reader = csv.reader(fh)
+            rows = []
+            for row in reader:
+                if len(row) != len(fields):
+                    # + 2 for the config and header lines before the reader's first
+                    raise AnnodiffError(f"{path} line {reader.line_num + 2} has {len(row)} fields, its header {len(fields)}")
+                rows.append(dict(zip(fields, row)))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise AnnodiffError(f"{path} is unreadable: {exc}") from exc
     return config, rows

@@ -23,7 +23,7 @@ from annodiff.dataset import Dataset
 from annodiff.difficulty import DIFFICULT, EASY
 from annodiff.knn import hierarchical_f1, path_triple, rank_by_similarity, vote
 from annodiff.labels import LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, LabelPath
-from annodiff.textsim import PairSimilarity, SimilarityMetric
+from annodiff.textsim import PairSimilarity
 
 EARLY = "early"
 LATE = "late"
@@ -127,7 +127,7 @@ def worker_triples(
     ctx: SimulationContext,
     wid: str,
     sims: PairSimilarity,
-    metric: SimilarityMetric,
+    metric: str,
     phase: str,
     arm: str,
     ks: Sequence[int],
@@ -179,7 +179,7 @@ def worker_triples(
                     total[1] += predicted
                     total[2] += size
                 continue
-            parts = (seed, ctx.institution, metric.value, phase, n, wid, arm)
+            parts = (seed, ctx.institution, metric, phase, n, wid, arm)
             order = rank_by_similarity(row[:n], random.Random(stable_seed(*parts, "order", tid)), ks[-1])
             depth = len(order)
             counts = ({}, {}, {})
@@ -239,8 +239,7 @@ def run_grid(ctx: SimulationContext, config: RunConfig) -> list[ConfigResult]:
     """
     ks = sorted(set(config.k_grid))
     results = []
-    for name in config.metrics:
-        metric = SimilarityMetric(name)
+    for metric in config.metrics:
         sims = PairSimilarity(ctx.words, metric)
         for phase in PHASES:
             easy, difficult = [
@@ -257,7 +256,7 @@ def run_grid(ctx: SimulationContext, config: RunConfig) -> list[ConfigResult]:
                 results.append(
                     ConfigResult(
                         institution=ctx.institution,
-                        metric=metric.value,
+                        metric=metric,
                         phase=phase,
                         train_size=n,
                         curve_easy=curve_easy,

@@ -2,11 +2,13 @@
 
 Texts are compared as word sequences, not character strings. All similarity
 values are normalized to [0, 1] by the length of the longer sequence, and
-two empty sequences score 1.0. nsim compares one pair under any of the
-three measures, and PairSimilarity memoizes it for the simulation grid,
-which runs all three. similarity_rows streams the substring rows of many
-queries against one pool, with nsim's floats, for the certainty kNN,
-which ranks by substring alone. The functions here are pure and safe to
+two empty sequences score 1.0. A measure is its name in METRICS.
+Subsequence and edit distance are bit-parallel kernels over word_masks;
+substring has one algorithm, similarity_rows, which streams the rows of
+many queries against one pool for the certainty kNN, and which nsim reads
+for one pair. nsim compares one pair under any of the three measures, and
+PairSimilarity memoizes it for the simulation grid, which runs all three.
+The functions here are pure and safe to
 call from multiple threads; a PairSimilarity fills its cache as it is
 read, and a similarity_rows iterator advances as it is read, so each
 thread needs its own.
@@ -15,7 +17,6 @@ thread needs its own.
 from __future__ import annotations
 
 import string
-from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # characters stripped from both ends of each token; '#' and '@' survive so
@@ -25,10 +26,8 @@ _STRIP = "".join(c for c in string.punctuation if c not in "#@") + "“”‘’
 WordSequence = Sequence[str]
 
 
-class SimilarityMetric(Enum):
-    SUBSEQUENCE = "subsequence"
-    SUBSTRING = "substring"
-    EDIT = "edit"
+# the similarity measures, by the names that configs, seeds and outputs carry
+METRICS = ("subsequence", "substring", "edit")
 
 
 def tokenize(text: str) -> list[str]:
@@ -50,7 +49,7 @@ def tokenize(text: str) -> list[str]:
 
 def word_masks(words: WordSequence) -> dict[str, int]:
     """Match bitmask per distinct word: bit j is set where words[j] is that
-    word. The table every kernel reads for the second sequence of a pair."""
+    word. The table both kernels read for the second sequence of a pair."""
     masks: dict[str, int] = {}
     for j, word in enumerate(words):
         masks[word] = masks.get(word, 0) | 1 << j
@@ -70,34 +69,6 @@ def _subsequence(a: WordSequence, masks: Mapping[str, int], n: int) -> int:
             u = s & match
             s = ((s + u) | (s - u)) & full
     return n - s.bit_count()
-
-
-def _substring(a: WordSequence, masks: Mapping[str, int]) -> int:
-    """Longest common run of a and a sequence given by its word_masks.
-
-    Walks the diagonal runs of matching words: after each word of a, runs[r]
-    has bit j set where a common run of at least r + 1 words ends at that
-    word and at position j of b. O(len(a) * longest run) integer operations.
-    """
-    best = 0
-    runs: list[int] = []
-    get = masks.get
-    for word in a:
-        match = get(word)
-        if match is None:
-            if runs:
-                runs = []
-            continue
-        extended = [match]
-        for run in runs:
-            match &= run << 1
-            if not match:
-                break
-            extended.append(match)
-        runs = extended
-        if len(runs) > best:
-            best = len(runs)
-    return best
 
 
 def _edit(a: WordSequence, masks: Mapping[str, int], n: int) -> int:
@@ -129,25 +100,30 @@ def _edit(a: WordSequence, masks: Mapping[str, int], n: int) -> int:
     return dist
 
 
-def nsim(a: WordSequence, b: WordSequence, metric: SimilarityMetric) -> float:
-    """Normalized word-level similarity in [0, 1].
+def nsim(a: WordSequence, b: WordSequence, metric: str) -> float:
+    """Normalized word-level similarity in [0, 1] under the measure named
+    metric, one of METRICS.
 
     Common-subsequence and common-substring lengths are divided by the longer
     sequence length. Edit distance is mapped through 1 - distance / longer
     length so that identical sequences score 1 and disjoint ones score 0.
     Two empty sequences are identical and score 1.0 under every metric.
+    Substring is the one-pair row of similarity_rows.
+
+    >>> nsim(("a", "b", "c"), ("b", "c"), "substring")
+    0.6666666666666666
     """
+    if metric not in METRICS:
+        raise ValueError(f"unknown metric: {metric!r}")
+    if metric == "substring":
+        return next(similarity_rows((a,), (b,)))[0]
     if not a and not b:
         return 1.0
     masks = word_masks(b)
     longest = max(len(a), len(b))
-    if metric is SimilarityMetric.SUBSEQUENCE:
+    if metric == "subsequence":
         return _subsequence(a, masks, len(b)) / longest
-    if metric is SimilarityMetric.SUBSTRING:
-        return _substring(a, masks) / longest
-    if metric is SimilarityMetric.EDIT:
-        return 1.0 - _edit(a, masks, len(b)) / longest
-    raise ValueError(f"unknown metric: {metric!r}")
+    return 1.0 - _edit(a, masks, len(b)) / longest
 
 
 def similarity_rows(queries: Iterable[WordSequence], pool: Sequence[WordSequence]) -> Iterator[list[float]]:
@@ -155,8 +131,10 @@ def similarity_rows(queries: Iterable[WordSequence], pool: Sequence[WordSequence
     position: one row per query, in query order, each computed when it is
     pulled.
 
-    The floats are those of nsim(query, pool[j], SimilarityMetric.SUBSTRING),
-    two empty sequences included. The pool is indexed once, by word and by
+    A float is the longest common run of words over the longer length;
+    two empty sequences score 1.0 and one empty side 0.0. This is the one
+    substring algorithm: nsim(a, b, "substring") reads the row of query a
+    against pool (b,). The pool is indexed once, by word and by
     adjacent word pair, and each query is scanned once: every pool sequence
     that shares a word starts at a run of 1, and each query pair extends the
     runs that the previous pair ended just before it in the pool. Only the
@@ -199,8 +177,8 @@ def similarity_rows(queries: Iterable[WordSequence], pool: Sequence[WordSequence
 
 
 class PairSimilarity:
-    """Memoized nsim over a fixed id -> words table: the simulation grid's
-    similarity cache.
+    """Memoized nsim over a fixed id -> words table, under the measure named
+    metric: the simulation grid's similarity cache.
 
     The grid looks each (query, training tweet) pair up once per worker and
     arm, but workers that share tweets meet the same pairs, and a pair of an
@@ -209,7 +187,7 @@ class PairSimilarity:
     certainty kNN compares each pair once and reads similarity_rows instead.
     """
 
-    def __init__(self, words_by_id: Mapping[str, WordSequence], metric: SimilarityMetric):
+    def __init__(self, words_by_id: Mapping[str, WordSequence], metric: str):
         self._words = words_by_id
         self._metric = metric
         self._cache: dict[tuple[str, str], float] = {}

@@ -292,7 +292,7 @@ def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
             if tid in train_ids:
                 continue
             sims = [nsim(ctx.words[tid], ctx.words[train_tid], metric) for train_tid, _ in training]
-            parts = (seed, ctx.institution, metric.value, phase, n, wid, arm)
+            parts = (seed, ctx.institution, metric, phase, n, wid, arm)
             order = rank_full(sims, random.Random(stable_seed(*parts, "order", tid)))
             for k in ks:
                 neighbors = [training[i][1] for i in order[:k]]
@@ -320,7 +320,7 @@ def config_result(ctx, metric, phase, n, k_grid, seed, epsilon):
         code = encode_outcome(delta, epsilon)
     return ConfigResult(
         institution=ctx.institution,
-        metric=metric.value,
+        metric=metric,
         phase=phase,
         train_size=n,
         curve_easy=curve_easy,

@@ -51,7 +51,7 @@ from annodiff.labels import (
 from annodiff.simulation import aggregate, make_context, phase_windows, run_grid, worker_triples
 from annodiff.stats import fisher_exact_two_tailed, kmeans_1d
 from annodiff.synth import SynthConfig, generate_dataset, generate_records, write_jsonl
-from annodiff.textsim import PairSimilarity, SimilarityMetric, nsim
+from annodiff.textsim import METRICS, PairSimilarity, nsim
 
 TOL = 0.005
 
@@ -107,14 +107,14 @@ def _check_family_nsim():
     rng = random.Random(101)
     alphabet = ["a", "b", "c", "d"]
     brute = {
-        SimilarityMetric.SUBSEQUENCE: lambda a, b: oracles.lcs_subsequence_brute(a, b) / max(len(a), len(b)),
-        SimilarityMetric.SUBSTRING: lambda a, b: oracles.lcs_substring_brute(a, b) / max(len(a), len(b)),
-        SimilarityMetric.EDIT: lambda a, b: 1.0 - oracles.edit_distance_brute(a, b) / max(len(a), len(b)),
+        "subsequence": lambda a, b: oracles.lcs_subsequence_brute(a, b) / max(len(a), len(b)),
+        "substring": lambda a, b: oracles.lcs_substring_brute(a, b) / max(len(a), len(b)),
+        "edit": lambda a, b: 1.0 - oracles.edit_distance_brute(a, b) / max(len(a), len(b)),
     }
     for _ in range(1000):
         a = tuple(rng.choice(alphabet) for _ in range(rng.randint(0, 6)))
         b = tuple(rng.choice(alphabet) for _ in range(rng.randint(1, 6)))
-        for metric in SimilarityMetric:
+        for metric in METRICS:
             s = nsim(a, b, metric)
             assert 0.0 <= s <= 1.0, (a, b, metric)
             assert s == nsim(b, a, metric), (a, b, metric)
@@ -332,12 +332,12 @@ def test_c6_easy_training_class_beats_difficult():
     # both curves pool all workers; which sizes a worker holds does not
     # depend on the metric
     ks = sorted(RunConfig.k_grid)
-    sims = PairSimilarity(ctx.words, SimilarityMetric.EDIT)
+    sims = PairSimilarity(ctx.words, "edit")
     for wid in ctx.worker_ids:
         for arm in ("easy", "difficult"):
-            assert 8 in worker_triples(ctx, wid, sims, SimilarityMetric.EDIT, "late", arm, ks, 11), (wid, arm)
-    for metric in SimilarityMetric:
-        grid = run_grid(ctx, RunConfig("annotations.jsonl", "tweets.jsonl", metrics=(metric.value,), seed=11))
+            assert 8 in worker_triples(ctx, wid, sims, "edit", "late", arm, ks, 11), (wid, arm)
+    for metric in METRICS:
+        grid = run_grid(ctx, RunConfig("annotations.jsonl", "tweets.jsonl", metrics=(metric,), seed=11))
         run = next(r for r in grid if r.phase == "late" and r.train_size == 8)
         assert run.curve_easy is not None and run.curve_difficult is not None, metric
         assert run.mean_delta is not None and run.mean_delta > 0.01, (metric, run.mean_delta)

@@ -568,6 +568,10 @@ def _replace_line(text, index, new):
     return "\n".join(lines)
 
 
+def _extend_line(text, index, tail):
+    return _replace_line(text, index, text.split("\n")[index] + tail)
+
+
 def _drop_csv_column(text, column):
     config, header, *rows = text.split("\n")
     keep = [i for i, name in enumerate(header.split(",")) if name != column]
@@ -589,6 +593,8 @@ CORRUPTIONS = {
     "summary without phases": ("summary.json", lambda t: t.replace('"phases"', '"no_phases"'), "report"),
     "outcomes without n": ("outcomes.csv", lambda t: _drop_csv_column(t, "n"), "report"),
     "outcomes not utf-8": ("outcomes.csv", lambda t: t.encode() + b"\xff\xfe,\n", "report"),
+    "outcomes row with an extra field": ("outcomes.csv", lambda t: _extend_line(t, 2, ",extra"), "report"),
+    "scores row with an extra field": ("scores.csv", lambda t: _extend_line(t, 2, ",extra"), "simulate"),
 }
 
 

@@ -11,7 +11,7 @@ from annodiff.config import RunConfig, stable_seed
 from annodiff.knn import hierarchical_f1, path_triple, rank_by_similarity, vote
 from annodiff.labels import LABEL_ORDER, LEVEL_LABELS, LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, label_set
 from annodiff.simulation import SimulationContext, run_grid, vote_path
-from annodiff.textsim import SimilarityMetric, nsim
+from annodiff.textsim import nsim
 from oracles import coerce_structure, hier_f1_direct, path_label_set, rank_full
 
 # truth paths as the grid holds them: (level1, level2, level3), NoLabel blanks
@@ -28,7 +28,7 @@ def test_label_set_closure():
     assert label_set(("Irrelevant", NO_LABEL, NO_LABEL)) == {"Irrelevant"}
 
 
-def predict(examples, query, k, seed, metric=SimilarityMetric.EDIT):
+def predict(examples, query, k, seed, metric="edit"):
     """Predict a label path the way the grid's oracle does: rank the examples
     once, count each level's labels among the first min(k, n), NoLabel
     included, and vote top-down."""
@@ -192,9 +192,9 @@ def test_predict_exact_match_k1():
         (("budget", "plan", "works"), PATHS[2]),
         (("boring", "rerun", "tonight"), PATHS[0]),
     ]
-    path = predict(examples, ("budget", "plan", "works"), 1, 0, SimilarityMetric.SUBSTRING)
+    path = predict(examples, ("budget", "plan", "works"), 1, 0, "substring")
     assert path == ("Relevant", "NonFactual", "Positive")
-    path = predict(examples, ("boring", "rerun", "tonight"), 1, 0, SimilarityMetric.SUBSTRING)
+    path = predict(examples, ("boring", "rerun", "tonight"), 1, 0, "substring")
     assert path == ("Irrelevant", NO_LABEL, NO_LABEL)
 
 
@@ -206,8 +206,8 @@ def test_predict_only_irrelevant_training():
 def test_predict_deterministic_under_seed():
     examples = [(tuple(f"w{i}{j}" for j in range(3)), PATHS[i % 4]) for i in range(6)]
     queries = [tuple(f"w{i}{j}" for j in range(2)) for i in range(6)]
-    first = [predict(examples, q, 3, 11, SimilarityMetric.SUBSEQUENCE) for q in queries]
-    second = [predict(examples, q, 3, 11, SimilarityMetric.SUBSEQUENCE) for q in queries]
+    first = [predict(examples, q, 3, 11, "subsequence") for q in queries]
+    second = [predict(examples, q, 3, 11, "subsequence") for q in queries]
     assert first == second
 
 
@@ -349,7 +349,7 @@ examples_strategy = st.lists(
 
 @given(examples=examples_strategy, query=words, k=st.integers(1, 5), seed=st.integers(0, 2**32))
 def test_duplicating_training_set_with_doubled_k_is_noop(examples, query, k, seed):
-    sims = sorted((nsim(query, ex_words, SimilarityMetric.EDIT) for ex_words, _ in examples), reverse=True)
+    sims = sorted((nsim(query, ex_words, "edit") for ex_words, _ in examples), reverse=True)
     k_eff = min(k, len(examples))
     # a similarity tie spanning the cut makes the neighbor set genuinely
     # ambiguous, which doubling resolves differently; skip those draws

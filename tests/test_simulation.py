@@ -25,7 +25,7 @@ from annodiff.simulation import (
     worker_triples,
 )
 from annodiff.synth import SynthConfig, generate_dataset
-from annodiff.textsim import PairSimilarity, SimilarityMetric
+from annodiff.textsim import METRICS, PairSimilarity
 
 EASY_PATH = label_path("Relevant", "NonFactual", "Positive")
 DIFFICULT_PATH = label_path("Irrelevant")
@@ -146,7 +146,7 @@ def test_make_context_filters_institution():
 
 def _grid_row(ctx, metric, phase, n, k_grid, seed=0):
     """The (phase, n) configuration of a one-metric run_grid."""
-    config = RunConfig("a.jsonl", "t.jsonl", metrics=(metric.value,), k_grid=k_grid, seed=seed)
+    config = RunConfig("a.jsonl", "t.jsonl", metrics=(metric,), k_grid=k_grid, seed=seed)
     return next(r for r in run_grid(ctx, config) if (r.phase, r.train_size) == (phase, n))
 
 
@@ -156,7 +156,7 @@ def test_grid_hand_computed_f1():
     # for any k and any metric. The resulting pooled F1 values are exact.
     ds, classes = _alternating_dataset(50)
     ctx = make_context(ds, "MD", classes)
-    result = _grid_row(ctx, SimilarityMetric.SUBSTRING, "early", 2, k_grid=(1, 3, 5))
+    result = _grid_row(ctx, "substring", "early", 2, k_grid=(1, 3, 5))
     # easy arm: 23 test tweets, 11 easy truths fully matched (3 labels each),
     # 12 difficult truths missed: F1 = 2*33/(69+45)
     assert sorted(result.curve_easy) == [1, 3, 5]
@@ -168,9 +168,9 @@ def test_grid_hand_computed_f1():
     assert result.mean_delta == pytest.approx(66 / 114 - 20 / 72, abs=1e-12)
     assert result.code == "E"
     # the one worker holds size 2 in both arms, so both curves are its own
-    sims = PairSimilarity(ctx.words, SimilarityMetric.SUBSTRING)
+    sims = PairSimilarity(ctx.words, "substring")
     for arm in ("easy", "difficult"):
-        assert 2 in worker_triples(ctx, "w1", sims, SimilarityMetric.SUBSTRING, "early", arm, (1, 3, 5), seed=0)
+        assert 2 in worker_triples(ctx, "w1", sims, "substring", "early", arm, (1, 3, 5), seed=0)
 
 
 def test_grid_skips_thin_strata():
@@ -180,9 +180,9 @@ def test_grid_skips_thin_strata():
     for tid in late_easy[3:]:
         classes[tid] = "difficult"
     ctx = make_context(ds, "MD", classes)
-    result = _grid_row(ctx, SimilarityMetric.EDIT, "late", 5, k_grid=(1,))
-    sims = PairSimilarity(ctx.words, SimilarityMetric.EDIT)
-    triples = worker_triples(ctx, "w1", sims, SimilarityMetric.EDIT, "late", "easy", (1,), seed=0)
+    result = _grid_row(ctx, "edit", "late", 5, k_grid=(1,))
+    sims = PairSimilarity(ctx.words, "edit")
+    triples = worker_triples(ctx, "w1", sims, "edit", "late", "easy", (1,), seed=0)
     # the worker's 3 late easy tweets hold sizes 2 and 3 only
     assert sorted(triples) == [2, 3]
     assert result.curve_easy is None
@@ -200,7 +200,7 @@ def test_grid_refuses_empty_k_grid():
 def test_grid_deterministic():
     ds, classes = _alternating_dataset(50)
     ctx = make_context(ds, "MD", classes)
-    args = (ctx, SimilarityMetric.SUBSEQUENCE, "late", 3, (1, 3, 5, 7, 9, 11, 13, 15))
+    args = (ctx, "subsequence", "late", 3, (1, 3, 5, 7, 9, 11, 13, 15))
     assert _grid_row(*args, seed=5) == _grid_row(*args, seed=5)
 
 
@@ -270,12 +270,12 @@ k_grids = st.lists(st.sampled_from((1, 2, 3, 5, 9, 10, 11, 15)), min_size=1, max
 @settings(max_examples=25, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(
     ctx=small_contexts(),
-    metric=st.sampled_from(list(SimilarityMetric)),
+    metric=st.sampled_from(METRICS),
     k_grid=k_grids,
     seed=st.integers(0, 3),
 )
 def test_grid_matches_per_size_oracle(ctx, metric, k_grid, seed):
-    config = RunConfig("a.jsonl", "t.jsonl", metrics=(metric.value,), k_grid=tuple(k_grid), seed=seed)
+    config = RunConfig("a.jsonl", "t.jsonl", metrics=(metric,), k_grid=tuple(k_grid), seed=seed)
     expected = [
         oracles.config_result(ctx, metric, ph, size, config.k_grid, seed, config.epsilon)
         for ph in PHASES
@@ -288,7 +288,7 @@ def test_grid_matches_per_size_oracle(ctx, metric, k_grid, seed):
 @settings(max_examples=10, phases=(Phase.explicit, Phase.reuse, Phase.generate))
 @given(
     ctx=small_contexts(),
-    metric=st.sampled_from(list(SimilarityMetric)),
+    metric=st.sampled_from(METRICS),
     phase=st.sampled_from(PHASES),
     k_grid=k_grids,
     seed=st.integers(0, 3),
@@ -371,7 +371,7 @@ def test_grid_computes_each_pair_once_per_metric(monkeypatch):
 
     monkeypatch.setattr(textsim, "nsim", counting_nsim)
     run_grid(ctx, RunConfig("a.jsonl", "t.jsonl", metrics=("edit", "substring"), k_grid=(1, 3)))
-    assert {metric for metric, _, _ in computed} == {SimilarityMetric.EDIT, SimilarityMetric.SUBSTRING}
+    assert {metric for metric, _, _ in computed} == {"edit", "substring"}
     assert set(computed.values()) == {1}
 
 
@@ -390,14 +390,14 @@ def test_agreeing_training_paths_are_not_ranked(monkeypatch):
         return real_rank(sims, rng, depth)
 
     monkeypatch.setattr(simulation, "rank_by_similarity", counting_rank)
-    sims = PairSimilarity(ctx.words, SimilarityMetric.EDIT)
-    worker_triples(ctx, "w1", sims, SimilarityMetric.EDIT, "early", "easy", (1, 3), seed=0)
+    sims = PairSimilarity(ctx.words, "edit")
+    worker_triples(ctx, "w1", sims, "edit", "early", "easy", (1, 3), seed=0)
     # a query of size n is ranked over its first n similarities; the 25 - n
     # window tweets outside the training set are queries of size n
     assert Counter(ranked) == {n: 25 - n for n in TRAIN_SIZES if n > 3}
     ranked.clear()
     # the difficult stratum is one path throughout
-    worker_triples(ctx, "w1", sims, SimilarityMetric.EDIT, "early", "difficult", (1, 3), seed=0)
+    worker_triples(ctx, "w1", sims, "edit", "early", "difficult", (1, 3), seed=0)
     assert ranked == []
 
 

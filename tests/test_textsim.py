@@ -3,9 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from annodiff import textsim
 from annodiff.textsim import (
+    METRICS,
     PairSimilarity,
-    SimilarityMetric,
     nsim,
     similarity_rows,
     tokenize,
@@ -45,37 +46,37 @@ def test_pair_values_match_dynamic_programs():
     assert lcs_subsequence_dp(a, b) == 4  # the ... sat on ... mat
     assert lcs_substring_dp(a, b) == 2  # "sat on"
     assert edit_distance_dp(a, b) == 2
-    assert nsim(a, b, SimilarityMetric.SUBSEQUENCE) == 4 / 6
-    assert nsim(a, b, SimilarityMetric.SUBSTRING) == 2 / 6
-    assert nsim(a, b, SimilarityMetric.EDIT) == 1.0 - 2 / 6
+    assert nsim(a, b, "subsequence") == 4 / 6
+    assert nsim(a, b, "substring") == 2 / 6
+    assert nsim(a, b, "edit") == 1.0 - 2 / 6
 
 
 def test_pair_values_with_an_empty_side():
     assert lcs_subsequence_dp([], ["x"]) == 0
-    assert nsim([], ["x"], SimilarityMetric.SUBSEQUENCE) == 0.0
+    assert nsim([], ["x"], "subsequence") == 0.0
     assert lcs_substring_dp(["x"], []) == 0
-    assert nsim(["x"], [], SimilarityMetric.SUBSTRING) == 0.0
+    assert nsim(["x"], [], "substring") == 0.0
     assert edit_distance_dp([], ["x", "y"]) == 2
-    assert nsim([], ["x", "y"], SimilarityMetric.EDIT) == 1.0 - 2 / 2
+    assert nsim([], ["x", "y"], "edit") == 1.0 - 2 / 2
     assert edit_distance_dp(["x", "y"], []) == 2
-    assert nsim(["x", "y"], [], SimilarityMetric.EDIT) == 1.0 - 2 / 2
+    assert nsim(["x", "y"], [], "edit") == 1.0 - 2 / 2
 
 
 NSIM_CASES = [
     # (a, b, metric, expected)
-    ("a b c", "a x c", SimilarityMetric.SUBSEQUENCE, 2 / 3),
-    ("a b c", "a x c", SimilarityMetric.SUBSTRING, 1 / 3),
-    ("a b c", "a x c", SimilarityMetric.EDIT, 2 / 3),
-    ("a b c", "a b c", SimilarityMetric.SUBSEQUENCE, 1.0),
-    ("a b c", "a b c", SimilarityMetric.SUBSTRING, 1.0),
-    ("a b c", "a b c", SimilarityMetric.EDIT, 1.0),
-    ("a b", "c d e", SimilarityMetric.SUBSEQUENCE, 0.0),
-    ("a b", "c d e", SimilarityMetric.SUBSTRING, 0.0),
-    ("a b", "c d e", SimilarityMetric.EDIT, 0.0),
-    ("a b c", "b c", SimilarityMetric.SUBSTRING, 2 / 3),
-    ("a b c d", "", SimilarityMetric.SUBSEQUENCE, 0.0),
-    ("a b c d", "", SimilarityMetric.SUBSTRING, 0.0),
-    ("a b c d", "", SimilarityMetric.EDIT, 0.0),
+    ("a b c", "a x c", "subsequence", 2 / 3),
+    ("a b c", "a x c", "substring", 1 / 3),
+    ("a b c", "a x c", "edit", 2 / 3),
+    ("a b c", "a b c", "subsequence", 1.0),
+    ("a b c", "a b c", "substring", 1.0),
+    ("a b c", "a b c", "edit", 1.0),
+    ("a b", "c d e", "subsequence", 0.0),
+    ("a b", "c d e", "substring", 0.0),
+    ("a b", "c d e", "edit", 0.0),
+    ("a b c", "b c", "substring", 2 / 3),
+    ("a b c d", "", "subsequence", 0.0),
+    ("a b c d", "", "substring", 0.0),
+    ("a b c d", "", "edit", 0.0),
 ]
 
 
@@ -84,11 +85,37 @@ def test_nsim_values(a, b, metric, expected):
     assert nsim(a.split(), b.split(), metric) == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("metric", list(SimilarityMetric))
+@pytest.mark.parametrize("metric", METRICS)
 def test_nsim_of_two_empty_sequences_is_one(metric):
     # two empty sequences are identical, and nsim says so as similarity_rows does
     assert nsim([], [], metric) == 1.0
     assert nsim((), (), metric) == next(similarity_rows([()], [()]))[0]
+
+
+def test_nsim_refuses_an_unknown_metric():
+    # a measure is its name, so a misspelt name must not pass for one
+    with pytest.raises(ValueError, match="'Substring'"):
+        nsim(("a",), ("a",), "Substring")
+    with pytest.raises(ValueError, match="'jaccard'"):
+        nsim((), (), "jaccard")
+
+
+def test_nsim_substring_reads_the_row_search(monkeypatch):
+    # substring has one algorithm: nsim reads one row of similarity_rows
+    rows = []
+    real_rows = textsim.similarity_rows
+
+    def recording_rows(queries, pool):
+        for row in real_rows(queries, pool):
+            rows.append(row)
+            yield row
+
+    monkeypatch.setattr(textsim, "similarity_rows", recording_rows)
+    assert nsim(("a", "b", "c"), ("b", "c"), "substring") == 2 / 3
+    assert rows == [[2 / 3]]
+    nsim(("a", "b", "c"), ("b", "c"), "subsequence")
+    nsim(("a", "b", "c"), ("b", "c"), "edit")
+    assert len(rows) == 1
 
 
 words = st.lists(st.sampled_from(["a", "b", "c", "d"]), max_size=6)
@@ -99,19 +126,19 @@ def test_nsim_matches_oracles(a, b):
     if not a and not b:
         return
     longest = max(len(a), len(b))
-    assert nsim(a, b, SimilarityMetric.SUBSEQUENCE) == lcs_subsequence_brute(a, b) / longest
-    assert nsim(a, b, SimilarityMetric.SUBSTRING) == lcs_substring_brute(a, b) / longest
-    assert nsim(a, b, SimilarityMetric.EDIT) == 1 - edit_distance_brute(a, b) / longest
+    assert nsim(a, b, "subsequence") == lcs_subsequence_brute(a, b) / longest
+    assert nsim(a, b, "substring") == lcs_substring_brute(a, b) / longest
+    assert nsim(a, b, "edit") == 1 - edit_distance_brute(a, b) / longest
 
 
-@given(a=words, b=words, metric=st.sampled_from(list(SimilarityMetric)))
+@given(a=words, b=words, metric=st.sampled_from(METRICS))
 def test_nsim_symmetric_and_bounded(a, b, metric):
     value = nsim(a, b, metric)
     assert value == nsim(b, a, metric)
     assert 0.0 <= value <= 1.0
 
 
-@given(a=words, metric=st.sampled_from(list(SimilarityMetric)))
+@given(a=words, metric=st.sampled_from(METRICS))
 def test_nsim_identity(a, metric):
     assert nsim(a, a, metric) == 1.0
 
@@ -135,13 +162,13 @@ def test_kernels_match_dynamic_programs(pair):
     substring = lcs_substring_dp(a, b)
     distance = edit_distance_dp(a, b)
     if not a and not b:
-        assert all(nsim(a, b, metric) == 1.0 for metric in SimilarityMetric)
+        assert all(nsim(a, b, metric) == 1.0 for metric in METRICS)
         return
     longest = max(len(a), len(b))
     for metric, expected in [
-        (SimilarityMetric.SUBSEQUENCE, subsequence / longest),
-        (SimilarityMetric.SUBSTRING, substring / longest),
-        (SimilarityMetric.EDIT, 1.0 - distance / longest),
+        ("subsequence", subsequence / longest),
+        ("substring", substring / longest),
+        ("edit", 1.0 - distance / longest),
     ]:
         assert nsim(a, b, metric) == expected
 
@@ -153,8 +180,8 @@ def test_word_masks():
 
 def test_pair_similarity_cache():
     texts = {"t1": ("a", "b", "c"), "t2": ("a", "x", "c"), "t3": ()}
-    sims = PairSimilarity(texts, SimilarityMetric.SUBSEQUENCE)
-    assert sims.sim("t1", "t2") == nsim(texts["t1"], texts["t2"], SimilarityMetric.SUBSEQUENCE)
+    sims = PairSimilarity(texts, "subsequence")
+    assert sims.sim("t1", "t2") == nsim(texts["t1"], texts["t2"], "subsequence")
     assert sims.sim("t2", "t1") == sims.sim("t1", "t2")
     assert sims.sim("t1", "t1") == 1.0
     # two empty word sequences count as identical rather than undefined
@@ -222,6 +249,6 @@ def test_similarity_rows_pull_one_query_per_row():
     rows = similarity_rows(counted(), pool)
     assert pulled == []
     for n, query in enumerate(queries, 1):
-        assert next(rows) == [nsim(query, words, SimilarityMetric.SUBSTRING) for words in pool]
+        assert next(rows) == [nsim(query, words, "substring") for words in pool]
         assert len(pulled) == n
     assert next(rows, None) is None
