@@ -11,9 +11,7 @@ import argparse
 import hashlib
 import json
 import sys
-import traceback
 from contextlib import contextmanager
-from dataclasses import fields
 from pathlib import Path
 
 from annodiff.config import SCORING_FIELDS, RunConfig
@@ -54,11 +52,11 @@ def _add_dataset_args(parser):
 
 def _add_scoring_args(parser):
     parser.add_argument("--institution", choices=INSTITUTIONS, help="restrict to one institution (default: both)")
-    parser.add_argument("--smoothing", type=float, default=RunConfig.smoothing, help="additive smoothing of certainty rows (default %(default)s)")
-    parser.add_argument("--k-certainty", type=int, default=RunConfig.k_certainty, help="neighbors for the certainty predictors (default %(default)s)")
-    parser.add_argument("--split", dest="split_ratio", metavar="SPLIT", type=float, default=RunConfig.split_ratio, help="training share of each worker's tweets (default %(default)s)")
-    parser.add_argument("--seed", type=int, default=RunConfig.seed, help="master seed (default %(default)s)")
-    parser.add_argument("--out", default=RunConfig.out, help="output directory (default %(default)s)")
+    parser.add_argument("--smoothing", type=float, default=RunConfig._field_defaults["smoothing"], help="additive smoothing of certainty rows (default %(default)s)")
+    parser.add_argument("--k-certainty", type=int, default=RunConfig._field_defaults["k_certainty"], help="neighbors for the certainty predictors (default %(default)s)")
+    parser.add_argument("--split", dest="split_ratio", metavar="SPLIT", type=float, default=RunConfig._field_defaults["split_ratio"], help="training share of each worker's tweets (default %(default)s)")
+    parser.add_argument("--seed", type=int, default=RunConfig._field_defaults["seed"], help="master seed (default %(default)s)")
+    parser.add_argument("--out", default=RunConfig._field_defaults["out"], help="output directory (default %(default)s)")
 
 
 def _comma_separated(text: str) -> tuple[str, ...]:
@@ -86,12 +84,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim = sub.add_parser("simulate", help="run the easy/difficult predictor grid")
     _add_dataset_args(p_sim)
     _add_scoring_args(p_sim)
-    p_sim.add_argument("--metrics", type=_comma_separated, default=",".join(RunConfig.metrics), help="comma-separated similarity metrics (default %(default)s)")
-    p_sim.add_argument("--k-grid", type=_comma_separated_ints, default=",".join(map(str, RunConfig.k_grid)), help="comma-separated neighbor counts (default %(default)s)")
-    p_sim.add_argument("--epsilon", type=float, default=RunConfig.epsilon, help="dominance threshold for outcome coding (default %(default)s)")
+    p_sim.add_argument("--metrics", type=_comma_separated, default=",".join(RunConfig._field_defaults["metrics"]), help="comma-separated similarity metrics (default %(default)s)")
+    p_sim.add_argument("--k-grid", type=_comma_separated_ints, default=",".join(map(str, RunConfig._field_defaults["k_grid"])), help="comma-separated neighbor counts (default %(default)s)")
+    p_sim.add_argument("--epsilon", type=float, default=RunConfig._field_defaults["epsilon"], help="dominance threshold for outcome coding (default %(default)s)")
 
     p_report = sub.add_parser("report", help="render a human-readable summary of prior outputs")
-    p_report.add_argument("--out", default=RunConfig.out, help="directory holding score and simulation outputs (default %(default)s)")
+    p_report.add_argument("--out", default=RunConfig._field_defaults["out"], help="directory holding score and simulation outputs (default %(default)s)")
     p_report.add_argument("--alpha", type=float, default=0.05, help="significance level for verdicts (default %(default)s)")
     return parser
 
@@ -100,8 +98,7 @@ def _make_run_config(args) -> RunConfig:
     """RunConfig from the flags this subcommand has, each stored under its
     field's name; every setting it has no flag for keeps its default.
     RunConfig refuses a bad value."""
-    names = {field.name for field in fields(RunConfig)}
-    given = {name: value for name, value in vars(args).items() if name in names}
+    given = {name: value for name, value in vars(args).items() if name in RunConfig._fields}
     if args.institution:
         given["institutions"] = (args.institution,)
     return RunConfig(**given)
@@ -445,6 +442,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:
+        import traceback  # here alone, so that no command pays for it at start
         print("internal error:", file=sys.stderr)
         traceback.print_exc()
         return 2

@@ -1,13 +1,14 @@
 """Run configuration and deterministic seed derivation.
 
 RunConfig is the one home of every setting that scoring or the simulation
-grid reads, its default and its validity: the command line, the scorer and
-the grid all read them from it, and it refuses a bad value when it is built.
-It holds nothing else: report's --alpha belongs to report alone, and the
-certainty kNN has one similarity measure, substring. The grid's measures
-are named by strings from textsim.METRICS, as they appear in the outputs.
-Every output file written by the command line embeds RunConfig.to_dict(),
-so a run can be reproduced byte for byte from any of its artifacts.
+grid reads, its default (in RunConfig._field_defaults, as it is a
+NamedTuple) and its validity: it refuses a bad value when it is built,
+and when _replace builds it. It holds nothing else: report's --alpha belongs to report
+alone, and the certainty kNN has one similarity measure, substring. The
+grid's measures are named by strings from textsim.METRICS, as they appear
+in the outputs. Every output file written by the command line embeds
+RunConfig.to_dict(), so a run can be reproduced byte for byte from any of
+its artifacts.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from annodiff.errors import AnnodiffError
 from annodiff.textsim import METRICS
@@ -36,12 +37,24 @@ def stable_seed(*parts) -> int:
 # are equal as canonical JSON (cli._scoring_json).
 SCORING_FIELDS = ("annotations", "tweets", "institutions", "smoothing", "k_certainty", "split_ratio", "seed")
 
+INSTITUTIONS = ("MD", "SU")
 
-@dataclass(frozen=True)
-class RunConfig:
+
+def _refuse_names(flag: str, kind: str, names, known) -> None:
+    """Refuse names that are unknown, repeated or absent, naming flag."""
+    for i, name in enumerate(names):
+        if name not in known:
+            raise AnnodiffError(f"{flag} names unknown {kind} {name!r}; choose from {list(known)}")
+        if name in names[:i]:
+            raise AnnodiffError(f"{flag} names {name!r} more than once")
+    if not names:
+        raise AnnodiffError(f"{flag} needs at least one {kind}")
+
+
+class _Settings(NamedTuple):
     annotations: str
     tweets: str
-    institutions: tuple[str, ...] = ("MD", "SU")
+    institutions: tuple[str, ...] = INSTITUTIONS
     metrics: tuple[str, ...] = METRICS
     smoothing: float = 1.0
     k_certainty: int = 3
@@ -51,16 +64,16 @@ class RunConfig:
     seed: int = 0
     out: str = "out"
 
-    def __post_init__(self):
+
+class RunConfig(_Settings):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
         """Refuse every bad setting, naming the command-line flag that sets
         it, so a library caller meets the same refusal as the command line."""
-        for i, m in enumerate(self.metrics):
-            if m not in METRICS:
-                raise AnnodiffError(f"--metrics names unknown metric {m!r}; choose from {list(METRICS)}")
-            if m in self.metrics[:i]:
-                raise AnnodiffError(f"--metrics names {m!r} more than once")
-        if not self.metrics:
-            raise AnnodiffError("--metrics needs at least one metric")
+        self = super().__new__(cls, *args, **kwargs)
+        _refuse_names("--institution", "institution", self.institutions, INSTITUTIONS)
+        _refuse_names("--metrics", "metric", self.metrics, METRICS)
         if not self.k_grid or min(self.k_grid) < 1:
             raise AnnodiffError(f"--k-grid needs at least one neighbor count, each at least 1, got {self.k_grid}")
         if self.k_certainty < 1:
@@ -70,6 +83,11 @@ class RunConfig:
                 raise AnnodiffError(f"{flag} must be a finite non-negative number, got {value}")
         if not 0 < self.split_ratio < 1:
             raise AnnodiffError(f"--split must lie strictly between 0 and 1, got {self.split_ratio}")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "RunConfig":  # _replace builds through here, so it refuses too
+        return cls(*iterable)
 
     def to_dict(self) -> dict:
         # alpha and certainty_metric are constants, not settings: report
@@ -77,7 +95,7 @@ class RunConfig:
         # stay only because scores.csv, outcomes.csv, curves.csv and
         # stats.json embed this dict and are held byte-identical until
         # ROADMAP item 9 re-records their reference digests.
-        return {**asdict(self), "alpha": 0.05, "certainty_metric": "substring"}
+        return {**self._asdict(), "alpha": 0.05, "certainty_metric": "substring"}
 
     def header_json(self) -> str:
         """Canonical one-line JSON form embedded in output headers."""

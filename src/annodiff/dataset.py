@@ -15,16 +15,15 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-# unused here, but perfbench/tracer.py wraps this name; it goes with the tracer (ROADMAP item 1)
-from annodiff.config import stable_seed  # noqa: F401
+# stable_seed is unused here, but perfbench/tracer.py wraps this name; it
+# goes with the tracer (ROADMAP item 2, Step B)
+from annodiff.config import INSTITUTIONS, stable_seed  # noqa: F401
 from annodiff.errors import DatasetError
 from annodiff.labels import IRRELEVANT, LabelPath, label_path, path_labels
 from annodiff.textsim import tokenize
 
-INSTITUTIONS = ("MD", "SU")
 GROUPS = ("S", "M", "L")
 
 _LEVEL_KEYS = {"l1": 1, "l2": 2, "l3": 3}
@@ -33,8 +32,7 @@ _LEVEL_KEYS = {"l1": 1, "l2": 2, "l3": 3}
 _SURROGATE = re.compile("[\ud800-\udfff]")
 
 
-@dataclass(frozen=True)
-class Annotation:
+class Annotation(NamedTuple):
     """One labeling of one tweet: its label path, and its per-level labeling
     seconds summed in level order, or None when a labeled level has no
     recorded duration. The worker is the one whose session holds it."""
@@ -44,20 +42,18 @@ class Annotation:
     duration: float | None
 
 
-@dataclass
-class Worker:
+class Worker(NamedTuple):
     """One worker's session: its annotations in session order, and how many
     labels the parser pruned from them below an Irrelevant level 1. The
     worker's id is its key in Dataset.workers."""
 
     institution: str
     group: str
-    annotations: list[Annotation] = field(default_factory=list)
+    annotations: Sequence[Annotation] = ()
     pruned_labels: int = 0
 
 
-@dataclass
-class Dataset:
+class Dataset(NamedTuple):
     """Workers by id and tweet texts by id, as parsed. Every count over the
     dataset is derived from the workers it holds, so a subset's counts are
     its own."""
@@ -223,7 +219,8 @@ def parse_dataset(
         texts[tid] = record["text"]
         text_lines[tid] = line_no
 
-    workers: dict[str, Worker] = {}
+    profiles: dict[str, tuple[str, str]] = {}  # worker -> (institution, group)
+    pruned_labels: dict[str, int] = {}
     sessions: dict[str, dict[int, tuple[int, Annotation]]] = {}  # worker -> order_index -> (line, annotation)
     seen_pairs: dict[tuple[str, str], int] = {}
     for line_no, record in _records(annotation_lines, annotations_path):
@@ -249,18 +246,16 @@ def parse_dataset(
         if ann.tweet_id not in texts:
             raise DatasetError(f"tweet {ann.tweet_id!r} has no text record", path=annotations_path, line=line_no)
 
-        worker = workers.get(wid)
-        if worker is None:
-            worker = workers[wid] = Worker(institution, group)
-        elif worker.institution != institution or worker.group != group:
+        if profiles.setdefault(wid, (institution, group)) != (institution, group):
             raise DatasetError(
                 f"worker {wid!r} reappears with a different institution or group",
                 path=annotations_path,
                 line=line_no,
             )
-        worker.pruned_labels += pruned
+        pruned_labels[wid] = pruned_labels.get(wid, 0) + pruned
         session[order_index] = (line_no, ann)
 
+    workers: dict[str, Worker] = {}
     for wid, session in sessions.items():
         for expected, order_index in enumerate(sorted(session), start=1):
             if order_index != expected:
@@ -269,7 +264,8 @@ def parse_dataset(
                     path=annotations_path,
                     line=session[order_index][0],
                 )
-        workers[wid].annotations = [session[order_index][1] for order_index in range(1, len(session) + 1)]
+        annotations = [session[order_index][1] for order_index in range(1, len(session) + 1)]
+        workers[wid] = Worker(*profiles[wid], annotations, pruned_labels[wid])
 
     return Dataset(workers=workers, texts=texts)
 

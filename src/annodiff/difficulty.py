@@ -3,37 +3,32 @@
 A tweet's difficulty score is the sum of three components, each in [0, 1]:
 worker agreement on its labels, the certainty of per-worker label predictors,
 and its normalized labeling cost. Higher scores mean easier tweets. Scores
-are split into an easy and a difficult class by 1-D 2-means.
+are split into an easy and a difficult class by 1-D 2-means. Imputed and
+excluded tweets are returned, not logged; score prints and records them.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 import random
-import statistics
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Annotation, Dataset
 from annodiff.errors import AnnodiffError
 from annodiff.knn import rank_by_similarity
 from annodiff.labels import LEVELS, LEVEL_LABELS, path_labels
-from annodiff.stats import kmeans_1d
+from annodiff.stats import kmeans_1d, mean, median
 from annodiff.textsim import similarity_rows
-
-logger = logging.getLogger(__name__)
 
 EASY = "easy"
 DIFFICULT = "difficult"
 
 
-@dataclass(frozen=True)
-class DifficultyScore:
+class DifficultyScore(NamedTuple):
     tweet_id: str
     agreement: float
     certainty: float
@@ -42,8 +37,7 @@ class DifficultyScore:
     klass: str  # EASY or DIFFICULT
 
 
-@dataclass
-class ScoringResult:
+class ScoringResult(NamedTuple):
     scores: list[DifficultyScore]
     imputed_certainty: list[str]  # tweets that received the population mean
     excluded: dict[str, str]  # tweet id -> reason it could not be scored
@@ -129,11 +123,10 @@ def aggregate_certainties(worker_rows: Sequence[Mapping[int, Mapping[str, float]
         level_maxima.append(max(averages))
     if not level_maxima:
         raise ValueError("no level carries a certainty row")
-    return statistics.fmean(level_maxima)
+    return mean(level_maxima)
 
 
-@dataclass
-class CertaintyResult:
+class CertaintyResult(NamedTuple):
     values: dict[str, float]
     imputed: list[str]
 
@@ -202,11 +195,10 @@ def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResul
     missing = [tid for tid in labeled if tid not in values]
     imputed: list[str] = []
     if missing and values:
-        population_mean = statistics.fmean(values.values())
+        population_mean = mean(values.values())
         for tid in missing:
             values[tid] = population_mean
         imputed = missing
-        logger.warning("no certainty for %d tweet(s); imputed the population mean %.4f", len(missing), population_mean)
     return CertaintyResult(values=values, imputed=imputed)
 
 
@@ -226,7 +218,7 @@ def labeling_costs(dataset: Dataset) -> dict[str, float]:
     for tid, annotations in sorted(dataset.annotations_by_tweet().items()):
         durations = [a.duration for a in annotations if a.duration is not None]
         if durations:
-            medians[tid] = statistics.median(durations)
+            medians[tid] = median(durations)
             if not math.isfinite(medians[tid]):
                 raise AnnodiffError(f"tweet {tid}: the median labeling duration overflows a float")
     if not medians:
@@ -246,7 +238,8 @@ def difficulty_scores(dataset: Dataset, config: RunConfig) -> ScoringResult:
 
     The easy class is the 2-means cluster with the higher mean score. Tweets
     lacking a component (no recorded durations, or no certainty when nothing
-    could be imputed) are excluded and reported, never silently dropped.
+    could be imputed) are excluded and listed in ScoringResult.excluded,
+    never silently dropped.
     """
     by_tweet = dataset.annotations_by_tweet()
     if not by_tweet:
@@ -269,19 +262,8 @@ def difficulty_scores(dataset: Dataset, config: RunConfig) -> ScoringResult:
         rows.append((tid, agreement, cert, cost, agreement + cert + cost))
     if not rows:
         raise AnnodiffError("no tweet has all three score components")
-    if excluded:
-        logger.warning("excluded %d tweet(s) from scoring: %s", len(excluded), excluded)
 
     clustering = kmeans_1d([r[4] for r in rows])
-    scores = [
-        DifficultyScore(
-            tweet_id=tid,
-            agreement=agreement,
-            certainty=cert,
-            cost=cost,
-            ds=ds,
-            klass=EASY if cluster == 1 else DIFFICULT,
-        )
-        for (tid, agreement, cert, cost, ds), cluster in zip(rows, clustering.labels)
-    ]
+    # a row is a DifficultyScore's fields up to its class
+    scores = [DifficultyScore(*row, EASY if cluster == 1 else DIFFICULT) for row, cluster in zip(rows, clustering.labels)]
     return ScoringResult(scores=scores, imputed_certainty=certainty.imputed, excluded=excluded)

@@ -77,10 +77,8 @@ def _json_object(path: str, text: str) -> dict:
 
 def write_scores_csv(path: str, header_json: str, scored: Mapping[str, Sequence[DifficultyScore]]) -> None:
     """One row per (institution, tweet)."""
-    rows = []
-    for institution in sorted(scored):
-        for s in scored[institution]:
-            rows.append((institution, s.tweet_id, s.agreement, s.certainty, s.cost, s.ds, s.klass))
+    # SCORES_FIELDS are the institution, then a DifficultyScore's fields in order
+    rows = [(institution, *s) for institution in sorted(scored) for s in scored[institution]]
     _write_csv(path, header_json, SCORES_FIELDS, rows)
 
 
@@ -91,14 +89,7 @@ def read_scores_csv(path: str) -> dict[str, dict[str, DifficultyScore]]:
     out: dict[str, dict[str, DifficultyScore]] = {}
     for row in rows:
         try:
-            score = DifficultyScore(
-                tweet_id=row["tweet_id"],
-                agreement=float(row["A"]),
-                certainty=float(row["C"]),
-                cost=float(row["L"]),
-                ds=float(row["ds"]),
-                klass=row["class"],
-            )
+            score = DifficultyScore(row["tweet_id"], *(float(row[key]) for key in ("A", "C", "L", "ds")), row["class"])
             institution = row["institution"]
         except (KeyError, ValueError) as exc:
             raise AnnodiffError(f"malformed scores file {path}: {exc}")

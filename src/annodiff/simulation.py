@@ -14,15 +14,14 @@ average.
 from __future__ import annotations
 
 import random
-import statistics
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Dataset
 from annodiff.difficulty import DIFFICULT, EASY
 from annodiff.knn import hierarchical_f1, path_triple, rank_by_similarity, vote
 from annodiff.labels import LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, LabelPath
+from annodiff.stats import mean
 from annodiff.textsim import PairSimilarity
 
 EARLY = "early"
@@ -61,8 +60,7 @@ def phase_windows(dataset: Dataset) -> tuple[dict[tuple[str, str], Window], list
     return windows, excluded
 
 
-@dataclass
-class SimulationContext:
+class SimulationContext(NamedTuple):
     """One institution's workers, phase windows, difficulty classes and word
     sequences, the inputs run_grid reads, precomputed once."""
 
@@ -84,8 +82,7 @@ def make_context(dataset: Dataset, institution: str, class_by_tweet: Mapping[str
     )
 
 
-@dataclass(frozen=True)
-class ConfigResult:
+class ConfigResult(NamedTuple):
     institution: str
     metric: str
     phase: str
@@ -214,7 +211,7 @@ def pooled_curve(triples: Sequence[Mapping[int, Sequence[int]]]) -> dict[int, fl
 
 def mean_curve_delta(curve_easy: dict[int, float], curve_difficult: dict[int, float]) -> float:
     """Mean over the k grid of (easy F1 - difficult F1)."""
-    return statistics.fmean(curve_easy[k] - curve_difficult[k] for k in sorted(curve_easy))
+    return mean(curve_easy[k] - curve_difficult[k] for k in sorted(curve_easy))
 
 
 def encode_outcome(delta: float, epsilon: float) -> str:

@@ -1,22 +1,35 @@
-"""Small statistics primitives: 1-D 2-means and Fisher's exact test.
+"""Small statistics primitives: mean, median, 1-D 2-means, Fisher's exact test.
 
-Both are implemented here rather than pulled from a library because their
+They are implemented here rather than pulled from a library because their
 exact conventions matter downstream: the clustering must be the optimal
 contiguous split with a fixed tie rule, and the exact test must use the
-point-probability definition of two-tailed.
+point-probability definition of two-tailed. mean and median give the floats
+of statistics.fmean and statistics.median, which imports fractions and decimal.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
+from typing import NamedTuple
 
 from annodiff.errors import DegenerateClusteringError
 
 
-@dataclass(frozen=True)
-class Clustering1D:
+def mean(values) -> float:
+    """The correctly rounded sum of one or more values over their count."""
+    values = list(values)
+    return math.fsum(values) / len(values)
+
+
+def median(values):
+    """The middle of one or more sorted values, or the halved sum of the middle two."""
+    ordered = sorted(values)
+    half = len(ordered) // 2
+    return ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
+
+
+class Clustering1D(NamedTuple):
     centroids: tuple[float, float]  # ascending
     labels: tuple[int, ...]  # cluster index per input value, aligned with input order
 

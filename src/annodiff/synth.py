@@ -15,8 +15,8 @@ from __future__ import annotations
 import json
 import operator
 import random
-from dataclasses import dataclass
 from functools import reduce
+from typing import NamedTuple
 
 from annodiff.config import stable_seed
 from annodiff.dataset import Dataset, parse_dataset
@@ -57,8 +57,7 @@ EASY_SECONDS = (1.0, 2.0)
 DIFFICULT_SECONDS = (15.0, 20.0)
 
 
-@dataclass(frozen=True)
-class SynthConfig:
+class SynthConfig(NamedTuple):
     n_workers: int = 6
     n_easy: int = 30
     n_difficult: int = 30

@@ -331,7 +331,7 @@ def test_c6_easy_training_class_beats_difficult():
     # every worker's late strata hold the 8 tweets that size 8 trains on, so
     # both curves pool all workers; which sizes a worker holds does not
     # depend on the metric
-    ks = sorted(RunConfig.k_grid)
+    ks = sorted(RunConfig._field_defaults["k_grid"])
     sims = PairSimilarity(ctx.words, "edit")
     for wid in ctx.worker_ids:
         for arm in ("easy", "difficult"):

@@ -1,7 +1,6 @@
 """End-to-end command line behaviour through main()."""
 
 import contextlib
-import dataclasses
 import io
 import json
 import os
@@ -150,6 +149,29 @@ def test_score_writes_scores_and_summary(dataset_dir, tmp_path, capsys):
     assert summary["institutions"]["MD"]["workers"] == 2
     classes = summary["institutions"]["MD"]["classes"]
     assert classes["easy"] + classes["difficult"] == 50
+
+
+def test_score_reports_imputed_and_excluded_tweets_on_stdout_alone(tmp_path):
+    # two workers label every tweet, so a tweet in both training partitions
+    # gets the imputed certainty; t000 has no duration in either session,
+    # so it has no labeling cost and is excluded. A fresh process, since
+    # pytest would capture what a library writes to a logger.
+    annotations, tweets = generate_records(SynthConfig(n_workers=2, n_easy=25, n_difficult=25, seed=5))
+    for record in annotations:
+        if record["tweet_id"] == "t000":
+            del record["durations_s"]
+    write_jsonl(annotations, str(tmp_path / "annotations.jsonl"))
+    write_jsonl(tweets, str(tmp_path / "tweets.jsonl"))
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    result = subprocess.run([sys.executable, "-m", "annodiff.cli", "score", *_dataset_args(tmp_path), "--out", str(out)],
+                            env=env, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
+    info = read_json(str(out / "summary.json"))["institutions"]["MD"]
+    assert info["tweets_excluded"] == {"t000": "no labeling durations"}
+    assert info["certainty_imputed"] > 0
+    assert f"  certainty imputed for {info['certainty_imputed']} tweet(s)\n" in result.stdout
+    assert "  excluded from scoring: 1 tweet(s)\n" in result.stdout
 
 
 def test_score_gives_no_easy_share_for_an_empty_phase_window(tmp_path, capsys):
@@ -434,7 +456,7 @@ def test_every_run_flag_is_stored_under_its_field(command):
     # the run config keeps only the flags stored under a RunConfig field's
     # name, so a flag stored under any other name would be dropped unseen
     args = cli.build_parser().parse_args([command, "--dataset", "a.jsonl", "--tweets", "t.jsonl"])
-    assert set(vars(args)) - {field.name for field in dataclasses.fields(RunConfig)} == {"command", "institution"}
+    assert set(vars(args)) - set(RunConfig._fields) == {"command", "institution"}
 
 
 def test_flags_set_their_run_config_fields():

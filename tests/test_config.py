@@ -1,5 +1,5 @@
-"""RunConfig refuses a bad setting when it is built, naming its flag, and
-embeds itself in every output as one canonical JSON line.
+"""RunConfig refuses a bad setting when it is built or replaced, naming its
+flag, and embeds itself in every output as one canonical JSON line.
 
 The empty and non-positive k grids, a repeated metric, a k-certainty of 0
 and a split of 1.0 are tested beside the grid and the scorer that read them.
@@ -17,6 +17,9 @@ BAD_SETTINGS = [
       for value in (math.nan, math.inf, -1.0)],
     ({"metrics": ()}, "--metrics"),
     ({"metrics": ("cosine",)}, "--metrics"),
+    ({"institutions": ()}, "--institution"),
+    ({"institutions": ("XX",)}, "--institution"),
+    ({"institutions": ("MD", "MD")}, "--institution"),
     ({"split_ratio": math.nan}, "--split"),
 ]
 
@@ -27,10 +30,24 @@ def test_run_config_refuses_a_bad_setting(settings, flag):
         RunConfig("annotations.jsonl", "tweets.jsonl", **settings)
 
 
+@pytest.mark.parametrize("settings, flag", BAD_SETTINGS, ids=[repr(s) for s, _ in BAD_SETTINGS])
+def test_run_config_refuses_a_bad_setting_on_replace(settings, flag):
+    # a NamedTuple's _replace builds through _make, not the constructor
+    with pytest.raises(AnnodiffError, match=flag):
+        RunConfig("a", "t")._replace(**settings)
+
+
+def test_run_config_replace_keeps_the_other_fields():
+    config = RunConfig("a", "t", seed=3)._replace(institutions=("SU",))
+    assert type(config) is RunConfig
+    assert config == RunConfig("a", "t", institutions=("SU",), seed=3)
+    assert RunConfig._field_defaults["institutions"] == ("MD", "SU")
+
+
 def test_run_config_accepts_its_defaults_and_the_edges():
     RunConfig("annotations.jsonl", "tweets.jsonl")
-    RunConfig("annotations.jsonl", "tweets.jsonl", metrics=("edit",), k_grid=(1,), k_certainty=1,
-              smoothing=0.0, epsilon=0.0, split_ratio=0.01)
+    RunConfig("annotations.jsonl", "tweets.jsonl", institutions=("SU",), metrics=("edit",), k_grid=(1,),
+              k_certainty=1, smoothing=0.0, epsilon=0.0, split_ratio=0.01)
 
 
 def test_header_json_of_the_defaults():

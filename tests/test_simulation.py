@@ -1,6 +1,5 @@
 """Phase windows and strata, predictor comparison, outcome coding, aggregation."""
 
-import dataclasses
 from collections import Counter
 
 import pytest
@@ -297,7 +296,7 @@ def test_worker_triples_match_one_worker_oracle(ctx, metric, phase, k_grid, seed
     ks = sorted(set(k_grid))
     sims = PairSimilarity(ctx.words, metric)
     for wid in ctx.worker_ids:
-        alone = dataclasses.replace(ctx, worker_ids=[wid])
+        alone = ctx._replace(worker_ids=[wid])
         for arm in ("easy", "difficult"):
             triples = worker_triples(ctx, wid, sims, metric, phase, arm, ks, seed)
             for n in TRAIN_SIZES:
@@ -340,7 +339,7 @@ def test_grid_looks_each_pair_up_once_per_worker_and_arm(monkeypatch):
     for wid in ctx.worker_ids:
         # one worker at a time, so a pair that two workers share is seen once per run
         lookups.clear()
-        run_grid(dataclasses.replace(ctx, worker_ids=[wid]), config)
+        run_grid(ctx._replace(worker_ids=[wid]), config)
         expected = set()
         for phase in PHASES:
             window_ids = [tid for tid, _ in ctx.windows[(wid, phase)]]

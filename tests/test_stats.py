@@ -1,13 +1,41 @@
-"""Two-cluster 1-D k-means and the two-tailed Fisher exact test."""
+"""Mean and median, two-cluster 1-D k-means and the two-tailed Fisher
+exact test."""
 
 import random
+import statistics
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from annodiff.errors import DegenerateClusteringError
-from annodiff.stats import fisher_exact_two_tailed, kmeans_1d
+from annodiff.stats import fisher_exact_two_tailed, kmeans_1d, mean, median
 from oracles import best_threshold_wcss, exact_threshold_wcss, fisher_exact_fraction, wcss_of_assignment
+
+
+# the program computes these without importing statistics; the tests hold
+# them to it. Magnitudes stay below 1e300, so no partial sum overflows.
+numbers = st.one_of(st.floats(-1e300, 1e300), st.integers(-10**6, 10**6))
+
+
+@given(st.lists(numbers, min_size=1, max_size=40))
+@example([0.1])
+@example([0.1, 0.2, 0.3])
+@example([0.1, 0.2, 0.3, 0.4])
+@example([1e100, 1.0, -1e100])
+def test_mean_is_fmean(values):
+    expected = repr(statistics.fmean(values))
+    assert repr(mean(values)) == expected
+    assert repr(mean(iter(values))) == expected
+    assert repr(mean(v for v in values)) == expected
+
+
+@given(st.lists(numbers, min_size=1, max_size=40))
+@example([3])
+@example([1, 3])
+@example([2.5, 1.0, 4.0])
+@example([2.5, 1.0, 4.0, 0.5])
+def test_median_is_statistics_median(values):
+    assert repr(median(values)) == repr(statistics.median(values))
 
 
 def test_kmeans_symmetric_split():
