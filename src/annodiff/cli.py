@@ -14,8 +14,8 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-from annodiff.config import SCORING_FIELDS, RunConfig
-from annodiff.dataset import GROUPS, INSTITUTIONS, Dataset, load_dataset
+from annodiff.config import INSTITUTIONS, SCORING_FIELDS, RunConfig
+from annodiff.dataset import GROUPS, Dataset, load_dataset
 from annodiff.difficulty import DIFFICULT, EASY, difficulty_scores
 from annodiff.errors import AnnodiffError
 from annodiff.outputs import (

@@ -94,7 +94,7 @@ class RunConfig(_Settings):
         # takes --alpha itself, and certainty ranks by substring alone. They
         # stay only because scores.csv, outcomes.csv, curves.csv and
         # stats.json embed this dict and are held byte-identical until
-        # ROADMAP item 9 re-records their reference digests.
+        # ROADMAP item 11 re-records their reference digests.
         return {**self._asdict(), "alpha": 0.05, "certainty_metric": "substring"}
 
     def header_json(self) -> str:

@@ -18,7 +18,7 @@ import sys
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 # stable_seed is unused here, but perfbench/tracer.py wraps this name; it
-# goes with the tracer (ROADMAP item 2, Step B)
+# goes with the tracer (ROADMAP item 5, Step B)
 from annodiff.config import INSTITUTIONS, stable_seed  # noqa: F401
 from annodiff.errors import DatasetError
 from annodiff.labels import IRRELEVANT, LabelPath, label_path, path_labels

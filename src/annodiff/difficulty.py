@@ -93,8 +93,6 @@ def knn_label_certainty(
     k = sum(counts.values())
     if k < 1:
         raise ValueError("need at least one neighbor")
-    if smoothing < 0:
-        raise ValueError("smoothing must be non-negative")
     c = len(labels)
     if c < 2:
         raise ValueError("need at least two candidate labels")

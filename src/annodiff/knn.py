@@ -20,7 +20,7 @@ import random
 from functools import cache
 from typing import Mapping, Sequence
 
-from annodiff.labels import LABEL_ORDER, label_set
+from annodiff.labels import LABEL_ORDER, NO_LABEL
 
 
 def rank_by_similarity(sims: Sequence[float], rng: random.Random, depth: int) -> list[int]:
@@ -73,8 +73,9 @@ def vote(counts: Mapping[str, int]) -> list[str]:
 def path_triple(truth: tuple[str, ...], predicted: tuple[str, ...]) -> tuple[int, int, int]:
     """(overlap, predicted size, truth size) of one (truth, prediction) pair,
     each side a label path, the (level 1, level 2, level 3) tuple with
-    NoLabel blanks, expanded to its ancestor-closed label set."""
-    truth_set, predicted_set = label_set(truth), label_set(predicted)
+    NoLabel blanks. A label path is ancestor-closed already, so its label
+    set is its labels other than NoLabel."""
+    truth_set, predicted_set = set(truth) - {NO_LABEL}, set(predicted) - {NO_LABEL}
     return len(truth_set & predicted_set), len(predicted_set), len(truth_set)
 
 

@@ -4,13 +4,13 @@ Level 1 decides relevance. Level 2 exists only under Relevant and separates
 factual from non-factual content. Level 3 exists only under NonFactual and
 carries sentiment polarity. Every annotation's labels are one LabelPath,
 the (level 1, level 2, level 3) tuple with NoLabel blanks, from parsing to
-the F1 score; label_path builds one and refuses a path the tree does not
-hold.
+the F1 score. label_path builds one and refuses a path the tree does not
+hold, and simulation.vote_path votes a level only under its parent label,
+so every LabelPath is ancestor-closed: its labels other than NoLabel are
+the label set that hierarchical F1 compares.
 """
 
 from __future__ import annotations
-
-from typing import Iterable
 
 RELEVANT = "Relevant"
 IRRELEVANT = "Irrelevant"
@@ -33,16 +33,8 @@ LEVEL_LABELS: dict[int, tuple[str, str]] = {
 # canonical ordering used wherever tied labels must be sorted before a
 # seeded draw, so results do not depend on hash or insertion order
 LABEL_ORDER: dict[str, int] = {
-    RELEVANT: 0,
-    IRRELEVANT: 1,
-    FACTUAL: 2,
-    NONFACTUAL: 3,
-    POSITIVE: 4,
-    NEGATIVE: 5,
-    NO_LABEL: 6,
+    label: rank for rank, label in enumerate((*LEVEL_LABELS[1], *LEVEL_LABELS[2], *LEVEL_LABELS[3], NO_LABEL))
 }
-
-_PARENT = {FACTUAL: RELEVANT, NONFACTUAL: RELEVANT, POSITIVE: NONFACTUAL, NEGATIVE: NONFACTUAL}
 
 
 # a label path as the whole program holds it: the (level 1, level 2, level 3)
@@ -75,16 +67,3 @@ def path_labels(path: LabelPath) -> dict[int, str]:
     """The path's labels keyed by level, without its blank levels."""
     return {level: label for level, label in zip(LEVELS, path) if label != NO_LABEL}
 
-
-def label_set(labels: Iterable[str]) -> frozenset[str]:
-    """Ancestor-closed set of real labels.
-
-    NoLabel entries are ignored; ancestors of every remaining label are
-    added so the set is closed under the hierarchy.
-    """
-    out: set[str] = set()
-    for lab in labels:
-        while lab != NO_LABEL:
-            out.add(lab)
-            lab = _PARENT.get(lab, NO_LABEL)
-    return frozenset(out)

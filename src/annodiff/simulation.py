@@ -217,8 +217,6 @@ def mean_curve_delta(curve_easy: dict[int, float], curve_difficult: dict[int, fl
 def encode_outcome(delta: float, epsilon: float) -> str:
     """Encode which arm dominated from the mean curve delta (easy minus
     difficult): E, D, or T when neither leads by more than epsilon."""
-    if epsilon < 0:
-        raise ValueError("epsilon must be non-negative")
     if delta > epsilon:
         return CODE_EASY
     if delta < -epsilon:

@@ -1,4 +1,5 @@
-"""Small statistics primitives: mean, median, 1-D 2-means, Fisher's exact test.
+"""Small statistics primitives: mean, median, the cluster labels of a 1-D
+2-means split, and Fisher's exact test.
 
 They are implemented here rather than pulled from a library because their
 exact conventions matter downstream: the clustering must be the optimal
@@ -30,8 +31,9 @@ def median(values):
 
 
 class Clustering1D(NamedTuple):
-    centroids: tuple[float, float]  # ascending
-    labels: tuple[int, ...]  # cluster index per input value, aligned with input order
+    # cluster index per input value, aligned with input order: 1 above the
+    # cut, so cluster 1 has the higher mean by construction
+    labels: tuple[int, ...]
 
 
 def kmeans_1d(values) -> Clustering1D:
@@ -73,8 +75,7 @@ def kmeans_1d(values) -> Clustering1D:
     split = max(i for i, cost in costs.items() if cost <= least + 1e-12 * total_sq)
 
     boundary = ordered[split - 1]
-    centroids = (median + sums[split] / split, median + (total - sums[split]) / (n - split))
-    return Clustering1D(centroids=centroids, labels=tuple(int(v > boundary) for v in vals))
+    return Clustering1D(labels=tuple(int(v > boundary) for v in vals))
 
 
 def _log_choose(n: int, k: int) -> float:

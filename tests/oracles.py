@@ -172,6 +172,15 @@ def wcss_of_assignment(values, labels):
     return total
 
 
+def cluster_means(values, labels):
+    """The (cluster 0, cluster 1) means of a two-way assignment, each the
+    exact rational mean of its members rounded once to a float."""
+    return tuple(
+        float(sum(map(Fraction, members)) / len(members))
+        for members in ([v for v, lab in zip(values, labels) if lab == cluster] for cluster in (0, 1))
+    )
+
+
 def agreement_direct(votes_by_level):
     """Worker agreement computed straight from per-level vote lists."""
     majority = {}
@@ -219,6 +228,23 @@ def hier_f1_direct(pairs):
 def path_label_set(*labels):
     """Ancestor-closed label set of a path already known to be coherent."""
     return frozenset(lab for lab in labels if lab and lab != "NoLabel")
+
+
+_PARENT = {"Factual": "Relevant", "NonFactual": "Relevant", "Positive": "NonFactual", "Negative": "NonFactual"}
+
+
+def label_set(labels):
+    """Ancestor-closed set of real labels, by walking up the tree.
+
+    NoLabel entries are ignored; the ancestors of every remaining label are
+    added, so the set is closed under the hierarchy whatever the input.
+    """
+    out = set()
+    for lab in labels:
+        while lab != "NoLabel":
+            out.add(lab)
+            lab = _PARENT.get(lab, "NoLabel")
+    return frozenset(out)
 
 
 def coerce_structure(level1, level2, level3):

@@ -173,7 +173,8 @@ def _check_family_kmeans():
         if len(set(values)) < 2:
             values[-1] += 1.0
         clustering = kmeans_1d(values)
-        assert clustering.centroids[0] < clustering.centroids[1], values
+        low_mean, high_mean = oracles.cluster_means(values, clustering.labels)
+        assert low_mean < high_mean, values
         wcss = oracles.wcss_of_assignment(values, clustering.labels)
         assert wcss <= oracles.best_threshold_wcss(values) + 1e-9, values
 

@@ -199,7 +199,6 @@ def test_certainty_row_never_zero():
     [
         dict(counts={}, smoothing=1.0, labels=("Relevant", "Irrelevant")),
         dict(counts={"Relevant": 0}, smoothing=1.0, labels=("Relevant", "Irrelevant")),
-        dict(counts={"Relevant": 1}, smoothing=-0.5, labels=("Relevant", "Irrelevant")),
         dict(counts={"Relevant": 1}, smoothing=1.0, labels=("Relevant",)),
         dict(counts={"Spam": 1}, smoothing=1.0, labels=("Relevant", "Irrelevant")),
     ],

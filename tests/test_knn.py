@@ -1,5 +1,6 @@
 """Hierarchical kNN prediction and the hierarchical F1 metric."""
 
+import itertools
 import random
 from collections import Counter
 
@@ -9,10 +10,10 @@ from hypothesis import assume, given, strategies as st
 from annodiff import simulation
 from annodiff.config import RunConfig, stable_seed
 from annodiff.knn import hierarchical_f1, path_triple, rank_by_similarity, vote
-from annodiff.labels import LABEL_ORDER, LEVEL_LABELS, LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, label_set
+from annodiff.labels import LABEL_ORDER, LEVEL_LABELS, LEVELS, NO_LABEL, NONFACTUAL, RELEVANT
 from annodiff.simulation import SimulationContext, run_grid, vote_path
 from annodiff.textsim import nsim
-from oracles import coerce_structure, hier_f1_direct, path_label_set, rank_full
+from oracles import coerce_structure, hier_f1_direct, label_set, path_label_set, rank_full
 
 # truth paths as the grid holds them: (level1, level2, level3), NoLabel blanks
 PATHS = [
@@ -22,10 +23,24 @@ PATHS = [
     ("Relevant", "NonFactual", "Negative"),
 ]
 
+# every label path the program builds: the tree paths, and the two that a
+# top-down vote ends early with NoLabel at level 2 or level 3
+BUILT_PATHS = [*PATHS, ("Relevant", NO_LABEL, NO_LABEL), ("Relevant", "NonFactual", NO_LABEL)]
+
 
 def test_label_set_closure():
     assert label_set(("Relevant", "NonFactual", "Negative")) == {"Relevant", "NonFactual", "Negative"}
     assert label_set(("Irrelevant", NO_LABEL, NO_LABEL)) == {"Irrelevant"}
+    # the oracle closes what is not closed: a lone leaf brings its ancestors
+    assert label_set((NO_LABEL, NO_LABEL, "Negative")) == {"Relevant", "NonFactual", "Negative"}
+
+
+def test_path_triple_equals_the_closure_oracle_on_every_built_pair():
+    # path_triple takes a path's labels as its set; the oracle walks up the
+    # tree from each label, which adds nothing on a path the program builds
+    for truth, predicted in itertools.product(BUILT_PATHS, repeat=2):
+        t, p = label_set(truth), label_set(predicted)
+        assert path_triple(truth, predicted) == (len(t & p), len(p), len(t)), (truth, predicted)
 
 
 def predict(examples, query, k, seed, metric="edit"):
@@ -251,6 +266,19 @@ def test_vote_path_matches_voting_every_level_then_coercing(counts, seed):
     assert tied == any(len(vote(counts[level - 1])) > 1 for level in _voted_levels(path))
 
 
+@given(
+    counts=st.tuples(*(
+        st.dictionaries(st.sampled_from((*LEVEL_LABELS[level], NO_LABEL)), st.integers(1, 4), min_size=1)
+        for level in LEVELS
+    )),
+    seed=st.integers(0, 2**32),
+)
+def test_vote_path_returns_only_closed_paths(counts, seed):
+    path, _ = vote_path(counts, (seed, "vote"))
+    # walking up the tree from the voted labels adds no label
+    assert label_set(path) == path_label_set(*path)
+
+
 @given(counts=st.tuples(*LEVEL_COUNTS), parts=st.tuples(st.integers(0, 9), st.sampled_from(("vote", "x"))))
 def test_vote_path_seeds_each_tied_voted_level_once(counts, parts):
     seeds = []
@@ -399,8 +427,7 @@ def test_f1_flat_case_equals_micro_f1():
     assert hierarchical_f1(summed_triple(pairs)) == pytest.approx(0.7, abs=1e-12)
 
 
-predicted_paths = st.sampled_from([*PATHS, ("Relevant", "NonFactual", NO_LABEL)])
-pair_lists = st.lists(st.tuples(st.sampled_from(PATHS), predicted_paths), min_size=1, max_size=20)
+pair_lists = st.lists(st.tuples(st.sampled_from(PATHS), st.sampled_from(BUILT_PATHS)), min_size=1, max_size=20)
 
 
 @given(pairs=pair_lists)

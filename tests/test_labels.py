@@ -4,8 +4,8 @@ import itertools
 
 import pytest
 
-from annodiff.labels import LEVEL_LABELS, LEVELS, NO_LABEL, label_path, label_set, path_labels
-from oracles import path_label_set
+from annodiff.labels import LABEL_ORDER, LEVEL_LABELS, LEVELS, NO_LABEL, label_path, path_labels
+from oracles import label_set, path_label_set
 
 # the six labels, a blank, the blank's placeholder and an unknown label
 INPUTS = [*(label for level in LEVELS for label in LEVEL_LABELS[level]), None, NO_LABEL, "x"]
@@ -30,5 +30,20 @@ def test_label_path_accepts_exactly_the_tree_paths():
         path = label_path(*labels)
         assert path == tuple(NO_LABEL if label is None else label for label in labels)
         assert path_labels(path) == {level: label for level, label in zip(LEVELS, labels) if label is not None}
+        # a tree path is closed already: walking up the tree adds no label
         assert label_set(path) == path_label_set(*path)
     assert refused == len(INPUTS) ** 3 - len(TREE_PATHS)
+
+
+def test_label_order_is_the_literal_ranking():
+    # the order ties are sorted in before a seeded draw; a change moves every
+    # tie-broken prediction, so it is pinned as literal ranks
+    assert LABEL_ORDER == {
+        "Relevant": 0,
+        "Irrelevant": 1,
+        "Factual": 2,
+        "NonFactual": 3,
+        "Positive": 4,
+        "Negative": 5,
+        "NoLabel": 6,
+    }

@@ -470,11 +470,6 @@ def test_encode_outcome_codes():
     assert _code({1: 0.504, 3: 0.5}, flat) == "T"
 
 
-def test_encode_outcome_rejects_negative_epsilon():
-    with pytest.raises(ValueError):
-        encode_outcome(0.0, epsilon=-0.1)
-
-
 grid_values = st.tuples(*(st.floats(0, 1) for _ in range(3)))
 
 
