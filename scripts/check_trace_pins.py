@@ -17,9 +17,12 @@ EXACT = {
     # similarity rows instead, so a grid lookup that bypasses textsim.nsim,
     # or a pair cache that lives shorter than one metric's grid, moves this
     # count
-    "textsim.pairs_computed": 4464,
-    # the grid looks each (query, training tweet) pair up once per worker and arm
-    "textsim.lookups": 6984,
+    "textsim.pairs_computed": 2412,
+    # the grid looks each (query, training tweet) pair up once per worker and
+    # arm, and only for a query that some train size ranks: where every size
+    # the query serves has one training path (every late window here), no
+    # row is read, so a row built anyway moves this count
+    "textsim.lookups": 3393,
     # one seed per certainty split, certainty tie order, grid ranking and tied grid vote
     "config.stable_seed_calls": 8171,
     # the grid's inline prefix counts must still send every prefix vote through simulation.vote

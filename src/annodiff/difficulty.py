@@ -19,8 +19,8 @@ from typing import Mapping, NamedTuple, Sequence
 from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Annotation, Dataset
 from annodiff.errors import AnnodiffError
-from annodiff.knn import rank_by_similarity
-from annodiff.labels import LEVELS, LEVEL_LABELS, path_labels
+from annodiff.knn import descending, rank_by_similarity
+from annodiff.labels import LEVELS, LEVEL_LABELS, NO_LABEL, path_labels
 from annodiff.stats import kmeans_1d, mean, median
 from annodiff.textsim import similarity_rows
 
@@ -81,47 +81,14 @@ def agreement_score(tallies: Mapping[int, Mapping[str, int]]) -> float:
     return reduce(operator.add, ((top / voters) * (top / total_top) for top, voters in levels), 0.0)
 
 
-def knn_label_certainty(
-    counts: Mapping[str, int], smoothing: float, labels: Sequence[str]
-) -> dict[str, float]:
-    """Smoothed per-label certainty from the label counts of k neighbors.
+def knn_label_certainty(count: int, k: int, smoothing: float) -> float:
+    """Smoothed certainty of a candidate label that count of k neighbors hold.
 
-    certainty(j) = (n_j + smoothing) / (k + c) where n_j = counts[j], k is
-    the sum of the counts and c is the number of candidate labels. With
-    smoothing 1 the certainties over all candidate labels sum to exactly 1.
+    certainty = (count + smoothing) / (k + c), where c = 2 is the number of
+    candidate labels of a level. With smoothing 1 the certainties of a
+    level's two labels sum to 1.
     """
-    k = sum(counts.values())
-    if k < 1:
-        raise ValueError("need at least one neighbor")
-    c = len(labels)
-    if c < 2:
-        raise ValueError("need at least two candidate labels")
-    unknown = set(counts) - set(labels)
-    if unknown:
-        raise ValueError(f"neighbor labels outside the candidate set: {sorted(unknown)}")
-    return {lab: (counts.get(lab, 0) + smoothing) / (k + c) for lab in labels}
-
-
-def aggregate_certainties(worker_rows: Sequence[Mapping[int, Mapping[str, float]]]) -> float:
-    """Combine per-worker certainty rows for one tweet into a single value.
-
-    A row holds both labels of its level, as knn_label_certainty gives them.
-    Per level, the rows of all contributing workers are averaged label-wise,
-    and the larger average is kept. The level maxima are then averaged.
-    """
-    if not worker_rows:
-        raise ValueError("need at least one worker row")
-    level_maxima = []
-    for level in LEVELS:
-        rows = [r[level] for r in worker_rows if level in r]
-        if not rows:
-            continue
-        # left to right, as in agreement_score
-        averages = [reduce(operator.add, (r[lab] for r in rows), 0.0) / len(rows) for lab in LEVEL_LABELS[level]]
-        level_maxima.append(max(averages))
-    if not level_maxima:
-        raise ValueError("no level carries a certainty row")
-    return mean(level_maxima)
+    return (count + smoothing) / (k + 2)
 
 
 class CertaintyResult(NamedTuple):
@@ -136,19 +103,21 @@ def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResul
     partition (config.split_ratio of them train, seeded per worker). A
     config.k_certainty-nearest-neighbor predictor per hierarchy level, over
     substring similarity (the one measure of C) and trained on the training
-    partition, emits a certainty row smoothed by config.smoothing for every
-    test tweet. A worker's test tweets get their similarities to its
-    training tweets, over the dataset's word sequences, from one
-    similarity_rows stream, and each row is ranked as it arrives, stopping
-    at rank config.k_certainty. So a worker's certainty holds its training
-    pool's index and one row at a time: memory grows with the training pool,
-    not with training x test. Rows are aggregated across workers per tweet.
+    tweets labeled at that level, gives each test tweet smoothed certainties
+    of the level's two labels. A worker's test tweets get their similarity
+    rows to its training tweets, over the dataset's word sequences, from one
+    similarity_rows stream; each row is sorted once, and each level ranks
+    that order filtered to its pool, read only to rank config.k_certainty.
+    So memory grows with the training pool, not with training x test. A
+    tweet's certainty is the mean over levels of the larger of the two
+    labels' means over the workers that tested it, summed in worker order.
 
     Labeled tweets that land in no worker's test partition get the population
     mean certainty; their ids are reported in the result.
     """
     words = dataset.word_sequences()
-    rows_by_tweet: dict[str, list[dict[int, dict[str, float]]]] = {}
+    # tweet -> per level [first label's sum, second label's sum, workers]
+    sums: dict[str, list[list]] = {}
     for wid in dataset.worker_ids():
         annotations = dataset.workers[wid].annotations
         if not annotations:
@@ -160,35 +129,38 @@ def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResul
         train_size = max(1, math.floor(config.split_ratio * len(ids)))
         train_ids, test_ids = ids[:train_size], ids[train_size:]
 
-        # per level, the positions in train_ids of the training tweets labeled
-        # at that level, and their labels; every tweet has a level-1 label, so
-        # train_ids is the level-1 pool and the deeper pools are subsequences
-        # of it in the same order
-        pools: dict[int, list[int]] = {level: [] for level in LEVELS}
-        pool_labels: dict[int, list[str]] = {level: [] for level in LEVELS}
-        for position, tid in enumerate(train_ids):
-            for level, label in path_labels(by_tweet[tid].labels).items():
-                pools[level].append(position)
-                pool_labels[level].append(label)
+        # per level that some training tweet is labeled at: whether each
+        # training position holds the level's first label, None where the
+        # level is blank, and whether any is (never at level 1)
+        paths = [by_tweet[tid].labels for tid in train_ids]
+        levels = []
+        for level, (first, _) in LEVEL_LABELS.items():
+            firsts = [None if path[level - 1] == NO_LABEL else path[level - 1] == first for path in paths]
+            blank = firsts.count(None)
+            if blank < len(firsts):
+                levels.append((level, firsts, blank))
 
-        # one similarity row per test tweet, shared by the three levels and
-        # ranked as it arrives; strict, so a short row stream raises instead
-        # of leaving test tweets to the imputed mean
+        # one similarity row per test tweet, sorted once for the three levels;
+        # strict, so a short row stream raises instead of leaving test
+        # tweets to the imputed mean
         sim_rows = similarity_rows((words[tid] for tid in test_ids), [words[tid] for tid in train_ids])
         for tid, sim_row in zip(test_ids, sim_rows, strict=True):
-            row: dict[int, dict[str, float]] = {}
-            for level, pool in pools.items():
-                if not pool:
-                    continue
-                # the level-1 pool holds every training position in order
-                sim_values = sim_row if len(pool) == len(sim_row) else [sim_row[position] for position in pool]
+            order = descending(sim_row)
+            tweet_sums = sums.setdefault(tid, [[0.0, 0.0, 0] for _ in LEVELS])
+            for level, firsts, blank in levels:
+                candidates = (p for p in order if firsts[p] is not None) if blank else order
                 order_rng = random.Random(stable_seed(config.seed, "certainty-order", wid, tid, level))
-                order = rank_by_similarity(sim_values, order_rng, config.k_certainty)
-                counts = Counter(pool_labels[level][i] for i in order)
-                row[level] = knn_label_certainty(counts, config.smoothing, LEVEL_LABELS[level])
-            rows_by_tweet.setdefault(tid, []).append(row)
+                neighbors = rank_by_similarity(sim_row, candidates, order_rng, config.k_certainty)
+                k = len(neighbors)
+                count = sum(firsts[p] for p in neighbors)
+                level_sums = tweet_sums[level - 1]
+                level_sums[0] += knn_label_certainty(count, k, config.smoothing)
+                level_sums[1] += knn_label_certainty(k - count, k, config.smoothing)
+                level_sums[2] += 1
 
-    values = {tid: aggregate_certainties(rows_by_tweet[tid]) for tid in sorted(rows_by_tweet)}
+    values = {
+        tid: mean([max(first / n, second / n) for first, second, n in sums[tid] if n]) for tid in sorted(sums)
+    }
     labeled = sorted(dataset.annotations_by_tweet())
     missing = [tid for tid in labeled if tid not in values]
     imputed: list[str] = []

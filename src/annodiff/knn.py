@@ -1,53 +1,65 @@
 """Per-worker k-nearest-neighbor label prediction in three steps.
 
-rank_by_similarity orders a worker's labeled tweets by similarity to a query,
-as deep as the largest k needs; the caller counts the labels of the first
-min(k, n) of them, and vote returns the labels that share the top count;
-the caller settles a tie by a seeded draw. One ranking serves every k and
-every hierarchy level. The grid (simulation.worker_triples) grows one count
-per level over the ranking as k rises, in which a blank level (below
-Irrelevant or Factual) counts as an explicit NoLabel class, and predicts a
-whole label path by voting top-down (simulation.vote_path). It sums the
-path_triple of each (truth, predicted) pair it scores into one (overlap,
-predicted size, truth size) triple per neighbor count, and hierarchical_f1
-scores that sum. The certainty component counts the labels of one level and
-turns them into smoothed certainties instead of a vote.
+descending sorts a query's similarity row once; rank_by_similarity reads
+that order, or a subsequence of it (the same order over a subset of the
+row), lazily and only as deep as the largest k needs; the caller counts
+the labels of the first min(k, n), and vote returns the labels that share
+the top count; the caller settles a tie by a seeded draw. The grid
+(simulation.worker_triples) ranks each training prefix of a query from one
+sort, grows one count per level over the ranking as k rises, in which a
+blank level (below Irrelevant or Factual) counts as an explicit NoLabel
+class, and predicts a whole label path by voting top-down
+(simulation.vote_path). It sums the path_triple of each (truth, predicted)
+pair it scores into one (overlap, predicted size, truth size) triple per
+neighbor count, and hierarchical_f1 scores that sum. The certainty
+component ranks each level's pool from one sort per test tweet and turns
+a level's counts into smoothed certainties instead of a vote.
 """
 
 from __future__ import annotations
 
 import random
 from functools import cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from annodiff.labels import LABEL_ORDER, NO_LABEL
 
 
-def rank_by_similarity(sims: Sequence[float], rng: random.Random, depth: int) -> list[int]:
-    """The indices of the depth most similar items, by descending similarity.
+def descending(sims: Sequence[float]) -> list[int]:
+    """The indices of sims by descending similarity, equal ones in index order."""
+    return sorted(range(len(sims)), key=sims.__getitem__, reverse=True)
 
-    One stable sort puts equal similarities in index order; then each group
-    of equal similarities is shuffled by the given rng, from the top down,
-    until the group that holds rank depth is done. That settles which items
-    make the cut when a tie spans it, and draws from the rng exactly as
-    shuffling every group would up to that point, so the result is the
-    prefix of the full ranking. The prefix of length k is the neighbor set
-    for any k up to depth.
+
+def rank_by_similarity(sims: Sequence[float], candidates: Iterable[int], rng: random.Random, depth: int) -> list[int]:
+    """The depth most similar of the candidates, by descending similarity.
+
+    candidates are indices into sims in descending's order, or a
+    subsequence of it. They are read lazily, one group of equal similarities
+    at a time, up to one candidate past the group that holds rank depth,
+    and each group read is shuffled by the given rng, from the top down.
+    That settles which items make the cut when a tie spans it, and draws
+    from the rng exactly as shuffling every group would up to that point,
+    so the result is the prefix of the full ranking. The prefix of length k
+    is the neighbor set for any k up to depth.
     """
-    order = sorted(range(len(sims)), key=sims.__getitem__, reverse=True)
-    end = min(max(depth, 0), len(order))
-    i = 0
-    while i < end:
-        value = sims[order[i]]
-        j = i + 1
-        while j < len(order) and sims[order[j]] == value:
-            j += 1
-        if j - i > 1:
-            group = order[i:j]
+    order: list[int] = []
+    if depth < 1:
+        return order
+    candidates = iter(candidates)
+    head = next(candidates, None)
+    while head is not None and len(order) < depth:
+        value = sims[head]
+        group = [head]
+        head = None
+        for index in candidates:
+            if sims[index] != value:
+                head = index
+                break
+            group.append(index)
+        if len(group) > 1:
             rng.shuffle(group)
-            order[i:j] = group
-        i = j
-    return order[:end]
+        order += group
+    return order[:depth]
 
 
 def vote(counts: Mapping[str, int]) -> list[str]:

@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from annodiff.config import RunConfig, stable_seed
 from annodiff.dataset import Dataset
 from annodiff.difficulty import DIFFICULT, EASY
-from annodiff.knn import hierarchical_f1, path_triple, rank_by_similarity, vote
+from annodiff.knn import descending, hierarchical_f1, path_triple, rank_by_similarity, vote
 from annodiff.labels import LEVELS, NO_LABEL, NONFACTUAL, RELEVANT, LabelPath
 from annodiff.stats import mean
 from annodiff.textsim import PairSimilarity
@@ -139,16 +139,18 @@ def worker_triples(
     The training set of size n is the first n tweets of the arm's stratum,
     the window's tweets of class arm, so the sizes nest: a window tweet is a
     query for every n up to the number of the arm's tweets before it in the
-    window (every n, for a tweet of another class or none), and it gets one
-    similarity row over that prefix, of which size n reads the first n
-    values. Where the first n training paths are one path, every k predicts
-    it: the query is neither ranked nor voted, and its triple joins every
-    k's sum. Its ranking is seeded on its own parts, so skipping it changes
-    no other draw. Otherwise the query is ranked once per n, its per-level
-    label counts grow over the ranking as k rises, and one path is voted per
+    window (every n, for a tweet of another class or none). Where the first
+    n training paths are one path, every k predicts it: the query is
+    neither ranked nor voted, and its triple joins every k's sum. Its
+    ranking is seeded on its own parts, so skipping it changes no other
+    draw. Otherwise the query is ranked once per n, its per-level label
+    counts grow over the ranking as k rises, and one path is voted per
     distinct prefix min(k, n): a larger k on the same prefix reuses it
     unless that vote tied, since a level's tie draw is seeded on its own
-    (tweet, k, level) parts.
+    (tweet, k, level) parts. A query that some size ranks gets one
+    similarity row over its prefix, sorted once, and size n ranks that
+    order filtered to the first n tweets; a query that no size ranks gets
+    no row.
     """
     window = ctx.windows[(wid, phase)]
     stratum = [t for t in window if ctx.classes.get(t[0]) == arm][: TRAIN_SIZES[-1]]
@@ -165,7 +167,9 @@ def worker_triples(
             seen += 1
         if limit < TRAIN_SIZES[0]:
             continue
-        row = [sims.sim(tid, train_tid) for train_tid, _ in stratum[:limit]]
+        if limit > agreeing:  # some size ranks the query
+            row = [sims.sim(tid, train_tid) for train_tid, _ in stratum[:limit]]
+            order = descending(row)
         for n in TRAIN_SIZES:
             if n > limit:
                 break
@@ -177,8 +181,9 @@ def worker_triples(
                     total[2] += size
                 continue
             parts = (seed, ctx.institution, metric, phase, n, wid, arm)
-            order = rank_by_similarity(row[:n], random.Random(stable_seed(*parts, "order", tid)), ks[-1])
-            depth = len(order)
+            candidates = (i for i in order if i < n)
+            ranking = rank_by_similarity(row, candidates, random.Random(stable_seed(*parts, "order", tid)), ks[-1])
+            depth = len(ranking)
             counts = ({}, {}, {})
             counts1, counts2, counts3 = counts
             counted, drew = 0, True
@@ -186,7 +191,7 @@ def worker_triples(
                 end = k if k < depth else depth
                 # a vote on the same prefix as the last one is reused unless it tied
                 if end > counted or drew:
-                    for i in order[counted:end]:
+                    for i in ranking[counted:end]:
                         label1, label2, label3 = paths[i]
                         counts1[label1] = counts1.get(label1, 0) + 1
                         counts2[label2] = counts2.get(label2, 0) + 1

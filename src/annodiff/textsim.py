@@ -135,11 +135,14 @@ def similarity_rows(queries: Iterable[WordSequence], pool: Sequence[WordSequence
     two empty sequences score 1.0 and one empty side 0.0. This is the one
     substring algorithm: nsim(a, b, "substring") reads the row of query a
     against pool (b,). The pool is indexed once, by word and by
-    adjacent word pair, and each query is scanned once: every pool sequence
-    that shares a word starts at a run of 1, and each query pair extends the
-    runs that the previous pair ended just before it in the pool. Only the
-    index and the row being built are held, so memory grows with the pool,
-    not with queries x pool.
+    adjacent word pair. Each query length n has one template, made once:
+    1 / max(n, m) at a pool sequence of length m, the score of a run of 1.
+    Each query is scanned once: every pool sequence that shares a word
+    with it takes its template value, and each query pair extends the runs
+    that the previous pair ended just before it in the pool; the runs of 2
+    or more words are written over those values. Only the index, one
+    template per query length and the row being built are held, so memory
+    grows with the pool, not with queries x pool.
     """
     lengths = [len(words) for words in pool]
     # holders: word -> pool positions whose sequence holds it; follows:
@@ -154,23 +157,29 @@ def similarity_rows(queries: Iterable[WordSequence], pool: Sequence[WordSequence
             if j:
                 follows.setdefault((words[j - 1], word), []).append((cell, position))
             cell += 1
+    templates: dict[int, list[float]] = {}
     for query in queries:
         n = len(query)
         if not n:
             yield [0.0 if m else 1.0 for m in lengths]
             continue
-        longest = dict.fromkeys(set().union(*(holders.get(word, ()) for word in set(query))), 1)
+        template = templates.get(n)
+        if template is None:
+            template = templates[n] = [1 / max(n, m) for m in lengths]
+        row = [0.0] * len(pool)
+        for position in set().union(*(holders.get(word, ()) for word in set(query))):
+            row[position] = template[position]
         # runs[cell]: length of the common run that ends at cell and at
         # the query word just read; only the previous word's runs extend
         runs: dict[int, int] = {}
+        longest: dict[int, int] = {}  # pool position -> its longest run of 2 or more
         for pair in zip(query, query[1:]):
             ending = {}
             for cell, position in follows.get(pair, ()):
                 run = ending[cell] = runs.get(cell - 1, 1) + 1
-                if run > longest[position]:
+                if run > longest.get(position, 1):
                     longest[position] = run
             runs = ending
-        row = [0.0] * len(pool)
         for position, run in longest.items():
             row[position] = run / max(n, lengths[position])
         yield row

@@ -283,6 +283,111 @@ def rank_full(sims, rng):
     return out
 
 
+def rank_sorted(sims, rng, depth):
+    """The indices of the depth most similar items, by the ranking's old
+    route: sort every index of the row stably by descending similarity, then
+    shuffle each group of equal similarities by rng, from the top down, until
+    the group that holds rank depth is done. The reference for ranking a
+    filtered stable order, which the certainty kNN and the grid pass in place
+    of a sub-row."""
+    order = sorted(range(len(sims)), key=sims.__getitem__, reverse=True)
+    end = min(max(depth, 0), len(order))
+    i = 0
+    while i < end:
+        j = i + 1
+        while j < len(order) and sims[order[j]] == sims[order[i]]:
+            j += 1
+        if j - i > 1:
+            group = order[i:j]
+            rng.shuffle(group)
+            order[i:j] = group
+        i = j
+    return order[:end]
+
+
+def certainty_split(ids, seed, wid, split_ratio):
+    """A worker's certainty (training, test) partition of its tweet ids, by
+    the README's seeded draw: the sorted ids shuffled by the worker's
+    certainty-split seed, the first floor(split_ratio x n) of them, at least
+    one, for training."""
+    import math
+    import random
+
+    from annodiff.config import stable_seed
+
+    ids = sorted(ids)
+    random.Random(stable_seed(seed, "certainty-split", wid)).shuffle(ids)
+    train_size = max(1, math.floor(split_ratio * len(ids)))
+    return ids[:train_size], ids[train_size:]
+
+
+def certainty_rows_direct(dataset, config):
+    """Per tweet, the certainty row of each worker that tests it, in worker
+    order, by the certainty kNN's old route in exact rationals. A level's
+    pool is the worker's training tweets labeled at that level, in training
+    order; the test tweet's substring similarities to the pool, by the
+    brute-force longest common run, are ranked by rank_sorted with the
+    (worker, tweet, level) order seed, and each of the level's labels
+    scores (its count among the ranked + smoothing) / (ranked + 2)."""
+    import random
+
+    from annodiff.config import stable_seed
+    from annodiff.labels import LEVEL_LABELS
+
+    words = dataset.word_sequences()
+
+    def substring(a, b):
+        return lcs_substring_brute(a, b) / max(len(a), len(b)) if a or b else 1.0
+
+    rows = {}
+    for wid in dataset.worker_ids():
+        paths = {a.tweet_id: a.labels for a in dataset.workers[wid].annotations}
+        train, test = certainty_split(paths, config.seed, wid, config.split_ratio)
+        for tid in test:
+            row = {}
+            for level, labels in LEVEL_LABELS.items():
+                pool = [t for t in train if paths[t][level - 1] in labels]
+                if not pool:
+                    continue
+                sims = [substring(words[tid], words[t]) for t in pool]
+                rng = random.Random(stable_seed(config.seed, "certainty-order", wid, tid, level))
+                ranked = [paths[pool[i]][level - 1] for i in rank_sorted(sims, rng, config.k_certainty)]
+                row[level] = {lab: (ranked.count(lab) + Fraction(config.smoothing)) / (len(ranked) + 2) for lab in labels}
+            rows.setdefault(tid, []).append(row)
+    return rows
+
+
+# the split ratio with which shared_test_tweet_dataset's workers train on
+# every tweet but "t", for up to 100 tweets a worker
+SHARED_SPLIT = 0.99
+
+
+def shared_test_tweet_dataset(training_paths, seed=0):
+    """A dataset in which each worker, keyed in training_paths, labels its
+    own training tweets with the given label paths, and every worker labels
+    the tweet "t" (as Irrelevant). The training tweets are named so that,
+    under the worker's certainty split at seed and SHARED_SPLIT, "t" sorts
+    to the one place the shuffle moves last: each worker tests "t" alone."""
+    import random
+
+    from annodiff.config import stable_seed
+    from annodiff.dataset import Annotation, Dataset, Worker
+
+    workers, texts = {}, {"t": "t"}
+    for wid, paths in training_paths.items():
+        # a shuffle permutes by position whatever the items, so this is
+        # the sorted position of the tweet that lands in the test partition
+        positions = list(range(len(paths) + 1))
+        random.Random(stable_seed(seed, "certainty-split", wid)).shuffle(positions)
+        before = positions[-1]
+        ids = [f"s-{wid}-{i:02d}" if i < before else f"u-{wid}-{i:02d}" for i in range(len(paths))]
+        annotations = [Annotation(tid, path, 1.0) for tid, path in zip(ids, paths)]
+        annotations.append(Annotation("t", ("Irrelevant", "NoLabel", "NoLabel"), 1.0))
+        workers[wid] = Worker("MD", "M", annotations)
+        texts.update({tid: tid for tid in ids})
+    return Dataset(workers=workers, texts=texts)
+
+
 def arm_curve_per_size(ctx, metric, phase, n, arm, k_grid, seed):
     """One arm's curve at one train size, None when no worker's window holds
     n tweets of class arm, by the grid's per-size route: the training set is

@@ -31,10 +31,10 @@ from annodiff.dataset import (
 )
 from annodiff.difficulty import (
     agreement_score,
-    aggregate_certainties,
     difficulty_scores,
     knn_label_certainty,
     labeling_costs,
+    predictor_certainties,
 )
 from annodiff.knn import hierarchical_f1, path_triple
 from annodiff.labels import (
@@ -70,17 +70,15 @@ def test_c1_worked_agreement_and_aggregation_examples():
     assert time.perf_counter() - start < 1.0
 
     start = time.perf_counter()
-    w1 = {
-        1: {RELEVANT: 0.8, IRRELEVANT: 0.2},
-        2: {FACTUAL: 0.4, NONFACTUAL: 0.6},
-        3: {POSITIVE: 0.3, NEGATIVE: 0.7},
-    }
-    w2 = {
-        1: {RELEVANT: 0.7, IRRELEVANT: 0.3},
-        2: {FACTUAL: 0.2, NONFACTUAL: 0.8},
-        3: {POSITIVE: 0.5, NEGATIVE: 0.5},
-    }
-    assert aggregate_certainties([w1, w2]) == pytest.approx(0.68, abs=TOL)
+    # two workers test one shared tweet against pools of three, each pool
+    # tweet a neighbor: w1's level rows are (4/5, 1/5), (2/5, 3/5), (3/4, 1/4)
+    # and w2's (3/5, 2/5), (1/4, 3/4), (1/2, 1/2), so the levels' larger
+    # averages are .7, .675 and .625, whose mean is 2/3
+    pos, neg = label_path(RELEVANT, NONFACTUAL, POSITIVE), label_path(RELEVANT, NONFACTUAL, NEGATIVE)
+    fac, irr = label_path(RELEVANT, FACTUAL), label_path(IRRELEVANT)
+    ds = oracles.shared_test_tweet_dataset({"w1": [pos, pos, fac], "w2": [pos, neg, irr]})
+    config = RunConfig("a.jsonl", "t.jsonl", split_ratio=oracles.SHARED_SPLIT, k_certainty=3)
+    assert predictor_certainties(ds, config).values["t"] == pytest.approx(0.667, abs=TOL)
     assert time.perf_counter() - start < 1.0
 
 
@@ -129,9 +127,9 @@ def _check_family_certainty_rows():
         labels = LEVEL_LABELS[level]
         k = rng.randint(1, 9)
         neighbors = [rng.choice(labels) for _ in range(k)]
-        row = knn_label_certainty(Counter(neighbors), 1.0, labels)
-        assert abs(sum(row.values()) - 1.0) <= 1e-12, neighbors
-        assert all(v > 0.0 for v in row.values()), neighbors
+        row = [knn_label_certainty(neighbors.count(label), k, 1.0) for label in labels]
+        assert abs(sum(row) - 1.0) <= 1e-12, neighbors
+        assert all(v > 0.0 for v in row), neighbors
 
 
 def _cost_dataset(raw_costs):

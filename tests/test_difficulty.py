@@ -14,7 +14,6 @@ from annodiff.difficulty import (
     DIFFICULT,
     EASY,
     agreement_score,
-    aggregate_certainties,
     difficulty_scores,
     knn_label_certainty,
     labeling_costs,
@@ -24,7 +23,13 @@ from annodiff.difficulty import (
 from annodiff.errors import AnnodiffError
 from annodiff.labels import LEVEL_LABELS, LEVELS, NO_LABEL, label_path, path_labels
 from annodiff.synth import SynthConfig, generate_dataset
-from oracles import agreement_direct, certainty_direct
+from oracles import (
+    SHARED_SPLIT,
+    agreement_direct,
+    certainty_direct,
+    certainty_rows_direct,
+    shared_test_tweet_dataset,
+)
 
 
 def _config(**settings):
@@ -184,91 +189,111 @@ def test_agreement_through_annotations_matches_direct_evaluation(paths):
 
 
 def test_certainty_row_values():
-    row = knn_label_certainty({"NonFactual": 2, "Factual": 1}, 1.0, ("Factual", "NonFactual"))
-    assert row == {"Factual": 2 / 5, "NonFactual": 3 / 5}
+    # 1 of 3 neighbors say Factual, 2 NonFactual
+    assert knn_label_certainty(1, 3, 1.0) == 2 / 5
+    assert knn_label_certainty(2, 3, 1.0) == 3 / 5
 
 
 def test_certainty_row_never_zero():
-    row = knn_label_certainty({"Relevant": 3}, 1.0, ("Relevant", "Irrelevant"))
-    assert row["Irrelevant"] == pytest.approx(0.2)
-    assert row["Relevant"] == pytest.approx(0.8)
+    assert knn_label_certainty(0, 3, 1.0) == pytest.approx(0.2)
+    assert knn_label_certainty(3, 3, 1.0) == pytest.approx(0.8)
+
+
+def _shared_certainty(training_paths, **settings):
+    """Certainty of the tweet "t" that every worker tests alone, against
+    training pools with the given label paths."""
+    ds = shared_test_tweet_dataset(training_paths)
+    result = predictor_certainties(ds, _config(split_ratio=SHARED_SPLIT, **settings))
+    assert result.imputed == sorted(set(result.values) - {"t"})
+    return result.values["t"]
+
+
+IRR = label_path("Irrelevant")
+FAC = label_path("Relevant", "Factual")
+POS = label_path("Relevant", "NonFactual", "Positive")
+NEG = label_path("Relevant", "NonFactual", "Negative")
 
 
 @pytest.mark.parametrize(
-    "kwargs",
+    "training_paths, settings",
     [
-        dict(counts={}, smoothing=1.0, labels=("Relevant", "Irrelevant")),
-        dict(counts={"Relevant": 0}, smoothing=1.0, labels=("Relevant", "Irrelevant")),
-        dict(counts={"Relevant": 1}, smoothing=1.0, labels=("Relevant",)),
-        dict(counts={"Spam": 1}, smoothing=1.0, labels=("Relevant", "Irrelevant")),
+        # a level no training tweet is labeled at gives no value
+        ({"w1": [IRR, IRR]}, {}),
+        # a pool smaller than k: every pool tweet is a neighbor
+        ({"w1": [FAC, POS, IRR]}, {"k_certainty": 9}),
+        # one neighbor, no smoothing: certainties 1/3 and 0
+        ({"w1": [POS]}, {"smoothing": 0.0}),
+        # workers whose pools cover different levels
+        ({"w1": [IRR], "w2": [NEG, NEG], "w3": [FAC, POS, IRR]}, {"k_certainty": 2, "smoothing": 0.5}),
     ],
 )
-def test_certainty_row_validation(kwargs):
-    with pytest.raises(ValueError):
-        knn_label_certainty(**kwargs)
+def test_certainty_row_validation(training_paths, settings):
+    # the rows that predictor_certainties sums are always well formed: k >= 1
+    # is refused below 1 by RunConfig, a level's labels are its two candidates
+    # by label_path, and a level with an empty pool gives no row; so the
+    # value is the README rule over the direct rows
+    ds = shared_test_tweet_dataset(training_paths)
+    config = _config(split_ratio=SHARED_SPLIT, **settings)
+    [rows] = certainty_rows_direct(ds, config).values()
+    assert len(rows) == len(training_paths)
+    assert predictor_certainties(ds, config).values["t"] == pytest.approx(certainty_direct(rows), abs=1e-12)
 
 
 @given(
     k=st.integers(1, 9),
     split=st.integers(0, 9),
-    labels=st.sampled_from([("Relevant", "Irrelevant"), ("Factual", "NonFactual"), ("Positive", "Negative")]),
 )
-def test_certainty_rows_sum_to_one(k, split, labels):
+def test_certainty_rows_sum_to_one(k, split):
     first = min(split, k)
-    row = knn_label_certainty({labels[0]: first, labels[1]: k - first}, 1.0, labels)
-    assert abs(sum(row.values()) - 1.0) <= 1e-12
-    assert all(v > 0 for v in row.values())
+    row = [knn_label_certainty(first, k, 1.0), knn_label_certainty(k - first, k, 1.0)]
+    assert abs(sum(row) - 1.0) <= 1e-12
+    assert all(v > 0 for v in row)
 
 
 def test_aggregate_two_workers():
-    w1 = {
-        1: {"Relevant": 0.8, "Irrelevant": 0.2},
-        2: {"Factual": 0.4, "NonFactual": 0.6},
-        3: {"Positive": 0.3, "Negative": 0.7},
-    }
-    w2 = {
-        1: {"Relevant": 0.7, "Irrelevant": 0.3},
-        2: {"Factual": 0.2, "NonFactual": 0.8},
-        3: {"Positive": 0.5, "Negative": 0.5},
-    }
-    # level averages (.75, .7) and (.3, .7) and (.4, .6); the level-3 tie in
-    # w2 widens the predicted set to both polarities, so the .6 average wins
-    assert aggregate_certainties([w1, w2]) == pytest.approx(41 / 60, abs=1e-12)
+    # w1's rows are (4/5, 1/5), (2/5, 3/5), (2/4, 2/4) and w2's (3/5, 2/5),
+    # (2/4, 2/4), (2/3, 1/3); the level averages' maxima are 7/10, 11/20 and
+    # 7/12, whose mean is 11/18
+    value = _shared_certainty({"w1": [POS, NEG, FAC], "w2": [IRR, FAC, POS]}, k_certainty=3)
+    assert value == pytest.approx(11 / 18, abs=1e-12)
 
 
-def test_aggregate_fully_certain_worker():
-    rows = [
-        {
-            1: {"Relevant": 1.0, "Irrelevant": 0.0},
-            2: {"Factual": 0.0, "NonFactual": 1.0},
-            3: {"Positive": 1.0, "Negative": 0.0},
-        }
-    ]
-    assert aggregate_certainties(rows) == 1.0
+def test_aggregate_unanimous_worker():
+    # without smoothing, a unanimous pool of k is as certain as k neighbors
+    # among two labels allow, k / (k + 2), at every level
+    assert _shared_certainty({"w1": [POS] * 8}, k_certainty=8, smoothing=0.0) == pytest.approx(0.8, abs=1e-12)
 
 
 def test_aggregate_partial_level_coverage():
-    # only one worker saw level 2; its row alone sets that level's maximum
-    w1 = {1: {"Relevant": 0.6, "Irrelevant": 0.4}}
-    w2 = {1: {"Relevant": 0.8, "Irrelevant": 0.2}, 2: {"Factual": 0.75, "NonFactual": 0.25}}
-    assert aggregate_certainties([w1, w2]) == pytest.approx((0.7 + 0.75) / 2, abs=1e-12)
+    # only w2's pool is labeled at level 2; its row alone sets that level's
+    # maximum: (5/8 + 2/3) / 2
+    value = _shared_certainty({"w1": [IRR, IRR], "w2": [FAC, IRR]})
+    assert value == pytest.approx(31 / 48, abs=1e-12)
 
 
-certainty_values = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0])  # a coarse grid, so rows tie often
-worker_rows = st.lists(
-    st.sets(st.sampled_from(LEVELS), min_size=1).flatmap(
-        lambda levels: st.fixed_dictionaries(
-            {lvl: st.fixed_dictionaries({lab: certainty_values for lab in LEVEL_LABELS[lvl]}) for lvl in sorted(levels)}
-        )
-    ),
+workers_paths = st.lists(
+    st.lists(st.tuples(st.sampled_from([IRR, FAC, POS, NEG]), st.lists(st.sampled_from("abc"), max_size=3)), min_size=2, max_size=8),
     min_size=1,
-    max_size=4,
+    max_size=3,
 )
 
 
-@given(rows=worker_rows)
-def test_aggregate_matches_direct_evaluation(rows):
-    assert aggregate_certainties(rows) == pytest.approx(certainty_direct(rows), abs=1e-12)
+@given(workers=workers_paths, shared=st.integers(0, 8), k=st.integers(1, 4), seed=st.integers(0, 3))
+def test_aggregate_matches_direct_evaluation(workers, shared, k, seed):
+    # tweet ids come from one small range, so workers share some of them, and
+    # the texts draw from three words, so similarities tie often
+    by_worker, texts = {}, {}
+    for w, labeled in enumerate(workers):
+        ids = [f"t{(i + w * shared) % 12:02d}" for i in range(len(labeled))]
+        by_worker[f"w{w}"] = Worker("MD", "M", [Annotation(tid, path, 1.0) for tid, (path, _) in zip(ids, labeled)])
+        texts.update({tid: " ".join(words) for tid, (_, words) in zip(ids, labeled)})
+    ds = Dataset(workers=by_worker, texts=texts)
+    config = _config(k_certainty=k, seed=seed)
+    result = predictor_certainties(ds, config)
+    rows = certainty_rows_direct(ds, config)
+    for tid, tweet_rows in rows.items():
+        assert result.values[tid] == pytest.approx(certainty_direct(tweet_rows), abs=1e-12)
+    assert result.imputed == (sorted(set(texts) - set(rows)) if rows else [])
 
 
 def test_float_sums_run_left_to_right():
@@ -276,12 +301,16 @@ def test_float_sums_run_left_to_right():
     # these sums the other way; the outputs must not depend on the version
     tallies = {1: Counter({"Relevant": 1}), 2: Counter({"NonFactual": 4}), 3: Counter({"Positive": 1})}
     assert agreement_score(tallies) == 0.9999999999999999
-    assert aggregate_certainties([{1: {"Relevant": 0.9, "Irrelevant": 0.1}}] * 10) == 0.9000000000000001
+    # ten workers whose levels 1 and 2 each certify 9/10, summed in order
+    pools = {f"w{i}": [FAC] * 8 for i in range(10)}
+    assert _shared_certainty(pools, k_certainty=8) == 0.9000000000000001
 
 
 def test_aggregate_needs_rows():
-    with pytest.raises(ValueError):
-        aggregate_certainties([])
+    # workers of one tweet train on it and test nothing: no tweet gets a
+    # certainty, and there is no population mean to impute
+    ds = _worker_dataset({f"w{i}": Worker("MD", "M", [_full_path_annotation(f"t{i}")]) for i in range(3)})
+    assert predictor_certainties(ds, _config()) == ({}, [])
 
 
 def _worker_dataset(workers, texts=None):
@@ -337,34 +366,51 @@ def test_certainty_counts_the_first_k_ranked_neighbors(paths, words, k, seed):
         with pytest.raises(AnnodiffError, match="--k-certainty"):
             _config(k_certainty=k, seed=seed)
         return
-    pools, ranked, counted = [], [], []
-    real_rank = difficulty.rank_by_similarity
+    pools, queries, seeds, ranked, counted = [], [], [], [], []
+    real_rank, real_seed = difficulty.rank_by_similarity, difficulty.stable_seed
 
-    def recording_rows(queries, pool):
+    def recorded(sequences):
+        for sequence in sequences:
+            queries.append(sequence[0])
+            yield sequence
+
+    def recording_rows(test, pool):
         pools.append([sequence[0] for sequence in pool])
-        return textsim.similarity_rows(queries, pool)
+        return textsim.similarity_rows(recorded(test), pool)
 
-    def recording_rank(sims, rng, depth):
-        ranked.append(real_rank(sims, rng, depth))
-        return ranked[-1]
+    def recording_seed(*parts):
+        seeds.append(parts)
+        return real_seed(*parts)
 
-    def recording_certainty(counts, smoothing, candidates):
-        counted.append((dict(counts), candidates))
-        return knn_label_certainty(counts, smoothing, candidates)
+    def recording_rank(sims, candidates, rng, depth):
+        # the (tweet, level) of the order seed derived just before
+        _, purpose, _, tid, level = seeds[-1]
+        assert purpose == "certainty-order"
+        ranked.append((tid, level, real_rank(sims, candidates, rng, depth)))
+        return ranked[-1][2]
+
+    def recording_certainty(count, k, smoothing):
+        counted.append((count, k))
+        return knn_label_certainty(count, k, smoothing)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(difficulty, "similarity_rows", recording_rows)
+        patch.setattr(difficulty, "stable_seed", recording_seed)
         patch.setattr(difficulty, "rank_by_similarity", recording_rank)
         patch.setattr(difficulty, "knn_label_certainty", recording_certainty)
         predictor_certainties(ds, _config(k_certainty=k, seed=seed))
     [train] = pools
-    assert len(ranked) == len(counted) > 0
-    for order, (counts, candidates) in zip(ranked, counted):
-        level = next(level for level, level_labels in LEVEL_LABELS.items() if level_labels == candidates)
-        # a level's pool: the training tweets labeled at that level, in training order
-        pool_labels = [labels[tid][level - 1] for tid in train if labels[tid][level - 1] != NO_LABEL]
-        assert len(order) == min(k, len(pool_labels))
-        assert counts == Counter(pool_labels[i] for i in order)
+    # a level's pool: the training positions labeled at that level
+    level_pools = {level: [p for p, tid in enumerate(train) if labels[tid][level - 1] != NO_LABEL] for level in LEVELS}
+    # one ranking per (test tweet, level with a pool), and a certainty for each of the level's two labels
+    assert [(tid, level) for tid, level, _ in ranked] == [(tid, level) for tid in queries for level in LEVELS if level_pools[level]]
+    assert len(counted) == 2 * len(ranked) > 0
+    for (tid, level, order), first, second in zip(ranked, counted[::2], counted[1::2]):
+        assert len(order) == min(k, len(level_pools[level]))
+        assert set(order) <= set(level_pools[level])
+        counts = Counter(labels[train[p]][level - 1] for p in order)
+        candidates = LEVEL_LABELS[level]
+        assert [first, second] == [(counts[candidates[0]], len(order)), (counts[candidates[1]], len(order))]
 
 
 def test_predictor_certainties_imputes_training_only_tweets():

@@ -9,11 +9,11 @@ from hypothesis import assume, given, strategies as st
 
 from annodiff import simulation
 from annodiff.config import RunConfig, stable_seed
-from annodiff.knn import hierarchical_f1, path_triple, rank_by_similarity, vote
+from annodiff.knn import descending, hierarchical_f1, path_triple, rank_by_similarity, vote
 from annodiff.labels import LABEL_ORDER, LEVEL_LABELS, LEVELS, NO_LABEL, NONFACTUAL, RELEVANT
 from annodiff.simulation import SimulationContext, run_grid, vote_path
 from annodiff.textsim import nsim
-from oracles import coerce_structure, hier_f1_direct, label_set, path_label_set, rank_full
+from oracles import coerce_structure, hier_f1_direct, label_set, path_label_set, rank_full, rank_sorted
 
 # truth paths as the grid holds them: (level1, level2, level3), NoLabel blanks
 PATHS = [
@@ -48,7 +48,7 @@ def predict(examples, query, k, seed, metric="edit"):
     once, count each level's labels among the first min(k, n), NoLabel
     included, and vote top-down."""
     sims = [nsim(query, words, metric) for words, _ in examples]
-    order = rank_by_similarity(sims, random.Random(stable_seed(seed, "order")), k)
+    order = rank_by_similarity(sims, descending(sims), random.Random(stable_seed(seed, "order")), k)
     counts = [Counter(examples[i][1][level - 1] for i in order) for level in LEVELS]
     return vote_path(counts, (seed, "vote"))[0]
 
@@ -56,7 +56,7 @@ def predict(examples, query, k, seed, metric="edit"):
 def test_empty_prefix_cannot_vote():
     # no neighbors, or a depth below 1, leave nothing to count or vote on
     for sims, depth in (([], 3), ([0.5], 0)):
-        order = rank_by_similarity(sims, random.Random(0), depth)
+        order = rank_by_similarity(sims, descending(sims), random.Random(0), depth)
         assert order == []
         with pytest.raises(ValueError):
             vote(Counter(order))
@@ -94,10 +94,11 @@ def grid_counts(stratum, query, k_grid, seed=0):
         seeded[:] = parts
         return real_seed(*parts)
 
-    def recording_rank(sims, rng, depth):
-        order = real_rank(sims, rng, depth)
+    def recording_rank(sims, candidates, rng, depth):
+        candidates = list(candidates)
+        order = real_rank(sims, candidates, rng, depth)
         if seeded[-2:] == ["order", "q"]:
-            rankings.append((len(sims), order, []))
+            rankings.append((len(candidates), order, []))
         return order
 
     def recording_vote_path(counts, parts):
@@ -295,25 +296,30 @@ def test_vote_path_seeds_each_tied_voted_level_once(counts, parts):
     assert seeds == [(*parts, level) for level in tied_levels]
 
 
+def rank(sims, rng, depth):
+    """Rank a whole row, from its stable descending order."""
+    return rank_by_similarity(sims, descending(sims), rng, depth)
+
+
 def test_rank_by_similarity_orders_descending():
     sims = [0.2, 0.9, 0.4, 0.9, 0.1]
-    order = rank_by_similarity(sims, random.Random(3), len(sims))
+    order = rank(sims, random.Random(3), len(sims))
     assert [sims[i] for i in order] == [0.9, 0.9, 0.4, 0.2, 0.1]
     assert set(order[:2]) == {1, 3}
 
 
 def test_rank_by_similarity_deterministic():
     sims = [0.5] * 6
-    assert rank_by_similarity(sims, random.Random(9), 6) == rank_by_similarity(sims, random.Random(9), 6)
+    assert rank(sims, random.Random(9), 6) == rank(sims, random.Random(9), 6)
 
 
 def test_rank_by_similarity_draws_nothing_below_the_cut():
     # the top group is one item, so the tie of the three below it is never shuffled
     rng = random.Random(4)
     state = rng.getstate()
-    assert rank_by_similarity([0.5, 1.0, 0.5, 0.5], rng, 1) == [1]
+    assert rank([0.5, 1.0, 0.5, 0.5], rng, 1) == [1]
     assert rng.getstate() == state
-    assert rank_by_similarity([0.5, 1.0, 0.5], rng, 0) == []
+    assert rank([0.5, 1.0, 0.5], rng, 0) == []
     assert rng.getstate() == state
 
 
@@ -325,8 +331,47 @@ tied_sims = st.lists(st.sampled_from([0.0, 0.25, 1 / 3, 0.5, 1.0]), max_size=12)
 def test_rank_by_similarity_is_a_prefix_of_the_full_ranking(sims, seed, data):
     n = len(sims)
     depth = data.draw(st.sampled_from([0, 1, n // 2, max(n - 1, 0), n, n + 1, n + 5]) | st.integers(0, n + 2))
-    order = rank_by_similarity(sims, random.Random(seed), depth)
+    order = rank(sims, random.Random(seed), depth)
     assert order == rank_full(sims, random.Random(seed))[: min(depth, n)]
+
+
+@given(
+    sims=st.lists(st.sampled_from([0.0, 0.5, 1.0]), max_size=12),
+    seed=st.integers(0, 2**32),
+    data=st.data(),
+)
+def test_a_filtered_order_ranks_as_the_sorted_sub_row(sims, seed, data):
+    # the certainty kNN and the grid rank a subset of a row's positions by
+    # filtering the row's one stable order; the old route sorted the sub-row
+    positions = data.draw(st.lists(st.sampled_from(range(len(sims))), unique=True).map(sorted) if sims else st.just([]))
+    depth = data.draw(st.integers(0, len(positions) + 1))
+    subset = set(positions)
+    filtered_rng, sorted_rng = random.Random(seed), random.Random(seed)
+    order = rank_by_similarity(sims, (p for p in descending(sims) if p in subset), filtered_rng, depth)
+    reference = rank_sorted([sims[p] for p in positions], sorted_rng, depth)
+    assert order == [positions[i] for i in reference]
+    assert filtered_rng.getstate() == sorted_rng.getstate()
+
+
+@given(sims=tied_sims, depth=st.integers(0, 14))
+def test_rank_by_similarity_reads_one_candidate_past_the_cut_group(sims, depth):
+    pulled = []
+
+    def counted(order):
+        for index in order:
+            pulled.append(index)
+            yield index
+
+    order = descending(sims)
+    ranking = rank_by_similarity(sims, counted(order), random.Random(0), depth)
+    if not ranking:
+        assert pulled == []
+        return
+    # the cut group: every candidate as similar as the last one ranked
+    cut_value = sims[ranking[-1]]
+    through_cut = sum(1 for index in order if sims[index] >= cut_value)
+    assert through_cut <= len(pulled) <= through_cut + 1
+    assert pulled == order[: len(pulled)]
 
 
 def test_vote_plurality():

@@ -53,7 +53,18 @@ def _training_rows(ctx):
     """{(query, arm): the training tweets of the query's similarity row in
     that arm, in row order}, over an edit-only run_grid of ctx. A worker's
     windows hold each tweet once, so with one worker (query, arm) names one
-    row."""
+    row. The grid builds a row only for a query that it ranks, so each
+    stratum's label paths are made to alternate between two paths first:
+    no two training paths in a row agree, and every query is ranked."""
+
+    def alternating(window):
+        seen = Counter()
+        for tid, _ in window:
+            arm = ctx.classes.get(tid)
+            yield tid, (EASY_PATH, DIFFICULT_PATH)[seen[arm] % 2]
+            seen[arm] += 1
+
+    ctx = ctx._replace(windows={key: tuple(alternating(window)) for key, window in ctx.windows.items()})
     rows = {}
     real_sim = PairSimilarity.sim
 
@@ -344,11 +355,16 @@ def test_grid_looks_each_pair_up_once_per_worker_and_arm(monkeypatch):
         for phase in PHASES:
             window_ids = [tid for tid, _ in ctx.windows[(wid, phase)]]
             for arm in ("easy", "difficult"):
-                train_ids = [tid for tid in window_ids if ctx.classes.get(tid) == arm][: TRAIN_SIZES[-1]]
+                stratum = [t for t in ctx.windows[(wid, phase)] if ctx.classes.get(t[0]) == arm][: TRAIN_SIZES[-1]]
+                train_ids = [tid for tid, _ in stratum]
+                # the first `agreeing` training paths are one path, which
+                # every size up to `agreeing` predicts without a ranking
+                agreeing = next((i for i, (_, path) in enumerate(stratum) if path != stratum[0][1]), len(stratum))
                 for tid in window_ids:
-                    # a query for every n up to its own position in the stratum
+                    # a query for every n up to its own position in the
+                    # stratum, and looked up when one of them is ranked
                     limit = train_ids.index(tid) if tid in train_ids else len(train_ids)
-                    if limit >= TRAIN_SIZES[0]:
+                    if limit >= TRAIN_SIZES[0] and limit > agreeing:
                         expected.update((tid, train_tid) for train_tid in train_ids[:limit])
         assert set(lookups) == expected
         assert set(lookups.values()) == {1}
@@ -384,18 +400,21 @@ def test_agreeing_training_paths_are_not_ranked(monkeypatch):
     ranked = []
     real_rank = simulation.rank_by_similarity
 
-    def counting_rank(sims, rng, depth):
-        ranked.append(len(sims))
-        return real_rank(sims, rng, depth)
+    def counting_rank(sims, candidates, rng, depth):
+        candidates = list(candidates)
+        ranked.append(len(candidates))
+        return real_rank(sims, candidates, rng, depth)
 
     monkeypatch.setattr(simulation, "rank_by_similarity", counting_rank)
     sims = PairSimilarity(ctx.words, "edit")
     worker_triples(ctx, "w1", sims, "edit", "early", "easy", (1, 3), seed=0)
-    # a query of size n is ranked over its first n similarities; the 25 - n
-    # window tweets outside the training set are queries of size n
+    # a query of size n is ranked over its first n training tweets; the
+    # 25 - n window tweets outside the training set are queries of size n
     assert Counter(ranked) == {n: 25 - n for n in TRAIN_SIZES if n > 3}
     ranked.clear()
-    # the difficult stratum is one path throughout
+    # the difficult stratum is one path throughout, so no query is ranked,
+    # and none looks up a similarity
+    monkeypatch.setattr(sims, "sim", lambda *pair: pytest.fail(f"{pair} looked up for no ranking"))
     worker_triples(ctx, "w1", sims, "edit", "early", "difficult", (1, 3), seed=0)
     assert ranked == []
 
@@ -408,8 +427,8 @@ def test_vote_repeats_a_prefix_only_after_a_tie(monkeypatch):
     real_rank = simulation.rank_by_similarity
     real_vote = simulation.vote
 
-    def recording_rank(sims, rng, depth):
-        order = real_rank(sims, rng, depth)
+    def recording_rank(sims, candidates, rng, depth):
+        order = real_rank(sims, candidates, rng, depth)
         queries.append((len(order), []))
         return order
 
