@@ -435,10 +435,7 @@ def main(argv=None) -> int:
             "report": cmd_report,
         }[args.command]
         return handler(args)
-    except AnnodiffError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (AnnodiffError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception:

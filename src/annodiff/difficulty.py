@@ -44,13 +44,12 @@ class ScoringResult(NamedTuple):
 
 
 def majority_labels(annotations: Sequence[Annotation]) -> dict[int, Counter[str]]:
-    """The label counts per level over all annotations of one tweet, in level
-    order; a level nobody labeled is absent."""
-    if not annotations:
-        raise ValueError("majority_labels needs at least one annotation")
-    tweet_ids = {a.tweet_id for a in annotations}
-    if len(tweet_ids) != 1:
-        raise ValueError(f"annotations span multiple tweets: {sorted(tweet_ids)}")
+    """The label counts per level over the annotations of one tweet, in level
+    order; a level nobody labeled is absent.
+
+    annotations is one group of Dataset.annotations_by_tweet(), which is
+    never empty and holds one tweet, so level 1 is always present.
+    """
     tallies: dict[int, Counter[str]] = {level: Counter() for level in LEVELS}
     for ann in annotations:
         for level, label in path_labels(ann.labels).items():
@@ -65,10 +64,9 @@ def agreement_score(tallies: Mapping[int, Mapping[str, int]]) -> float:
     label, weighted by that majority's share of all majority votes across
     levels. A tied level, where two labels share the top count, contributes
     one extra count to the weight denominator, reflecting the extra plausible
-    reading of the tweet.
+    reading of the tweet. tallies come from majority_labels, so level 1 has
+    at least one vote.
     """
-    if not tallies:
-        raise ValueError("agreement is undefined without any votes")
     levels = []  # (top count, voter count) per level
     total_top = 0
     for counts in tallies.values():
@@ -119,10 +117,7 @@ def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResul
     # tweet -> per level [first label's sum, second label's sum, workers]
     sums: dict[str, list[list]] = {}
     for wid in dataset.worker_ids():
-        annotations = dataset.workers[wid].annotations
-        if not annotations:
-            continue
-        by_tweet = {a.tweet_id: a for a in annotations}
+        by_tweet = {a.tweet_id: a for a in dataset.workers[wid].annotations}
         ids = sorted(by_tweet)
         rng = random.Random(stable_seed(config.seed, "certainty-split", wid))
         rng.shuffle(ids)
@@ -209,11 +204,10 @@ def difficulty_scores(dataset: Dataset, config: RunConfig) -> ScoringResult:
     The easy class is the 2-means cluster with the higher mean score. Tweets
     lacking a component (no recorded durations, or no certainty when nothing
     could be imputed) are excluded and listed in ScoringResult.excluded,
-    never silently dropped.
+    never silently dropped. A dataset where no tweet has all three
+    components, an empty one included, raises AnnodiffError.
     """
     by_tweet = dataset.annotations_by_tweet()
-    if not by_tweet:
-        raise AnnodiffError("cannot score an empty dataset")
     certainty = predictor_certainties(dataset, config)
     costs = labeling_costs(dataset)
 

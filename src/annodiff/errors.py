@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Bad input or configuration exits 1 through AnnodiffError. Values are
+checked where they enter the program: the dataset parser, RunConfig and
+the readers of the program's own files. Scoring and the grid do not check
+again what only their callers build: a broken invariant of those values
+is never reported as bad input, and where it raises, the command exits 2.
+"""
 
 
 class AnnodiffError(Exception):
@@ -17,7 +24,3 @@ class DatasetError(AnnodiffError):
         self.line = line
         super().__init__(f"{path}, line {line}: {message}")
 
-
-class DegenerateClusteringError(AnnodiffError):
-    """Raised when 1-D k-means receives fewer than two distinct values, a
-    value that is not finite, or values whose squared deviations overflow."""

@@ -66,15 +66,13 @@ def vote(counts: Mapping[str, int]) -> list[str]:
     """The labels that share the top neighbor count, in LABEL_ORDER.
 
     One label is a decided plurality vote; several are a tie, which the
-    caller settles by a seeded draw among them in this order.
+    caller settles by a seeded draw among them in this order. The grid
+    builds counts by +1 increments over at least one neighbor, so they hold
+    at least one label and every count is at least 1.
     """
     if len(counts) == 1:
-        [(label, count)] = counts.items()
-        if count >= 1:
-            return [label]
-    top = max(counts.values(), default=0)
-    if top < 1:
-        raise ValueError("cannot vote over zero labels")
+        return list(counts)
+    top = max(counts.values())
     tied = [lab for lab, c in counts.items() if c == top]
     if len(tied) > 1:
         tied.sort(key=LABEL_ORDER.__getitem__)
@@ -97,11 +95,11 @@ def hierarchical_f1(triple: Sequence[int]) -> float:
 
     Precision and recall are the overlap over each integer total, so a sum
     taken in any grouping gives the same float. Returns 0 when both are 0.
+    Both totals are positive: the grid sums at least one pair, and every
+    label path of either side holds a level-1 label.
     """
     overlap, predicted_total, truth_total = triple
-    if not truth_total:
-        raise ValueError("cannot compute F1 over zero pairs")
-    precision = overlap / predicted_total if predicted_total else 0.0
+    precision = overlap / predicted_total
     recall = overlap / truth_total
     if precision + recall == 0:
         return 0.0

@@ -14,7 +14,7 @@ import math
 from itertools import accumulate
 from typing import NamedTuple
 
-from annodiff.errors import DegenerateClusteringError
+from annodiff.errors import AnnodiffError
 
 
 def mean(values) -> float:
@@ -47,17 +47,18 @@ def kmeans_1d(values) -> Clustering1D:
     total WCSS) of the least count as tied, so what ties does not depend on
     the offset or the scale of the values; the larger lower cluster wins.
 
-    Raises DegenerateClusteringError on fewer than two distinct values, on a
-    value that is not finite, or when the squared deviations overflow.
+    Raises AnnodiffError, so the command exits 1, on fewer than two distinct
+    values, on a value that is not finite, or when the squared deviations
+    overflow.
     """
     vals = [float(v) for v in values]
     if not all(map(math.isfinite, vals)):
-        raise DegenerateClusteringError("degenerate clustering: values must be finite")
+        raise AnnodiffError("degenerate clustering: values must be finite")
     ordered = sorted(vals)
     n = len(ordered)
     splits = [i for i in range(1, n) if ordered[i - 1] < ordered[i]]
     if not splits:
-        raise DegenerateClusteringError("degenerate clustering: need at least two distinct values")
+        raise AnnodiffError("degenerate clustering: need at least two distinct values")
     median = ordered[n // 2]
     deviations = [v - median for v in ordered]
     sums = list(accumulate(deviations, initial=0.0))
@@ -70,7 +71,7 @@ def kmeans_1d(values) -> Clustering1D:
 
     costs = {i: wcss(i) for i in splits}
     if not all(map(math.isfinite, costs.values())):
-        raise DegenerateClusteringError("degenerate clustering: the squared deviations overflow")
+        raise AnnodiffError("degenerate clustering: the squared deviations overflow")
     least = min(costs.values())
     split = max(i for i, cost in costs.items() if cost <= least + 1e-12 * total_sq)
 

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from annodiff import cli
+from annodiff import cli, simulation
 from annodiff.config import RunConfig
 from annodiff.outputs import CONFIG_PREFIX, read_csv, read_json, read_scores_csv
 from annodiff.synth import SynthConfig, generate_records, write_jsonl
@@ -392,6 +392,26 @@ def test_internal_errors_exit_2(dataset_dir, tmp_path, monkeypatch, capsys):
     assert code == 2
     assert "internal error:" in err
     assert "RuntimeError" in err
+
+
+def test_a_broken_invariant_of_the_grid_exits_2(dataset_dir, tmp_path, monkeypatch, capsys):
+    # aggregate does not check its codes; one that encode_outcome cannot give
+    # is an internal error, not bad input
+    monkeypatch.setattr(simulation, "encode_outcome", lambda delta, epsilon: "X")
+    code = cli.main(_simulate_args(dataset_dir, tmp_path / "o"))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "internal error:" in err
+    assert "KeyError: 'X'" in err
+
+
+def test_score_of_an_empty_dataset_exits_1(tmp_path, capsys):
+    (tmp_path / "a.jsonl").write_text("")
+    (tmp_path / "t.jsonl").write_text("")
+    code = cli.main(["score", "--dataset", str(tmp_path / "a.jsonl"), "--tweets", str(tmp_path / "t.jsonl"),
+                     "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "error: no institution has any workers to score" in capsys.readouterr().err
 
 
 BAD_ARG_CASES = [

@@ -141,6 +141,11 @@ def test_annotation_line_order_does_not_change_the_dataset(data):
     tweets = [tw(tid) for tid in TWEETS]
     ds = parse_dataset(data.draw(st.permutations(lines)), tweets)
     assert ds == parse_dataset(lines, tweets)
+    # the parser builds a worker only from an annotation, and each group of
+    # annotations_by_tweet is one tweet's, which scoring relies on unchecked
+    assert all(w.annotations for w in ds.workers.values())
+    for tid, group in ds.annotations_by_tweet().items():
+        assert group and {a.tweet_id for a in group} == {tid}
     assert {wid: [a.tweet_id for a in w.annotations] for wid, w in ds.workers.items()} == sessions
     assert {wid: w.pruned_labels for wid, w in ds.workers.items()} == pruned
 

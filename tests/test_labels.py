@@ -35,6 +35,13 @@ def test_label_path_accepts_exactly_the_tree_paths():
     assert refused == len(INPUTS) ** 3 - len(TREE_PATHS)
 
 
+def test_every_accepted_path_holds_a_level1_label():
+    # agreement_score and hierarchical_f1 rely on this without checking it:
+    # every annotation votes at level 1, and every label set is non-empty
+    for labels in TREE_PATHS:
+        assert path_labels(label_path(*labels))[1] in LEVEL_LABELS[1]
+
+
 def test_label_order_is_the_literal_ranking():
     # the order ties are sorted in before a seeded draw; a change moves every
     # tie-broken prediction, so it is pinned as literal ranks

@@ -7,7 +7,7 @@ import statistics
 import pytest
 from hypothesis import example, given, strategies as st
 
-from annodiff.errors import DegenerateClusteringError
+from annodiff.errors import AnnodiffError
 from annodiff.stats import fisher_exact_two_tailed, kmeans_1d, mean, median
 from oracles import (
     best_threshold_wcss,
@@ -139,7 +139,7 @@ def test_kmeans_labels_ignore_shift(shift):
     ],
 )
 def test_kmeans_degenerate_inputs(values):
-    with pytest.raises(DegenerateClusteringError):
+    with pytest.raises(AnnodiffError, match="^degenerate clustering: "):
         kmeans_1d(values)
 
 
