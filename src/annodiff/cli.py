@@ -186,9 +186,11 @@ def _print_score_summary(summary: dict) -> None:
 
 
 def _sha256(path) -> str:
+    """The file's sha256, read in 64 KiB chunks, so hashing holds no more
+    of the file than one chunk."""
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
+        for chunk in iter(lambda: fh.read(1 << 16), b""):
             digest.update(chunk)
     return digest.hexdigest()
 
@@ -358,7 +360,8 @@ def cmd_report(args) -> int:
         raise AnnodiffError(f"missing inputs: {', '.join(missing)}; run score and simulate first")
 
     summary = read_json(str(required["summary.json"]))
-    outcomes_config, outcome_rows = read_csv(str(required["outcomes.csv"]))
+    with read_csv(str(required["outcomes.csv"])) as (outcomes_config, rows):
+        outcome_rows = list(rows)  # the tables below read them more than once
     stats = read_json(str(required["stats.json"]))
     _refuse_mixed_runs(
         {

@@ -101,9 +101,12 @@ def prune_labels(labels: dict[str, str], durations: dict[str, float]) -> tuple[d
     return labels, durations, pruned
 
 
-def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[str, Annotation, int, str, str, int]:
+def _parse_annotation_record(
+    record: dict, path: str, line: int, tweet_ids: dict[str, str]
+) -> tuple[str, Annotation, int, str, str, int]:
     """(worker id, annotation, order_index, institution, group, pruned label
-    count) of one validated annotation record."""
+    count) of one validated annotation record. The annotation's tweet id is
+    the tweet_ids value equal to it, when there is one."""
     def fail(msg: str):
         raise DatasetError(msg, path=path, line=line)
 
@@ -164,7 +167,8 @@ def _parse_annotation_record(record: dict, path: str, line: int) -> tuple[str, A
             duration += seconds[level]
         if not math.isfinite(duration):
             fail("the summed per-level durations overflow a float")
-    return worker_id, Annotation(tweet_id, labeled_path, duration), order_index, institution, group, pruned
+    annotation = Annotation(tweet_ids.get(tweet_id, tweet_id), labeled_path, duration)
+    return worker_id, annotation, order_index, institution, group, pruned
 
 
 def _records(lines: Iterable[str], path: str) -> Iterator[tuple[int, object]]:
@@ -205,6 +209,11 @@ def parse_dataset(
     violations, duplicate (worker, tweet) pairs, duplicate or gapped
     order_index values, and annotations referencing unknown tweets all raise
     DatasetError with the offending file and line.
+
+    Each fact is held once: an annotation's tweet_id is the very str that
+    keys its text in Dataset.texts, and its label path is label_path's one
+    tuple for that path, so the records add no copy of either per
+    annotation.
     """
     texts: dict[str, str] = {}
     text_lines: dict[str, int] = {}
@@ -218,6 +227,8 @@ def parse_dataset(
             raise DatasetError(f"duplicate tweet_id {tid!r} (first seen on line {text_lines[tid]})", path=tweets_path, line=line_no)
         texts[tid] = record["text"]
         text_lines[tid] = line_no
+    del text_lines
+    tweet_ids = dict(zip(texts, texts))  # each id to the str object that keys its text
 
     profiles: dict[str, tuple[str, str]] = {}  # worker -> (institution, group)
     pruned_labels: dict[str, int] = {}
@@ -226,7 +237,9 @@ def parse_dataset(
     for line_no, record in _records(annotation_lines, annotations_path):
         if not isinstance(record, dict):
             raise DatasetError("expected a JSON object", path=annotations_path, line=line_no)
-        wid, ann, order_index, institution, group, pruned = _parse_annotation_record(record, annotations_path, line_no)
+        wid, ann, order_index, institution, group, pruned = _parse_annotation_record(
+            record, annotations_path, line_no, tweet_ids
+        )
 
         pair = (wid, ann.tweet_id)
         if pair in seen_pairs:

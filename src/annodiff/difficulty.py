@@ -114,8 +114,9 @@ def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResul
     mean certainty; their ids are reported in the result.
     """
     words = dataset.word_sequences()
-    # tweet -> per level [first label's sum, second label's sum, workers]
-    sums: dict[str, list[list]] = {}
+    # tweet -> one flat list, three slots per level in level order: first
+    # label's sum, second label's sum, workers
+    sums: dict[str, list] = {}
     for wid in dataset.worker_ids():
         by_tweet = {a.tweet_id: a for a in dataset.workers[wid].annotations}
         ids = sorted(by_tweet)
@@ -141,20 +142,21 @@ def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResul
         sim_rows = similarity_rows((words[tid] for tid in test_ids), [words[tid] for tid in train_ids])
         for tid, sim_row in zip(test_ids, sim_rows, strict=True):
             order = descending(sim_row)
-            tweet_sums = sums.setdefault(tid, [[0.0, 0.0, 0] for _ in LEVELS])
+            tweet_sums = sums.setdefault(tid, [0.0, 0.0, 0] * len(LEVELS))
             for level, firsts, blank in levels:
                 candidates = (p for p in order if firsts[p] is not None) if blank else order
                 order_rng = random.Random(stable_seed(config.seed, "certainty-order", wid, tid, level))
                 neighbors = rank_by_similarity(sim_row, candidates, order_rng, config.k_certainty)
                 k = len(neighbors)
                 count = sum(firsts[p] for p in neighbors)
-                level_sums = tweet_sums[level - 1]
-                level_sums[0] += knn_label_certainty(count, k, config.smoothing)
-                level_sums[1] += knn_label_certainty(k - count, k, config.smoothing)
-                level_sums[2] += 1
+                slot = 3 * (level - 1)
+                tweet_sums[slot] += knn_label_certainty(count, k, config.smoothing)
+                tweet_sums[slot + 1] += knn_label_certainty(k - count, k, config.smoothing)
+                tweet_sums[slot + 2] += 1
 
     values = {
-        tid: mean([max(first / n, second / n) for first, second, n in sums[tid] if n]) for tid in sorted(sums)
+        tid: mean([max(first / n, second / n) for first, second, n in zip(s[::3], s[1::3], s[2::3]) if n])
+        for tid, s in sorted(sums.items())
     }
     labeled = sorted(dataset.annotations_by_tweet())
     missing = [tid for tid in labeled if tid not in values]

@@ -4,10 +4,10 @@ Level 1 decides relevance. Level 2 exists only under Relevant and separates
 factual from non-factual content. Level 3 exists only under NonFactual and
 carries sentiment polarity. Every annotation's labels are one LabelPath,
 the (level 1, level 2, level 3) tuple with NoLabel blanks, from parsing to
-the F1 score. label_path builds one and refuses a path the tree does not
-hold, and simulation.vote_path votes a level only under its parent label,
-so every LabelPath is ancestor-closed: its labels other than NoLabel are
-the label set that hierarchical F1 compares.
+the F1 score. label_path returns a path's one shared tuple and refuses a
+path the tree does not hold, and simulation.vote_path votes a level only
+under its parent label, so every LabelPath is ancestor-closed: its labels
+other than NoLabel are the label set that hierarchical F1 compares.
 """
 
 from __future__ import annotations
@@ -42,13 +42,28 @@ LABEL_ORDER: dict[str, int] = {
 LabelPath = tuple[str, str, str]
 
 
+# the four paths the tree holds, each one shared tuple of this module's
+# label constants, keyed by its labels with None for a blank level
+_PATHS: dict[tuple[str, str | None, str | None], LabelPath] = {
+    (l1, l2, l3): (l1, l2 or NO_LABEL, l3 or NO_LABEL)
+    for l1, l2, l3 in (
+        (IRRELEVANT, None, None),
+        (RELEVANT, FACTUAL, None),
+        (RELEVANT, NONFACTUAL, POSITIVE),
+        (RELEVANT, NONFACTUAL, NEGATIVE),
+    )
+}
+
+
 def label_path(l1: str, l2: str | None = None, l3: str | None = None) -> LabelPath:
     """The label path of a structurally valid assignment, with None for a
     blank level.
 
     A level-2 label must be present exactly when level 1 is Relevant, and a
     level-3 label exactly when level 2 is NonFactual; anything else raises
-    ValueError.
+    ValueError. Every call for the same path returns the same tuple, whose
+    labels are this module's constants, so a parsed dataset holds each of
+    the four paths once, however many annotations carry it.
     """
     if l1 not in LEVEL_LABELS[1]:
         raise ValueError(f"unknown level-1 label: {l1!r}")
@@ -60,7 +75,7 @@ def label_path(l1: str, l2: str | None = None, l3: str | None = None) -> LabelPa
         raise ValueError("a level-3 label is required exactly when level 2 is NonFactual")
     if l3 is not None and l3 not in LEVEL_LABELS[3]:
         raise ValueError(f"unknown level-3 label: {l3!r}")
-    return (l1, l2 or NO_LABEL, l3 or NO_LABEL)
+    return _PATHS[l1, l2, l3]
 
 
 def path_labels(path: LabelPath) -> dict[int, str]:

@@ -3,15 +3,17 @@
 Every file starts with a comment line embedding the full run configuration
 as canonical JSON, so any artifact documents how to reproduce itself. Floats
 are written with repr, which round-trips exactly; re-reading a scores file
-therefore yields bit-identical downstream results.
+therefore yields bit-identical downstream results. Files are streamed:
+_write_csv writes each row to the open file, and read_csv hands out each
+row as it is read, so neither holds the text of a whole file.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
-from typing import Iterable, Mapping, Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from annodiff.difficulty import DIFFICULT, EASY, DifficultyScore
 from annodiff.errors import AnnodiffError
@@ -31,20 +33,21 @@ def _fmt(value) -> str:
 
 
 def _write_csv(path: str, header_json: str, fields: Sequence[str], rows: Iterable[Sequence]) -> None:
-    buf = io.StringIO()
-    buf.write(CONFIG_PREFIX + header_json + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(fields)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(buf.getvalue())
+        fh.write(CONFIG_PREFIX + header_json + "\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(fields)
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
 
 
-def read_csv(path: str) -> tuple[dict, list[dict]]:
-    """Read one of our CSV files back: (embedded config, row dicts). A file
-    whose first line is not the config line is not one of ours, and neither
-    is one with a row whose field count differs from its header's."""
+@contextmanager
+def read_csv(path: str) -> Iterator[tuple[dict, Iterator[dict[str, str]]]]:
+    """Open one of our CSV files for reading: (embedded config, an iterator
+    of row dicts that reads each row when it is pulled), valid inside the
+    with block. A file whose first line is not the config line is not one
+    of ours, and neither is one with a row whose field count differs from
+    its header's."""
     try:
         with open(path, encoding="utf-8") as fh:
             first = fh.readline()
@@ -52,16 +55,19 @@ def read_csv(path: str) -> tuple[dict, list[dict]]:
                 raise AnnodiffError(f"{path} has no {CONFIG_PREFIX.strip()!r} first line, so its run is unknown")
             config = _json_object(path, first[len(CONFIG_PREFIX):])
             fields = next(csv.reader([fh.readline()]))
-            reader = csv.reader(fh)
-            rows = []
-            for row in reader:
-                if len(row) != len(fields):
-                    # + 2 for the config and header lines before the reader's first
-                    raise AnnodiffError(f"{path} line {reader.line_num + 2} has {len(row)} fields, its header {len(fields)}")
-                rows.append(dict(zip(fields, row)))
+            yield config, _rows(path, fields, csv.reader(fh))
     except (UnicodeDecodeError, csv.Error) as exc:
         raise AnnodiffError(f"{path} is unreadable: {exc}") from exc
-    return config, rows
+
+
+def _rows(path: str, fields: list[str], reader) -> Iterator[dict[str, str]]:
+    """The reader's rows as dicts keyed by fields, each one refused when
+    its field count differs from the header's."""
+    for row in reader:
+        if len(row) != len(fields):
+            # + 2 for the config and header lines before the reader's first
+            raise AnnodiffError(f"{path} line {reader.line_num + 2} has {len(row)} fields, its header {len(fields)}")
+        yield dict(zip(fields, row))
 
 
 def _json_object(path: str, text: str) -> dict:
@@ -78,27 +84,27 @@ def _json_object(path: str, text: str) -> dict:
 def write_scores_csv(path: str, header_json: str, scored: Mapping[str, Sequence[DifficultyScore]]) -> None:
     """One row per (institution, tweet)."""
     # SCORES_FIELDS are the institution, then a DifficultyScore's fields in order
-    rows = [(institution, *s) for institution in sorted(scored) for s in scored[institution]]
+    rows = ((institution, *s) for institution in sorted(scored) for s in scored[institution])
     _write_csv(path, header_json, SCORES_FIELDS, rows)
 
 
 def read_scores_csv(path: str) -> dict[str, dict[str, DifficultyScore]]:
     """Returns institution -> tweet_id -> score; a tweet with two rows in one
     institution makes the file malformed."""
-    _, rows = read_csv(path)
     out: dict[str, dict[str, DifficultyScore]] = {}
-    for row in rows:
-        try:
-            score = DifficultyScore(row["tweet_id"], *(float(row[key]) for key in ("A", "C", "L", "ds")), row["class"])
-            institution = row["institution"]
-        except (KeyError, ValueError) as exc:
-            raise AnnodiffError(f"malformed scores file {path}: {exc}")
-        if score.klass not in (EASY, DIFFICULT):
-            raise AnnodiffError(f"malformed scores file {path}: tweet {score.tweet_id} has class {score.klass!r}")
-        scores = out.setdefault(institution, {})
-        if score.tweet_id in scores:
-            raise AnnodiffError(f"malformed scores file {path}: {institution} tweet {score.tweet_id} has more than one row")
-        scores[score.tweet_id] = score
+    with read_csv(path) as (_, rows):
+        for row in rows:
+            try:
+                score = DifficultyScore(row["tweet_id"], *(float(row[key]) for key in ("A", "C", "L", "ds")), row["class"])
+                institution = row["institution"]
+            except (KeyError, ValueError) as exc:
+                raise AnnodiffError(f"malformed scores file {path}: {exc}")
+            if score.klass not in (EASY, DIFFICULT):
+                raise AnnodiffError(f"malformed scores file {path}: tweet {score.tweet_id} has class {score.klass!r}")
+            scores = out.setdefault(institution, {})
+            if score.tweet_id in scores:
+                raise AnnodiffError(f"malformed scores file {path}: {institution} tweet {score.tweet_id} has more than one row")
+            scores[score.tweet_id] = score
     return out
 
 

@@ -1,6 +1,7 @@
 """End-to-end command line behaviour through main()."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -137,7 +138,8 @@ def test_score_writes_scores_and_summary(dataset_dir, tmp_path, capsys):
 
     first_line = (out / "scores.csv").read_text().splitlines()[0]
     assert first_line.startswith(CONFIG_PREFIX)
-    config, _ = read_csv(str(out / "scores.csv"))
+    with read_csv(str(out / "scores.csv")) as (config, _):
+        pass
     assert config["seed"] == 0
     by_institution = read_scores_csv(str(out / "scores.csv"))
     assert set(by_institution) == {"MD"}
@@ -226,7 +228,8 @@ def test_simulate_writes_all_artifacts(dataset_dir, tmp_path, capsys):
     for name in ("scores.csv", "summary.json", "outcomes.csv", "curves.csv", "stats.json"):
         assert (out / name).exists(), name
 
-    config, rows = read_csv(str(out / "outcomes.csv"))
+    with read_csv(str(out / "outcomes.csv")) as (config, rows):
+        rows = list(rows)
     assert config["k_grid"] == [1, 3]
     assert len(rows) == 18
     assert {r["metric"] for r in rows} == {"edit"}
@@ -638,6 +641,15 @@ CORRUPTIONS = {
     "outcomes row with an extra field": ("outcomes.csv", lambda t: _extend_line(t, 2, ",extra"), "report"),
     "scores row with an extra field": ("scores.csv", lambda t: _extend_line(t, 2, ",extra"), "simulate"),
 }
+
+
+@pytest.mark.parametrize("size", [0, 1, 65_535, 65_536, 65_537, 196_609])
+def test_sha256_of_a_file_read_in_chunks(tmp_path, size):
+    # the sizes sit on and beside the 64 KiB chunk boundaries
+    data = random.Random(size).randbytes(size)
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    assert cli._sha256(path) == hashlib.sha256(data).hexdigest()
 
 
 def _restamp_scores(out):

@@ -5,9 +5,11 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from annodiff import labels
 from annodiff.dataset import INSTITUTIONS, parse_dataset, prune_labels
 from annodiff.errors import DatasetError
 from annodiff.labels import label_path
+from annodiff.synth import SynthConfig, generate_records
 from annodiff.textsim import tokenize
 
 
@@ -227,6 +229,23 @@ def test_ids_may_hold_characters_beyond_the_basic_plane():
     tid, wid = "t\U0001F600", "w\U0001F600"
     ds = parse_dataset([ann(wid, tid, 1, FULL)], [tw(tid)])
     assert [a.tweet_id for a in ds.workers[wid].annotations] == [tid]
+
+
+def test_parsing_holds_each_id_and_label_path_once():
+    # the records go through JSON text, so every id and label is a fresh str
+    # as the parser reads it; sharing must come from the parser itself
+    annotations, tweets = generate_records(SynthConfig(n_workers=4, n_easy=10, n_difficult=10, seed=3))
+    ds = parse_dataset([json.dumps(r) for r in annotations], [json.dumps(r) for r in tweets])
+    keys = {tid: tid for tid in ds.texts}
+    constants = (*labels.LEVEL_LABELS[1], *labels.LEVEL_LABELS[2], *labels.LEVEL_LABELS[3], labels.NO_LABEL)
+    paths = {}
+    parsed = [a for worker in ds.workers.values() for a in worker.annotations]
+    assert len(parsed) == len(annotations)
+    for a in parsed:
+        assert a.tweet_id is keys[a.tweet_id]
+        assert all(any(label is constant for constant in constants) for label in a.labels)
+        assert a.labels is paths.setdefault(a.labels, a.labels)
+    assert len(paths) == 4  # the set uses every path the tree holds
 
 
 def test_error_message_carries_path():

@@ -1,5 +1,7 @@
 """File formats: config-stamped CSVs and JSON payloads."""
 
+import csv
+import io
 import json
 import re
 
@@ -12,6 +14,7 @@ from annodiff.outputs import (
     CURVES_FIELDS,
     OUTCOMES_FIELDS,
     SCORES_FIELDS,
+    _write_csv,
     read_csv,
     read_json,
     read_scores_csv,
@@ -48,7 +51,8 @@ def test_scores_roundtrip_is_exact(tmp_path):
     assert by_institution["MD"]["t0"] == scored["MD"][0]
     assert by_institution["SU"]["t1"] == scored["SU"][0]
     # institutions are written in sorted order
-    config, rows = read_csv(path)
+    with read_csv(path) as (config, rows):
+        rows = list(rows)
     assert config == {"seed": 7, "split": 0.4}
     assert [r["institution"] for r in rows] == ["MD", "MD", "SU"]
     assert list(rows[0]) == list(SCORES_FIELDS)
@@ -75,12 +79,51 @@ def test_read_scores_csv_rejects_malformed(tmp_path):
         read_scores_csv(str(path))
 
 
+@pytest.mark.parametrize(
+    "bad_row,message",
+    [
+        ("MD,t9,0.1,0.2,0.3,0.6,easy,extra", "{path} line 6 has 8 fields, its header 7"),
+        ("MD,t9,0.1,x,0.3,0.6,easy", "malformed scores file {path}: could not convert string to float: 'x'"),
+        ("SU,t1,0.1,0.2,0.3,0.6,hard", "malformed scores file {path}: tweet t1 has class 'hard'"),
+        ("MD,t2,0.1,0.2,0.3,0.6,easy", "malformed scores file {path}: MD tweet t2 has more than one row"),
+    ],
+)
+def test_read_scores_csv_refuses_a_bad_row_after_good_ones(tmp_path, bad_row, message):
+    # rows are checked as they are read, so the good rows before the bad
+    # one are read first; the refusal is the one the whole file gets
+    path = tmp_path / "scores.csv"
+    write_scores_csv(str(path), CONFIG, {"MD": [_score("t0", 0.7), _score("t2", 0.95)], "SU": [_score("t1", 1 / 3)]})
+    path.write_text(path.read_text() + bad_row + "\n")
+    with pytest.raises(AnnodiffError) as exc:
+        read_scores_csv(str(path))
+    assert str(exc.value) == message.format(path=path)
+
+
+def test_write_csv_streams_the_bytes_a_whole_file_buffer_holds(tmp_path):
+    # a tweet id with a comma, a double quote and a newline must be quoted
+    # the same way whether rows go to the file or to one string first
+    rows = [("MD", 'a,"b"\nc', 0.1 + 0.2, "easy"), ("SU", "plain", 1 / 3, "difficult")]
+    fields = ("institution", "tweet_id", "value", "class")
+    path = tmp_path / "rows.csv"
+    _write_csv(str(path), CONFIG, fields, rows)
+    buf = io.StringIO()
+    buf.write(CONFIG_PREFIX + CONFIG + "\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(fields)
+    for row in rows:
+        writer.writerow([repr(v) if isinstance(v, float) else v for v in row])
+    assert path.read_bytes() == buf.getvalue().encode("utf-8")
+    with read_csv(str(path)) as (_, read_back):
+        assert [r["tweet_id"] for r in read_back] == ['a,"b"\nc', "plain"]
+
+
 def test_read_csv_without_config_line(tmp_path):
     path = tmp_path / "plain.csv"
     # a CSV that does not say which run wrote it is refused, naming the file
     path.write_text("a,b\n1,2\n")
     with pytest.raises(AnnodiffError, match=re.escape(f"{path} has no '# config:' first line")):
-        read_csv(str(path))
+        with read_csv(str(path)):
+            pass
 
 
 def _result(code, delta, with_curves=True):
@@ -102,7 +145,8 @@ def _result(code, delta, with_curves=True):
 def test_outcomes_csv_marks_undefined(tmp_path):
     path = str(tmp_path / "outcomes.csv")
     write_outcomes_csv(path, CONFIG, [_result("E", 0.25), _result(None, None, with_curves=False)])
-    config, rows = read_csv(path)
+    with read_csv(path) as (config, rows):
+        rows = list(rows)
     assert config == {"seed": 7, "split": 0.4}
     assert list(rows[0]) == list(OUTCOMES_FIELDS)
     assert rows[0]["code"] == "E"
@@ -114,7 +158,8 @@ def test_outcomes_csv_marks_undefined(tmp_path):
 def test_curves_csv_skips_undefined_and_sorts_k(tmp_path):
     path = str(tmp_path / "curves.csv")
     write_curves_csv(path, CONFIG, [_result(None, None, with_curves=False), _result("E", 0.25)])
-    _, rows = read_csv(path)
+    with read_csv(path) as (_, rows):
+        rows = list(rows)
     assert list(rows[0]) == list(CURVES_FIELDS)
     assert [r["k"] for r in rows] == ["1", "3"]
     # repr floats survive the round trip exactly
