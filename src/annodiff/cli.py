@@ -136,7 +136,7 @@ def _score_institutions(dataset: Dataset, config: RunConfig):
         result = difficulty_scores(subset, config)
         scored[institution] = result.scores
         class_by_tweet = {s.tweet_id: s.klass for s in result.scores}
-        windows, excluded = phase_windows(subset)
+        windows = phase_windows(subset)
         phases = {}
         for phase in PHASES:
             population = {
@@ -151,7 +151,7 @@ def _score_institutions(dataset: Dataset, config: RunConfig):
             }
         summary[institution] = {
             "workers": len(subset.workers),
-            "workers_excluded_under_50": sorted(excluded),
+            "workers_excluded_under_50": sorted(set(subset.workers) - {wid for wid, _ in windows}),
             "tweets_scored": len(result.scores),
             "certainty_imputed": len(result.imputed_certainty),
             "tweets_excluded": result.excluded,
@@ -271,16 +271,17 @@ def cmd_simulate(args) -> int:
         print(f"wrote {scores_path}")
     # the classes come from the file alone, whether it was written now or reused
     _refuse_stale_scores(config)
-    scored = read_scores_csv(str(scores_path))
+    # the grid reads only each tweet's class, so no score outlives this statement
+    classes = {institution: {tid: s.klass for tid, s in scores.items()}
+               for institution, scores in read_scores_csv(str(scores_path)).items()}
     print(f"loaded difficulty scores from {scores_path}")
 
     results = []
     for institution in config.institutions:
-        if institution not in scored:
+        if institution not in classes:
             print(f"{institution}: no scores, skipped")
             continue
-        class_by_tweet = {tid: s.klass for tid, s in scored[institution].items()}
-        ctx = make_context(dataset, institution, class_by_tweet)
+        ctx = make_context(dataset, institution, classes[institution])
         if not ctx.worker_ids:
             print(f"{institution}: no worker has {MIN_WORKER_TWEETS} or more annotations, skipped")
             continue

@@ -3,10 +3,10 @@
 Two files describe a dataset. annotations.jsonl holds one labeling event per
 line with the worker, the tweet, the assigned label path, per-level labeling
 durations in seconds, and the 1-based position of the tweet in the worker's
-session. tweets.jsonl maps tweet ids to their raw text. The parser keeps
-each annotation's label path and summed duration; the session position only
-orders a worker's annotations. This module only parses: the score
-components, agreement's label counts among them, are in difficulty.
+session. tweets.jsonl maps tweet ids to their raw text. Each annotation line
+is filed, with its label path and summed duration, in its worker's one
+session record, ordered by session position. This module only parses: the
+score components, agreement's label counts among them, are in difficulty.
 """
 
 from __future__ import annotations
@@ -43,9 +43,9 @@ class Annotation(NamedTuple):
 
 
 class Worker(NamedTuple):
-    """One worker's session: its annotations in session order, and how many
-    labels the parser pruned from them below an Irrelevant level 1. The
-    worker's id is its key in Dataset.workers."""
+    """One worker's session record as parsed: its annotations in session
+    order, and how many labels the parser pruned from them below an
+    Irrelevant level 1. The worker's id is its key in Dataset.workers."""
 
     institution: str
     group: str
@@ -85,38 +85,32 @@ class Dataset(NamedTuple):
         }
 
 
-def prune_labels(labels: dict[str, str], durations: dict[str, float]) -> tuple[dict[str, str], dict[str, float], int]:
-    """Drop labels recorded below an Irrelevant level-1 decision.
+class _Session:
+    """One worker's record while its annotation lines are parsed."""
 
-    Workers sometimes keep filling lower levels after marking a tweet
-    Irrelevant; those labels and their durations carry no information and are
-    removed. An explicit null is an absent label, so it is not counted as
-    pruned. Idempotent: pruning a pruned record changes nothing.
-    """
-    if labels.get("l1") != IRRELEVANT:
-        return labels, durations, 0
-    pruned = sum(1 for key in ("l2", "l3") if labels.get(key) is not None)
-    labels = {k: v for k, v in labels.items() if k == "l1"}
-    durations = {k: v for k, v in durations.items() if k == "l1"}
-    return labels, durations, pruned
+    def __init__(self, profile: tuple[str, str]):
+        self.profile = profile  # (institution, group) of the worker's first line
+        self.pruned = 0  # labels pruned below Irrelevant so far
+        self.tweet_lines: dict[str, int] = {}  # tweet -> first line
+        self.entries: dict[int, tuple[int, Annotation]] = {}  # order_index -> (line, annotation)
 
 
-def _parse_annotation_record(
-    record: dict, path: str, line: int, tweet_ids: dict[str, str]
-) -> tuple[str, Annotation, int, str, str, int]:
-    """(worker id, annotation, order_index, institution, group, pruned label
-    count) of one validated annotation record. The annotation's tweet id is
-    the tweet_ids value equal to it, when there is one."""
+def _file_annotation(record: object, path: str, line: int, tweet_ids: dict[str, str], sessions: dict[str, _Session]) -> None:
+    """Check one annotation line and file it in its worker's session record,
+    or raise DatasetError naming the line. A line that breaks two rules
+    reports the first of: its own fields, a tweet the worker labeled before,
+    a taken order_index, a tweet without text, a changed institution or
+    group. The annotation's tweet id is the tweet_ids value equal to it."""
     def fail(msg: str):
         raise DatasetError(msg, path=path, line=line)
 
-    for key in ("worker_id", "institution", "group", "tweet_id", "order_index", "labels"):
+    if not isinstance(record, dict):
+        fail("expected a JSON object")
+    fields = ("worker_id", "institution", "group", "tweet_id", "order_index", "labels")
+    for key in fields:
         if key not in record:
             fail(f"missing field {key!r}")
-    worker_id = record["worker_id"]
-    tweet_id = record["tweet_id"]
-    institution = record["institution"]
-    group = record["group"]
+    worker_id, institution, group, tweet_id, order_index, labels = (record[key] for key in fields)
     for key in ("worker_id", "tweet_id"):
         if not isinstance(record[key], str) or not record[key]:
             fail(f"{key} must be a non-empty string")
@@ -126,27 +120,28 @@ def _parse_annotation_record(
         fail(f"institution must be one of {INSTITUTIONS}, got {institution!r}")
     if group not in GROUPS:
         fail(f"group must be one of {GROUPS}, got {group!r}")
-    order_index = record["order_index"]
     if not isinstance(order_index, int) or isinstance(order_index, bool) or order_index < 1:
         fail(f"order_index must be a positive integer, got {order_index!r}")
 
-    labels = record["labels"]
     durations = record.get("durations_s", {})
     if not isinstance(labels, dict) or "l1" not in labels:
         fail("labels must be an object with at least an 'l1' key")
     if not isinstance(durations, dict):
         fail("durations_s must be an object")
-    for key in labels:
-        if key not in _LEVEL_KEYS:
-            fail(f"unknown label level key {key!r}")
-    for key in durations:
-        if key not in _LEVEL_KEYS:
-            fail(f"unknown duration level key {key!r}")
+    for kind, keys in (("label", labels), ("duration", durations)):
+        for key in keys:
+            if key not in _LEVEL_KEYS:
+                fail(f"unknown {kind} level key {key!r}")
 
-    labels, durations, pruned = prune_labels(labels, durations)
-
+    # labels below an Irrelevant level 1 carry no information: they are
+    # pruned with their durations, and a null is an absent label, not counted
+    l1, l2, l3 = labels["l1"], labels.get("l2"), labels.get("l3")
+    pruned = 0
+    if l1 == IRRELEVANT:
+        pruned = (l2 is not None) + (l3 is not None)
+        l2 = l3 = None
     try:
-        labeled_path = label_path(labels.get("l1"), labels.get("l2"), labels.get("l3"))
+        labeled_path = label_path(l1, l2, l3)
     except ValueError as exc:
         fail(str(exc))
 
@@ -155,6 +150,8 @@ def _parse_annotation_record(
     for key, value in durations.items():
         level = _LEVEL_KEYS[key]
         if level not in present_levels:
+            if l1 == IRRELEVANT:
+                continue
             fail(f"duration given for level {level} but no label is present there")
         # the range test also rejects NaN, infinity and integers too large for a float
         if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 <= value <= sys.float_info.max:
@@ -167,8 +164,22 @@ def _parse_annotation_record(
             duration += seconds[level]
         if not math.isfinite(duration):
             fail("the summed per-level durations overflow a float")
-    annotation = Annotation(tweet_ids.get(tweet_id, tweet_id), labeled_path, duration)
-    return worker_id, annotation, order_index, institution, group, pruned
+
+    tweet_id = tweet_ids.get(tweet_id, tweet_id)
+    session = sessions.get(worker_id)
+    if session is None:
+        session = sessions[worker_id] = _Session((institution, group))
+    if tweet_id in session.tweet_lines:
+        fail(f"worker {worker_id!r} labeled tweet {tweet_id!r} twice (first on line {session.tweet_lines[tweet_id]})")
+    if order_index in session.entries:
+        fail(f"worker {worker_id!r} has two annotations at order_index {order_index}")
+    if tweet_id not in tweet_ids:
+        fail(f"tweet {tweet_id!r} has no text record")
+    if session.profile != (institution, group):
+        fail(f"worker {worker_id!r} reappears with a different institution or group")
+    session.pruned += pruned
+    session.tweet_lines[tweet_id] = line
+    session.entries[order_index] = (line, Annotation(tweet_id, labeled_path, duration))
 
 
 def _records(lines: Iterable[str], path: str) -> Iterator[tuple[int, object]]:
@@ -205,10 +216,11 @@ def parse_dataset(
     holding its annotations in order_index order and the number of labels
     pruned from them.
 
-    Validation is strict: malformed JSON, unknown labels, structural label
-    violations, duplicate (worker, tweet) pairs, duplicate or gapped
-    order_index values, and annotations referencing unknown tweets all raise
-    DatasetError with the offending file and line.
+    _file_annotation files each line in its worker's one session record,
+    which becomes the Worker once its order_index values run from 1 without
+    a gap. Malformed JSON, unknown labels, structural label violations,
+    duplicate (worker, tweet) pairs, duplicate or gapped order_index values,
+    and unknown tweets all raise DatasetError with the file and line.
 
     Each fact is held once: an annotation's tweet_id is the very str that
     keys its text in Dataset.texts, and its label path is label_path's one
@@ -230,55 +242,19 @@ def parse_dataset(
     del text_lines
     tweet_ids = dict(zip(texts, texts))  # each id to the str object that keys its text
 
-    profiles: dict[str, tuple[str, str]] = {}  # worker -> (institution, group)
-    pruned_labels: dict[str, int] = {}
-    sessions: dict[str, dict[int, tuple[int, Annotation]]] = {}  # worker -> order_index -> (line, annotation)
-    seen_pairs: dict[tuple[str, str], int] = {}
+    sessions: dict[str, _Session] = {}
     for line_no, record in _records(annotation_lines, annotations_path):
-        if not isinstance(record, dict):
-            raise DatasetError("expected a JSON object", path=annotations_path, line=line_no)
-        wid, ann, order_index, institution, group, pruned = _parse_annotation_record(
-            record, annotations_path, line_no, tweet_ids
-        )
-
-        pair = (wid, ann.tweet_id)
-        if pair in seen_pairs:
-            raise DatasetError(
-                f"worker {wid!r} labeled tweet {ann.tweet_id!r} twice (first on line {seen_pairs[pair]})",
-                path=annotations_path,
-                line=line_no,
-            )
-        seen_pairs[pair] = line_no
-        session = sessions.setdefault(wid, {})
-        if order_index in session:
-            raise DatasetError(
-                f"worker {wid!r} has two annotations at order_index {order_index}",
-                path=annotations_path,
-                line=line_no,
-            )
-        if ann.tweet_id not in texts:
-            raise DatasetError(f"tweet {ann.tweet_id!r} has no text record", path=annotations_path, line=line_no)
-
-        if profiles.setdefault(wid, (institution, group)) != (institution, group):
-            raise DatasetError(
-                f"worker {wid!r} reappears with a different institution or group",
-                path=annotations_path,
-                line=line_no,
-            )
-        pruned_labels[wid] = pruned_labels.get(wid, 0) + pruned
-        session[order_index] = (line_no, ann)
+        _file_annotation(record, annotations_path, line_no, tweet_ids, sessions)
 
     workers: dict[str, Worker] = {}
     for wid, session in sessions.items():
-        for expected, order_index in enumerate(sorted(session), start=1):
+        entries = session.entries
+        for expected, order_index in enumerate(sorted(entries), start=1):
             if order_index != expected:
-                raise DatasetError(
-                    f"worker {wid!r} has gaps in order_index: {order_index} where {expected} was expected",
-                    path=annotations_path,
-                    line=session[order_index][0],
-                )
-        annotations = [session[order_index][1] for order_index in range(1, len(session) + 1)]
-        workers[wid] = Worker(*profiles[wid], annotations, pruned_labels[wid])
+                msg = f"worker {wid!r} has gaps in order_index: {order_index} where {expected} was expected"
+                raise DatasetError(msg, path=annotations_path, line=entries[order_index][0])
+        annotations = [entries[order_index][1] for order_index in range(1, len(entries) + 1)]
+        workers[wid] = Worker(*session.profile, annotations, session.pruned)
 
     return Dataset(workers=workers, texts=texts)
 

@@ -40,24 +40,22 @@ OUTCOME_CODES = (CODE_TIE, CODE_EASY, CODE_DIFFICULT)
 Window = tuple[tuple[str, LabelPath], ...]  # (tweet id, label path) in annotation order
 
 
-def phase_windows(dataset: Dataset) -> tuple[dict[tuple[str, str], Window], list[str]]:
+def phase_windows(dataset: Dataset) -> dict[tuple[str, str], Window]:
     """Slice each worker's first 50 annotations into their two phase windows.
 
-    Returns ((worker, phase) -> window, the workers excluded for having
-    fewer than 50 annotations). Annotations beyond the 50th are discarded.
+    Returns (worker, phase) -> window; a worker with fewer than 50
+    annotations has no window. Annotations beyond the 50th are discarded.
     Each tweet keeps its annotation's label path, the form the grid votes
     and scores.
     """
     windows: dict[tuple[str, str], Window] = {}
-    excluded: list[str] = []
     for wid in dataset.worker_ids():
         annotations = dataset.workers[wid].annotations
         if len(annotations) < MIN_WORKER_TWEETS:
-            excluded.append(wid)
             continue
         for phase, start in ((EARLY, 0), (LATE, PHASE_LENGTH)):
             windows[(wid, phase)] = tuple((a.tweet_id, a.labels) for a in annotations[start : start + PHASE_LENGTH])
-    return windows, excluded
+    return windows
 
 
 class SimulationContext(NamedTuple):
@@ -72,7 +70,7 @@ class SimulationContext(NamedTuple):
 
 
 def make_context(dataset: Dataset, institution: str, class_by_tweet: Mapping[str, str]) -> SimulationContext:
-    windows, _ = phase_windows(dataset.filter_institution(institution))
+    windows = phase_windows(dataset.filter_institution(institution))
     return SimulationContext(
         institution=institution,
         worker_ids=sorted({wid for wid, _ in windows}),

@@ -285,7 +285,7 @@ def test_c5_reference_corpus_reproduction():
 
         result = difficulty_scores(subset, config)
         classes = {s.tweet_id: s.klass for s in result.scores}
-        windows, _ = phase_windows(subset)
+        windows = phase_windows(subset)
         for phase in ("early", "late"):
             population = {
                 tid

@@ -153,6 +153,19 @@ def test_score_writes_scores_and_summary(dataset_dir, tmp_path, capsys):
     assert classes["easy"] + classes["difficult"] == 50
 
 
+def test_score_lists_the_workers_short_of_50_annotations(tmp_path, capsys):
+    # md_w01 stops one annotation short of the two 25-tweet phase windows;
+    # it is still scored, and the summary names it as excluded from the grid
+    annotations, tweets = generate_records(SynthConfig(n_workers=3, n_easy=25, n_difficult=25, seed=5))
+    annotations = [r for r in annotations if r["worker_id"] != "md_w01" or r["order_index"] < 50]
+    write_jsonl(annotations, str(tmp_path / "annotations.jsonl"))
+    write_jsonl(tweets, str(tmp_path / "tweets.jsonl"))
+    out = tmp_path / "out"
+    assert cli.main(["score", *_dataset_args(tmp_path), "--out", str(out)]) == 0
+    info = read_json(str(out / "summary.json"))["institutions"]["MD"]
+    assert (info["workers"], info["workers_excluded_under_50"]) == (3, ["md_w01"])
+
+
 def test_score_reports_imputed_and_excluded_tweets_on_stdout_alone(tmp_path):
     # two workers label every tweet, so a tweet in both training partitions
     # gets the imputed certainty; t000 has no duration in either session,

@@ -1,12 +1,14 @@
 """JSONL ingestion and validation diagnostics."""
 
+import copy
 import json
+import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from annodiff import labels
-from annodiff.dataset import INSTITUTIONS, parse_dataset, prune_labels
+from annodiff.dataset import INSTITUTIONS, Annotation, parse_dataset
 from annodiff.errors import DatasetError
 from annodiff.labels import label_path
 from annodiff.synth import SynthConfig, generate_records
@@ -97,15 +99,13 @@ def test_explicit_nulls_are_not_pruned_labels():
 
 
 def test_prune_is_idempotent():
-    labels = {"l1": "Irrelevant", "l2": "NonFactual", "l3": "Negative"}
-    durations = {"l1": 1.0, "l3": 0.5}
-    once = prune_labels(labels, durations)
-    assert once[:2] == ({"l1": "Irrelevant"}, {"l1": 1.0})
-    assert once[2] == 2
-    again = prune_labels(once[0], once[1])
-    assert again == (once[0], once[1], 0)
-    untouched = prune_labels({"l1": "Relevant", "l2": "Factual"}, {"l1": 1.0})
-    assert untouched == ({"l1": "Relevant", "l2": "Factual"}, {"l1": 1.0}, 0)
+    # the l2 duration goes with its pruned label rather than being refused,
+    # and the already-pruned record parses the same with nothing to prune
+    raw = ann("w1", "t1", 1, {"l1": "Irrelevant", "l2": "NonFactual", "l3": "Negative"}, {"l1": 1.0, "l2": 0.5})
+    pruned = ann("w1", "t1", 1, {"l1": "Irrelevant"}, {"l1": 1.0})
+    once, again = (parse_dataset([line], [tw("t1")]).workers["w1"] for line in (raw, pruned))
+    assert once.annotations == again.annotations == [Annotation("t1", label_path("Irrelevant"), 1.0)]
+    assert (once.pruned_labels, again.pruned_labels) == (2, 0)
 
 
 def test_incomplete_durations_flagged():
@@ -192,6 +192,14 @@ ERROR_CASES = [
         [tw("t1"), tw("t2")],
         "different institution",
     ),
+    # a line that breaks two cross-line rules reports the one checked first
+    (ann("w1", "t1", 1, FULL) + "\n" + ann("w1", "t1", 1, FULL), [tw("t1")], "line 2: worker 'w1' labeled tweet 't1' twice (first on line 1)"),
+    (ann("w1", "t1", 1, FULL) + "\n" + ann("w1", "t2", 2, FULL, institution="SU"), [tw("t1")], "line 2: tweet 't2' has no text record"),
+    (
+        ann("w1", "t1", 1, FULL) + "\n" + ann("w1", "t2", 1, FULL, institution="SU"),
+        [tw("t1"), tw("t2")],
+        "line 2: worker 'w1' has two annotations at order_index 1",
+    ),
 ]
 
 
@@ -202,6 +210,45 @@ def test_annotation_validation_errors(annotation_text, tweet_lines, fragment):
     assert fragment in str(exc.value)
     assert exc.value.path == "annotations.jsonl" and exc.value.line >= 1
     assert str(exc.value).startswith(f"{exc.value.path}, line {exc.value.line}: ")
+
+
+# values a field may take in bad input: every JSON type, out-of-range and
+# non-finite numbers, an unknown label and a lone surrogate
+FUZZ_VALUES = (None, True, 0, -1, 10**30, 1.5, float("nan"), 1e308, "", "Spam", [], {}, "\ud800")
+FUZZ_RECORDS = generate_records(SynthConfig(n_workers=2, n_easy=2, n_difficult=2, seed=1))
+
+
+def _field_paths(record, prefix=()):
+    """The key path of every field of record, nested ones included."""
+    for key, value in record.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _field_paths(value, (*prefix, key))
+
+
+@settings(max_examples=300)
+@given(data=st.data())
+def test_bad_annotation_input_raises_only_dataset_errors(data):
+    # one field replaced or deleted, or one key added, on one line: the
+    # parser accepts the set or refuses it with a DatasetError naming a line,
+    # and any other exception is an internal error, which exits 2
+    annotations, tweets = copy.deepcopy(FUZZ_RECORDS)
+    record = data.draw(st.sampled_from(annotations))
+    *parents, key = data.draw(st.sampled_from(list(_field_paths(record))))
+    owner = record
+    for parent in parents:
+        owner = owner[parent]
+    change = data.draw(st.sampled_from(("replace", "delete", "add")))
+    if change == "replace":
+        owner[key] = data.draw(st.sampled_from(FUZZ_VALUES))
+    elif change == "delete":
+        del owner[key]
+    else:
+        owner[data.draw(st.sampled_from(("extra", "l2", "l3")))] = data.draw(st.sampled_from(FUZZ_VALUES))
+    try:
+        parse_dataset([json.dumps(r) for r in annotations], [json.dumps(r) for r in tweets])
+    except DatasetError as exc:
+        assert re.match(r"annotations\.jsonl, line [1-9][0-9]*: ", str(exc)), str(exc)
 
 
 TWEET_ERROR_CASES = [

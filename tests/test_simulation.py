@@ -84,8 +84,7 @@ def test_phase_windows_and_exclusion():
     # a second worker with 49 annotations of existing tweets would need 49
     # distinct tweets; one annotation is enough to trip the threshold
     ds.workers["w2"] = short
-    windows, excluded = phase_windows(ds)
-    assert excluded == ["w2"]
+    windows = phase_windows(ds)
     assert set(windows) == {("w1", "early"), ("w1", "late")}
     early = windows[("w1", "early")]
     late = windows[("w1", "late")]
@@ -110,7 +109,7 @@ def test_phase_windows_and_exclusion():
 def test_unclassed_tweets_stay_in_window_as_queries():
     ds, classes = _alternating_dataset(50)
     del classes["w1_t00"]
-    windows, _ = phase_windows(ds)
+    windows = phase_windows(ds)
     assert any(tid == "w1_t00" for tid, _ in windows[("w1", "early")])
     rows = _training_rows(make_context(ds, "MD", classes))
     # a query of both arms over their first ten tweets, and in no row itself
@@ -125,7 +124,7 @@ def test_strata_keep_window_order():
     ds, classes = _alternating_dataset(50)
     annotations = ds.workers["w1"].annotations
     annotations[:25] = annotations[24::-1]
-    windows, _ = phase_windows(ds)
+    windows = phase_windows(ds)
     rows = _training_rows(make_context(ds, "MD", classes))
     for phase in PHASES:
         window_ids = [tid for tid, _ in windows[("w1", phase)]]

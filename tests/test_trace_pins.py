@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "check_trace_pins.py"
@@ -45,3 +47,14 @@ def test_every_problem_is_reported(tmp_path, capsys):
         assert sum(problem.startswith(f"{name} is ") for problem in problems) == 1, name
     assert pins.main(path) == 1
     assert capsys.readouterr().err.splitlines() == [f"{path}: {problem}" for problem in problems]
+
+
+def test_tracer_finds_every_name_it_wraps():
+    # perfbench/tracer.py wraps the program's functions by the names its
+    # modules bind, so dropping one (dataset.stable_seed among them) makes
+    # install() raise; a fresh process keeps the wrappers out of this one
+    root = SCRIPT.parents[1]
+    code = "import sys; sys.path[:0] = sys.argv[1:]; from tracer import Tracer; Tracer().install()"
+    result = subprocess.run([sys.executable, "-B", "-c", code, str(root / "src"), str(root / "perfbench")],
+                            capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, "")
