@@ -158,8 +158,11 @@ def predictor_certainties(dataset: Dataset, config: RunConfig) -> CertaintyResul
         tid: mean([max(first / n, second / n) for first, second, n in zip(s[::3], s[1::3], s[2::3]) if n])
         for tid, s in sorted(sums.items())
     }
-    labeled = sorted(dataset.annotations_by_tweet())
-    missing = [tid for tid in labeled if tid not in values]
+    # labeled tweets without a value, read from the workers' annotations:
+    # no per-tweet groups are built here
+    missing = sorted(
+        {a.tweet_id for worker in dataset.workers.values() for a in worker.annotations if a.tweet_id not in values}
+    )
     imputed: list[str] = []
     if missing and values:
         population_mean = mean(values.values())
@@ -209,9 +212,10 @@ def difficulty_scores(dataset: Dataset, config: RunConfig) -> ScoringResult:
     never silently dropped. A dataset where no tweet has all three
     components, an empty one included, raises AnnodiffError.
     """
-    by_tweet = dataset.annotations_by_tweet()
     certainty = predictor_certainties(dataset, config)
     costs = labeling_costs(dataset)
+    # grouped after the certainty kNN, so the groups are not alive during it
+    by_tweet = dataset.annotations_by_tweet()
 
     rows: list[tuple[str, float, float, float, float]] = []
     excluded: dict[str, str] = {}

@@ -21,6 +21,10 @@ from annodiff.simulation import ConfigResult
 
 CONFIG_PREFIX = "# config: "
 
+# each class name to its difficulty constant: read_scores_csv gives every row
+# one of these two objects, not the str that csv decoded for it
+_CLASSES = {EASY: EASY, DIFFICULT: DIFFICULT}
+
 SCORES_FIELDS = ("institution", "tweet_id", "A", "C", "L", "ds", "class")
 OUTCOMES_FIELDS = ("institution", "metric", "phase", "n", "code", "mean_delta")
 CURVES_FIELDS = ("institution", "metric", "phase", "n", "k", "hf1_easy", "hf1_difficult")
@@ -90,17 +94,18 @@ def write_scores_csv(path: str, header_json: str, scored: Mapping[str, Sequence[
 
 def read_scores_csv(path: str) -> dict[str, dict[str, DifficultyScore]]:
     """Returns institution -> tweet_id -> score; a tweet with two rows in one
-    institution makes the file malformed."""
+    institution makes the file malformed. Each score's class is the EASY or
+    DIFFICULT constant itself."""
     out: dict[str, dict[str, DifficultyScore]] = {}
     with read_csv(path) as (_, rows):
         for row in rows:
             try:
-                score = DifficultyScore(row["tweet_id"], *(float(row[key]) for key in ("A", "C", "L", "ds")), row["class"])
+                score = DifficultyScore(row["tweet_id"], *(float(row[key]) for key in ("A", "C", "L", "ds")), _CLASSES.get(row["class"]))
                 institution = row["institution"]
             except (KeyError, ValueError) as exc:
                 raise AnnodiffError(f"malformed scores file {path}: {exc}")
-            if score.klass not in (EASY, DIFFICULT):
-                raise AnnodiffError(f"malformed scores file {path}: tweet {score.tweet_id} has class {score.klass!r}")
+            if score.klass is None:
+                raise AnnodiffError(f"malformed scores file {path}: tweet {score.tweet_id} has class {row['class']!r}")
             scores = out.setdefault(institution, {})
             if score.tweet_id in scores:
                 raise AnnodiffError(f"malformed scores file {path}: {institution} tweet {score.tweet_id} has more than one row")
@@ -109,21 +114,27 @@ def read_scores_csv(path: str) -> dict[str, dict[str, DifficultyScore]]:
 
 
 def write_outcomes_csv(path: str, header_json: str, results: Sequence[ConfigResult]) -> None:
-    rows = []
-    for r in results:
-        code = r.code if r.code is not None else "undefined"
-        delta = _fmt(r.mean_delta) if r.mean_delta is not None else ""
-        rows.append((r.institution, r.metric, r.phase, r.train_size, code, delta))
+    rows = (
+        (
+            r.institution,
+            r.metric,
+            r.phase,
+            r.train_size,
+            r.code if r.code is not None else "undefined",
+            _fmt(r.mean_delta) if r.mean_delta is not None else "",
+        )
+        for r in results
+    )
     _write_csv(path, header_json, OUTCOMES_FIELDS, rows)
 
 
 def write_curves_csv(path: str, header_json: str, results: Sequence[ConfigResult]) -> None:
-    rows = []
-    for r in results:
-        if r.curve_easy is None or r.curve_difficult is None:
-            continue
-        for k in sorted(r.curve_easy):
-            rows.append((r.institution, r.metric, r.phase, r.train_size, k, r.curve_easy[k], r.curve_difficult[k]))
+    rows = (
+        (r.institution, r.metric, r.phase, r.train_size, k, r.curve_easy[k], r.curve_difficult[k])
+        for r in results
+        if r.curve_easy is not None and r.curve_difficult is not None
+        for k in sorted(r.curve_easy)
+    )
     _write_csv(path, header_json, CURVES_FIELDS, rows)
 
 

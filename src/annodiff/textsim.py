@@ -4,14 +4,14 @@ Texts are compared as word sequences, not character strings. All similarity
 values are normalized to [0, 1] by the length of the longer sequence, and
 two empty sequences score 1.0. A measure is its name in METRICS.
 Subsequence and edit distance are bit-parallel kernels over word_masks;
-substring has one algorithm, similarity_rows, which streams the rows of
-many queries against one pool for the certainty kNN, and which nsim reads
-for one pair. nsim compares one pair under any of the three measures, and
-PairSimilarity memoizes it for the simulation grid, which runs all three.
-The functions here are pure and safe to
-call from multiple threads; a PairSimilarity fills its cache as it is
-read, and a similarity_rows iterator advances as it is read, so each
-thread needs its own.
+substring has one algorithm, similarity_rows, which indexes one pool in
+flat lists of positions and streams the rows of many queries against it
+for the certainty kNN, and which nsim reads for one pair. nsim compares
+one pair under any of the three measures, and PairSimilarity memoizes it
+for the simulation grid, which runs all three. The functions here are
+pure and safe to call from multiple threads; a PairSimilarity fills its
+cache as it is read, and a similarity_rows iterator advances as it is
+read, so each thread needs its own.
 """
 
 from __future__ import annotations
@@ -134,8 +134,11 @@ def similarity_rows(queries: Iterable[WordSequence], pool: Sequence[WordSequence
     A float is the longest common run of words over the longer length;
     two empty sequences score 1.0 and one empty side 0.0. This is the one
     substring algorithm: nsim(a, b, "substring") reads the row of query a
-    against pool (b,). The pool is indexed once, by word and by
-    adjacent word pair. Each query length n has one template, made once:
+    against pool (b,). The pool is indexed once, in flat lists: each word
+    maps to the ascending pool positions that hold it, each once, and each
+    adjacent word pair to the cells where it ends, where cells number all
+    the pool's words in order and one owner list gives each cell's pool
+    position. Each query length n has one template, made once:
     1 / max(n, m) at a pool sequence of length m, the score of a run of 1.
     Each query is scanned once: every pool sequence that shares a word
     with it takes its template value, and each query pair extends the runs
@@ -145,18 +148,21 @@ def similarity_rows(queries: Iterable[WordSequence], pool: Sequence[WordSequence
     grows with the pool, not with queries x pool.
     """
     lengths = [len(words) for words in pool]
-    # holders: word -> pool positions whose sequence holds it; follows:
-    # adjacent word pair -> (cell, position) where the pair ends, where
-    # cells number all the pool's words in order
-    holders: dict[str, set[int]] = {}
-    follows: dict[tuple[str, str], list[tuple[int, int]]] = {}
-    cell = 0
+    # the index: holders (word -> positions), follows (pair -> cells where
+    # it ends) and owner (cell -> position)
+    holders: dict[str, list[int]] = {}
+    follows: dict[tuple[str, str], list[int]] = {}
+    owner: list[int] = []
     for position, words in enumerate(pool):
         for j, word in enumerate(words):
-            holders.setdefault(word, set()).add(position)
+            held = holders.get(word)
+            if held is None:
+                holders[word] = [position]
+            elif held[-1] != position:
+                held.append(position)
             if j:
-                follows.setdefault((words[j - 1], word), []).append((cell, position))
-            cell += 1
+                follows.setdefault((words[j - 1], word), []).append(len(owner))
+            owner.append(position)
     templates: dict[int, list[float]] = {}
     for query in queries:
         n = len(query)
@@ -167,16 +173,18 @@ def similarity_rows(queries: Iterable[WordSequence], pool: Sequence[WordSequence
         if template is None:
             template = templates[n] = [1 / max(n, m) for m in lengths]
         row = [0.0] * len(pool)
-        for position in set().union(*(holders.get(word, ()) for word in set(query))):
-            row[position] = template[position]
+        for word in set(query):
+            for position in holders.get(word, ()):
+                row[position] = template[position]
         # runs[cell]: length of the common run that ends at cell and at
         # the query word just read; only the previous word's runs extend
         runs: dict[int, int] = {}
         longest: dict[int, int] = {}  # pool position -> its longest run of 2 or more
         for pair in zip(query, query[1:]):
             ending = {}
-            for cell, position in follows.get(pair, ()):
+            for cell in follows.get(pair, ()):
                 run = ending[cell] = runs.get(cell - 1, 1) + 1
+                position = owner[cell]
                 if run > longest.get(position, 1):
                     longest[position] = run
             runs = ending

@@ -186,11 +186,24 @@ def test_certainty_row_never_zero():
     assert knn_label_certainty(3, 3, 1.0) == pytest.approx(0.8)
 
 
+def _ungrouped_certainties(ds, config):
+    """predictor_certainties with Dataset.annotations_by_tweet refused: it
+    reads the labeled ids from the workers' annotations, so no per-tweet
+    groups are alive during its kNN."""
+
+    def refused(self):
+        raise AssertionError("predictor_certainties built the per-tweet groups")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Dataset, "annotations_by_tweet", refused)
+        return predictor_certainties(ds, config)
+
+
 def _shared_certainty(training_paths, **settings):
     """Certainty of the tweet "t" that every worker tests alone, against
     training pools with the given label paths."""
     ds = shared_test_tweet_dataset(training_paths)
-    result = predictor_certainties(ds, _config(split_ratio=SHARED_SPLIT, **settings))
+    result = _ungrouped_certainties(ds, _config(split_ratio=SHARED_SPLIT, **settings))
     assert result.imputed == sorted(set(result.values) - {"t"})
     return result.values["t"]
 
@@ -276,7 +289,7 @@ def test_aggregate_matches_direct_evaluation(workers, shared, k, seed):
         texts.update({tid: " ".join(words) for tid, (_, words) in zip(ids, labeled)})
     ds = Dataset(workers=by_worker, texts=texts)
     config = _config(k_certainty=k, seed=seed)
-    result = predictor_certainties(ds, config)
+    result = _ungrouped_certainties(ds, config)
     rows = certainty_rows_direct(ds, config)
     for tid, tweet_rows in rows.items():
         assert result.values[tid] == pytest.approx(certainty_direct(tweet_rows), abs=1e-12)
@@ -403,7 +416,7 @@ def test_certainty_counts_the_first_k_ranked_neighbors(paths, words, k, seed):
 def test_predictor_certainties_imputes_training_only_tweets():
     annotations = [_full_path_annotation(f"t{i}") for i in range(2)]
     ds = _worker_dataset({"w1": Worker("MD", "M", annotations)})
-    result = predictor_certainties(ds, _config())
+    result = _ungrouped_certainties(ds, _config())
     assert len(result.imputed) == 1
     assert set(result.values) == {"t0", "t1"}
     # the imputed tweet carries the population mean, here the other's value
@@ -530,6 +543,29 @@ def test_agreement_derives_no_seed(small_synthetic, monkeypatch):
     difficulty_scores(small_synthetic, _config())
     assert purposes, "the certainty split and order seeds are derived here"
     assert not [parts for parts in purposes if "majority" in parts]
+
+
+def test_scoring_groups_tweets_after_the_certainty_knn(small_synthetic, monkeypatch):
+    # the per-tweet groups are built once certainty has returned, by the
+    # cost component and then for agreement, so they are not alive during
+    # the certainty kNN
+    calls = []
+    certainties, groups = difficulty.predictor_certainties, Dataset.annotations_by_tweet
+
+    def recording_certainties(dataset, config):
+        calls.append("certainty starts")
+        result = certainties(dataset, config)
+        calls.append("certainty returns")
+        return result
+
+    def recording_groups(self):
+        calls.append("groups")
+        return groups(self)
+
+    monkeypatch.setattr(difficulty, "predictor_certainties", recording_certainties)
+    monkeypatch.setattr(Dataset, "annotations_by_tweet", recording_groups)
+    difficulty_scores(small_synthetic, _config())
+    assert calls == ["certainty starts", "certainty returns", "groups", "groups"]
 
 
 def test_certainty_computes_one_row_per_test_tweet_and_each_pair_once(small_synthetic, monkeypatch):

@@ -7,7 +7,8 @@ import re
 
 import pytest
 
-from annodiff.difficulty import DifficultyScore
+from annodiff import outputs
+from annodiff.difficulty import DIFFICULT, EASY, DifficultyScore
 from annodiff.errors import AnnodiffError
 from annodiff.outputs import (
     CONFIG_PREFIX,
@@ -56,6 +57,16 @@ def test_scores_roundtrip_is_exact(tmp_path):
     assert config == {"seed": 7, "split": 0.4}
     assert [r["institution"] for r in rows] == ["MD", "MD", "SU"]
     assert list(rows[0]) == list(SCORES_FIELDS)
+
+
+def test_read_scores_csv_shares_the_two_class_constants(tmp_path):
+    # csv decodes one str per row; the scores hold the module's two constants
+    path = str(tmp_path / "scores.csv")
+    scored = {"MD": [_score("t0", 0.7), _score("t1", 0.2)._replace(klass="difficult"), _score("t2", 0.9)]}
+    write_scores_csv(path, CONFIG, scored)
+    klasses = [s.klass for s in read_scores_csv(path)["MD"].values()]
+    assert klasses == ["easy", "difficult", "easy"]
+    assert all(klass is EASY or klass is DIFFICULT for klass in klasses)
 
 
 def test_scores_file_layout(tmp_path):
@@ -165,6 +176,29 @@ def test_curves_csv_skips_undefined_and_sorts_k(tmp_path):
     # repr floats survive the round trip exactly
     assert float(rows[0]["hf1_easy"]) == 1 / 3
     assert float(rows[1]["hf1_difficult"]) == 0.75
+
+
+@pytest.mark.parametrize(
+    "write, results",
+    [
+        (write_scores_csv, {"MD": [_score("t0", 0.7)]}),
+        (write_outcomes_csv, [_result("E", 0.25)]),
+        (write_curves_csv, [_result("E", 0.25)]),
+    ],
+)
+def test_csv_writers_stream_their_rows(tmp_path, monkeypatch, write, results):
+    # each writer hands _write_csv a generator of rows, never a list of them
+    received = []
+    write_csv = outputs._write_csv
+
+    def recording_write_csv(path, header_json, fields, rows):
+        received.append(rows)
+        write_csv(path, header_json, fields, rows)
+
+    monkeypatch.setattr(outputs, "_write_csv", recording_write_csv)
+    write(str(tmp_path / "out.csv"), CONFIG, results)
+    [rows] = received
+    assert iter(rows) is rows and not isinstance(rows, list)
 
 
 def test_write_json_is_canonical(tmp_path):

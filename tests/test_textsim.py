@@ -1,5 +1,8 @@
 """Tokenization and the three word-level similarity metrics."""
 
+import random
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -252,3 +255,29 @@ def test_similarity_rows_pull_one_query_per_row():
         assert next(rows) == [nsim(query, words, "substring") for words in pool]
         assert len(pulled) == n
     assert next(rows, None) is None
+
+
+def test_similarity_rows_with_repeated_words_and_pairs():
+    # a pool sequence that holds a word and a word pair more than once is
+    # one holder of that word, and each occurrence of the pair can end a run
+    pool = [tuple("a a a b a a b".split()), ("b", "a"), ("c",), ("a", "a", "b", "b")]
+    queries = [("a",), ("a", "a"), ("a", "a", "b"), ("b", "a", "a", "b"), ("c", "a", "a", "a", "b"), ("b", "b")]
+    for query, row in zip(queries, similarity_rows(queries, pool), strict=True):
+        assert row == [lcs_substring_dp(query, b) / max(len(query), len(b)) for b in pool]
+
+
+def test_similarity_rows_index_size_per_pool_word():
+    # the pool index is flat lists of positions: 164 to 167 bytes per pool
+    # word at the first row on Python 3.10 to 3.13, where a set per word and
+    # a (cell, position) tuple per word pair took 272 to 274
+    rng = random.Random(7)
+    vocabulary = [f"w{i}" for i in range(60)]
+    pool = [tuple(rng.choices(vocabulary, k=8)) for _ in range(240)]
+    query = tuple(rng.choices(vocabulary, k=8))
+    tracemalloc.start()
+    try:
+        next(similarity_rows([query], pool))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 200 * 8 * len(pool), peak
